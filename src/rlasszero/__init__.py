@@ -13,8 +13,6 @@ from .lp import (
     SolverOptions,
     enumerate_vertex_optima,
     formulate_jp,
-    solve_augmented_jp,
-    solve_bp,
     solve_jp,
     solve_lp,
 )

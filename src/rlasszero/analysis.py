@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, SolverFailure
 from .lp import (
     LpProblem,
     OPTIMAL,
@@ -74,13 +74,12 @@ def _max_inner_product_lp(a_null: np.ndarray, h: np.ndarray,
     if status == "unbounded":
         return np.inf, None
     if status != OPTIMAL:
-        raise InputError(f"certification LP ended with status {status}")
+        raise SolverFailure(f"certification LP ended with status {status}")
     return -obj, prob.recompose(x)
 
 
 def check_identifiability(x: np.ndarray, theta: np.ndarray,
                           theta_tilde: np.ndarray, lam: float = 1.0,
-                          budget: int = 10 ** 6,
                           opts: Optional[SolverOptions] = None
                           ) -> IdentifiabilityVerdict:
     """Certify whether the sign pair is identifiable for the given design.

@@ -30,15 +30,12 @@ class QutSpec:
     lam: float = 1.0
     n_dictionaries: int = 20
     master_seed: int = 0
-    pivot: str = "pooled_median"  # or "per_dictionary_mad"
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise InputError(f"alpha must be in (0,1), got {self.alpha}")
         if self.n_mc < 50:
             raise InputError(f"n_mc must be >= 50, got {self.n_mc}")
-        if self.pivot not in ("pooled_median", "per_dictionary_mad"):
-            raise InputError(f"unknown pivot choice {self.pivot!r}")
 
 
 @dataclass
@@ -48,44 +45,31 @@ class QutResult:
     tau: Optional[float] = None  # filled in once a data fit is available
 
 
-def pivot_scale_from_gammas(gamma_all, pivot: str = "pooled_median") -> float:
-    """Noise scale from the dictionary coefficients.
+def pivot_scale_from_gammas(gamma_all) -> float:
+    """Noise scale from the dictionary coefficients: the median of the
+    nonzero |gamma| pooled over all dictionaries.
 
     Only the nonzero coefficients enter: basic solutions of the l1
     programs zero out most dictionary entries, so a median over all of
-    them would collapse to zero. Both choices are scale-equivariant
+    them would collapse to zero. The scale is scale-equivariant
     (solutions are positively homogeneous in the response, with the
     sparsity pattern unchanged), which is what makes the calibration
     noise-level-free.
-
-    Default: median of the nonzero |gamma| pooled over all dictionaries.
-    The alternative takes a per-dictionary median of nonzero |gamma|
-    first, then the median across dictionaries.
     """
     if not gamma_all:
         raise InputError("no dictionary noise coefficients available")
-    if pivot == "pooled_median":
-        pooled = np.abs(np.concatenate([np.ravel(g) for g in gamma_all]))
-        nz = pooled[pooled > 0.0]
-        scale = float(np.median(nz)) if nz.size else 0.0
-    elif pivot == "per_dictionary_mad":
-        meds = []
-        for g in gamma_all:
-            a = np.abs(np.ravel(g))
-            a = a[a > 0.0]
-            meds.append(float(np.median(a)) if a.size else 0.0)
-        scale = float(np.median(meds))
-    else:
-        raise InputError(f"unknown pivot choice {pivot!r}")
+    pooled = np.abs(np.concatenate([np.ravel(g) for g in gamma_all]))
+    nz = pooled[pooled > 0.0]
+    scale = float(np.median(nz)) if nz.size else 0.0
     if scale <= 0.0:
         raise InputError("all noise coefficients are zero; pivot scale "
                          "undefined (degenerate response)")
     return scale
 
 
-def pivot_scale(fit: RlzFit, pivot: str = "pooled_median") -> float:
+def pivot_scale(fit: RlzFit) -> float:
     """Pivot scale of a fitted estimate; requires stored noise coefficients."""
-    return pivot_scale_from_gammas(fit.gamma_all, pivot)
+    return pivot_scale_from_gammas(fit.gamma_all)
 
 
 def qut_threshold(x: np.ndarray, spec: QutSpec,
@@ -113,7 +97,7 @@ def qut_threshold(x: np.ndarray, spec: QutSpec,
                         corruption_cols=corruption_cols, rng_path=(j,))
         try:
             fit = robust_lasso_zero(x, eps, cfg, opts)
-            scale = pivot_scale(fit, spec.pivot)
+            scale = pivot_scale(fit)
         except (SolverFailure, InputError):
             failed += 1
             continue

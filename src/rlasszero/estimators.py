@@ -1,10 +1,12 @@
 """Median-aggregated noise-dictionary estimators and hard thresholding.
 
-The main entry point is :func:`robust_lasso_zero`: solve M corruption-aware
-l1 problems, each augmented with a fresh n x n standard-normal noise
-dictionary, take componentwise medians of the coefficient estimates, and
-hard-threshold. :func:`lasso_zero` is the corruption-free baseline (no
-omega block) and :func:`tjp` the single-solve thresholded variant.
+All estimators solve the one l1 program of :func:`rlasszero.lp.solve_jp`,
+which has an optional corruption block and an optional dictionary block.
+:func:`robust_lasso_zero` solves it M times with both blocks, each time
+with a fresh n x n standard-normal noise dictionary, takes componentwise
+medians of the estimates, and hard-thresholds. :func:`lasso_zero` runs the
+same median loop without the corruption block, and :func:`tjp` is a single
+thresholded solve without the dictionary block.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ import numpy as np
 
 from .core import RngStream
 from .errors import InputError, SolverFailure
-from .lp import (
-    OPTIMAL,
-    SolverOptions,
-    solve_augmented_jp,
-    solve_bp,
-    solve_jp,
-)
+from .lp import OPTIMAL, SolverOptions, solve_jp
 
 
 def hard_threshold(v: np.ndarray, tau: float) -> np.ndarray:
@@ -62,8 +58,6 @@ class RlzConfig:
     n_dictionaries: int = 20
     master_seed: int = 0
     corruption_cols: Optional[np.ndarray] = None
-    rescale_dictionaries: bool = False  # scale G columns to norm sqrt(n)
-    tau_omega: Optional[float] = None   # defaults to tau
     rng_path: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -101,13 +95,6 @@ class RlzFit:
         return out
 
 
-def _draw_dictionary(n: int, stream: RngStream, rescale: bool) -> np.ndarray:
-    g = stream.generator().standard_normal((n, n))
-    if rescale:
-        g *= np.sqrt(n) / np.linalg.norm(g, axis=0)
-    return g
-
-
 def _resolve_tau(cfg: RlzConfig, gamma_all, qut):
     if not isinstance(cfg.tau, str):
         return float(cfg.tau)
@@ -118,10 +105,10 @@ def _resolve_tau(cfg: RlzConfig, gamma_all, qut):
     return float(qut.pivot_quantile * pivot_scale_from_gammas(gamma_all))
 
 
-def robust_lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
-                      opts: Optional[SolverOptions] = None,
-                      qut=None) -> RlzFit:
-    """Noise-dictionary median estimator for the sparse corruption model.
+def _median_fit(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
+                corruption_cols: Optional[np.ndarray],
+                opts: Optional[SolverOptions], qut) -> RlzFit:
+    """Solve with M noise dictionaries, take medians and hard-threshold.
 
     Dictionary k (1-based) is drawn from the stream
     (master_seed, (*rng_path, k)), so fits are deterministic and
@@ -131,29 +118,20 @@ def robust_lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, p = x.shape
-    if y.shape != (n,):
-        raise InputError(f"y must have length {n}")
+    n = x.shape[0]
     base = RngStream(cfg.master_seed, cfg.rng_path)
-    cols = cfg.corruption_cols
-    if cols is not None:
-        cols = np.asarray(cols, dtype=int)
+    cols = None if corruption_cols is None else np.asarray(corruption_cols, dtype=int)
 
     betas, omegas, gammas, statuses = [], [], [], []
     for k in range(1, cfg.n_dictionaries + 1):
-        g = _draw_dictionary(n, base.child(k), cfg.rescale_dictionaries)
-        if cols is None:
-            sol = solve_augmented_jp(x, y, cfg.lam, g, opts)
-            beta, omega, gamma, status = sol.beta, sol.omega, sol.gamma, sol.status
-        else:
-            beta, omega, gamma, status = _solve_restricted(
-                x, y, cfg.lam, cols, g, opts)
-        statuses.append(status)
-        if status != OPTIMAL:
+        g = base.child(k).generator().standard_normal((n, n))
+        sol = solve_jp(x, y, cfg.lam, cols, g, opts)
+        statuses.append(sol.status)
+        if sol.status != OPTIMAL:
             continue
-        betas.append(beta)
-        omegas.append(omega)
-        gammas.append(gamma)
+        betas.append(sol.beta)
+        omegas.append(sol.omega)
+        gammas.append(sol.gamma)
 
     failures = cfg.n_dictionaries - len(betas)
     if failures:
@@ -164,63 +142,28 @@ def robust_lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
                             "medians would be unreliable")
 
     beta_med = median_aggregate(betas)
-    omega_med = median_aggregate(omegas) if omegas and omegas[0].size else None
+    omega_med = median_aggregate(omegas) if omegas[0].size else None
     tau = _resolve_tau(cfg, gammas, qut)
-    beta_hat = hard_threshold(beta_med, tau)
-    tau_omega = cfg.tau_omega if cfg.tau_omega is not None else tau
-    omega_hat = hard_threshold(omega_med, tau_omega) if omega_med is not None else None
+    omega_hat = hard_threshold(omega_med, tau) if omega_med is not None else None
     return RlzFit(beta_med=beta_med, omega_med=omega_med, gamma_all=gammas,
-                  beta_hat=beta_hat, omega_hat=omega_hat, tau_used=tau,
-                  per_dictionary_status=statuses, corruption_cols=cols)
+                  beta_hat=hard_threshold(beta_med, tau), omega_hat=omega_hat,
+                  tau_used=tau, per_dictionary_status=statuses,
+                  corruption_cols=cols)
 
 
-def _eye_cols(n: int, cols: np.ndarray) -> np.ndarray:
-    block = np.zeros((n, cols.size))
-    block[cols, np.arange(cols.size)] = np.sqrt(n)
-    return block
-
-
-def _solve_restricted(x, y, lam, cols, g, opts):
-    """Augmented solve with the corruption block restricted to ``cols``."""
-    from .lp import solve_lp, split_signed_problem
-
-    n, p = x.shape
-    a_signed = np.hstack([x, _eye_cols(n, cols), g])
-    costs = np.concatenate([np.ones(p), np.full(cols.size, lam), np.ones(n)])
-    prob = split_signed_problem(a_signed, y, costs)
-    sol, _, status = solve_lp(prob, opts)
-    signed = prob.recompose(sol)
-    return signed[:p], signed[p:p + cols.size], signed[p + cols.size:], status
+def robust_lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
+                      opts: Optional[SolverOptions] = None,
+                      qut=None) -> RlzFit:
+    """Noise-dictionary median estimator for the sparse corruption model,
+    with the corruption block on the rows ``cfg.corruption_cols``."""
+    return _median_fit(x, y, cfg, cfg.corruption_cols, opts, qut)
 
 
 def lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
                opts: Optional[SolverOptions] = None, qut=None) -> RlzFit:
     """Baseline without a corruption block: repeated minimum-l1 solves on
     the dictionary-augmented matrix [X | G^(k)]."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, p = x.shape
-    base = RngStream(cfg.master_seed, cfg.rng_path)
-    betas, gammas, statuses = [], [], []
-    for k in range(1, cfg.n_dictionaries + 1):
-        g = _draw_dictionary(n, base.child(k), cfg.rescale_dictionaries)
-        z, status = solve_bp(np.hstack([x, g]), y, opts)
-        statuses.append(status)
-        if status != OPTIMAL:
-            continue
-        betas.append(z[:p])
-        gammas.append(z[p:])
-    failures = cfg.n_dictionaries - len(betas)
-    if failures:
-        warnings.warn(f"{failures} of {cfg.n_dictionaries} dictionary solves "
-                      "failed and were dropped from the medians")
-    if failures > cfg.n_dictionaries / 2:
-        raise SolverFailure("more than half of the dictionary solves failed")
-    beta_med = median_aggregate(betas)
-    tau = _resolve_tau(cfg, gammas, qut)
-    return RlzFit(beta_med=beta_med, omega_med=None, gamma_all=gammas,
-                  beta_hat=hard_threshold(beta_med, tau), omega_hat=None,
-                  tau_used=tau, per_dictionary_status=statuses)
+    return _median_fit(x, y, cfg, np.array([], dtype=int), opts, qut)
 
 
 def tjp(x: np.ndarray, y: np.ndarray, lam: float, tau: float,
@@ -230,7 +173,7 @@ def tjp(x: np.ndarray, y: np.ndarray, lam: float, tau: float,
 
     Returns (beta_hat, omega_hat).
     """
-    sol = solve_jp(x, y, lam, corruption_cols, opts)
+    sol = solve_jp(x, y, lam, corruption_cols, opts=opts)
     if sol.status != OPTIMAL:
         raise SolverFailure(f"solve ended with status {sol.status}")
     return hard_threshold(sol.beta, tau), hard_threshold(sol.omega, tau)

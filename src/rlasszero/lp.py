@@ -1,13 +1,19 @@
 """Exact l1 minimization via a dense revised simplex method.
 
-Basis Pursuit, Justice Pursuit (coefficients + sqrt(n)-scaled corruption
-block) and its noise-dictionary augmented variant are reduced to
-standard-form linear programs by splitting each signed variable into a
-nonnegative pair. The solver is a two-phase revised simplex with Dantzig
-pricing and an automatic Bland fallback, which terminates on degenerate
-problems and returns exact basic feasible solutions -- needed downstream
-for uniqueness and sign-pattern certification, where first-order solvers
-are too loose.
+Every estimator solves one program,
+
+    min ||beta||_1 + lam ||omega||_1 + ||gamma||_1
+    s.t. X beta + sqrt(n) E omega + G gamma = y,
+
+where the corruption block E (identity columns for the corrupted rows) and
+the noise-dictionary block G are optional: basis pursuit has neither,
+Justice Pursuit has no G, Lasso-Zero has no E and Robust Lasso-Zero has
+both. :func:`formulate_jp` reduces it to a standard-form linear program by
+splitting each signed variable into a nonnegative pair. The solver is a
+two-phase revised simplex with Dantzig pricing and an automatic Bland
+fallback, which terminates on degenerate problems and returns exact basic
+feasible solutions -- needed downstream for uniqueness and sign-pattern
+certification, where first-order solvers are too loose.
 
 A brute-force vertex enumeration oracle is provided for tiny instances;
 it is the independent cross-check used by the test suite.
@@ -35,15 +41,12 @@ class SolverOptions:
     feas_tol: float = 1e-9
     opt_tol: float = 1e-9
     max_pivots: Optional[int] = None  # default 50 * (m + N), set at solve time
-    pivot_rule: str = "dantzig_with_bland_fallback"  # or "bland"
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.opt_tol <= 0:
             raise InputError("tolerances must be positive")
         if self.max_pivots is not None and self.max_pivots < 1:
             raise InputError("max_pivots must be >= 1")
-        if self.pivot_rule not in ("bland", "dantzig_with_bland_fallback"):
-            raise InputError(f"unknown pivot rule {self.pivot_rule!r}")
 
 
 @dataclass
@@ -97,11 +100,15 @@ def split_signed_problem(a_signed: np.ndarray, b: np.ndarray,
 
 
 def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
-                 corruption_cols: Optional[Sequence[int]] = None) -> LpProblem:
-    """LP for min ||beta||_1 + lam ||omega||_1 s.t. X beta + sqrt(n) I_M omega = y.
+                 corruption_cols: Optional[Sequence[int]] = None,
+                 g: Optional[np.ndarray] = None) -> LpProblem:
+    """LP for min ||beta||_1 + lam ||omega||_1 + ||gamma||_1
+    s.t. X beta + sqrt(n) E omega + G gamma = y.
 
     When ``corruption_cols`` is None the corruption block spans all n rows;
-    otherwise only the listed rows get a corruption column.
+    otherwise only the listed rows get a corruption column, and an empty
+    list drops the block. Without ``g`` there is no dictionary block.
+    Variables are ordered [beta, omega, gamma].
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -116,33 +123,13 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
         cols = np.asarray(corruption_cols, dtype=int)
     eye_block = np.zeros((n, cols.size))
     eye_block[cols, np.arange(cols.size)] = np.sqrt(n)
-    a_signed = np.hstack([x, eye_block])
-    costs = np.concatenate([np.ones(p), np.full(cols.size, lam)])
+    g = np.zeros((n, 0)) if g is None else np.asarray(g, dtype=float)
+    if g.ndim != 2 or g.shape[0] != n:
+        raise InputError(f"dictionary must have {n} rows, got shape {g.shape}")
+    a_signed = np.hstack([x, eye_block, g])
+    costs = np.concatenate([np.ones(p), np.full(cols.size, lam),
+                            np.ones(g.shape[1])])
     return split_signed_problem(a_signed, y, costs)
-
-
-def formulate_augmented_jp(x: np.ndarray, y: np.ndarray, lam: float,
-                           g: np.ndarray) -> LpProblem:
-    """LP for the noise-dictionary problem with constraint
-    X beta + sqrt(n) omega + G gamma = y and cost
-    ||beta||_1 + lam ||omega||_1 + ||gamma||_1."""
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if lam <= 0:
-        raise InputError(f"lambda must be > 0, got {lam}")
-    n, p = x.shape
-    if g.shape != (n, n):
-        raise InputError(f"dictionary must be {n}x{n}, got {g.shape}")
-    a_signed = np.hstack([x, np.sqrt(n) * np.eye(n), g])
-    costs = np.concatenate([np.ones(p), np.full(n, lam), np.ones(n)])
-    return split_signed_problem(a_signed, np.asarray(y, dtype=float), costs)
-
-
-def formulate_bp(x_aug: np.ndarray, y: np.ndarray) -> LpProblem:
-    """LP for min ||z||_1 s.t. x_aug z = y."""
-    x_aug = np.asarray(x_aug, dtype=float)
-    return split_signed_problem(x_aug, np.asarray(y, dtype=float),
-                                np.ones(x_aug.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +180,7 @@ def _pivot_loop(a, b, c, basis, binv, xb, allowed, opts: SolverOptions,
         candidates = allowed & (reduced < -opts.opt_tol * c_scale)
         if not candidates.any():
             return OPTIMAL
-        if opts.pivot_rule == "bland" or it >= bland_after:
+        if it >= bland_after:
             enter = int(np.flatnonzero(candidates)[0])
         else:
             masked = np.where(candidates, reduced, 0.0)
@@ -285,65 +272,33 @@ def solve_lp(prob: LpProblem, opts: Optional[SolverOptions] = None):
 # High-level solves
 # ---------------------------------------------------------------------------
 
-def _jp_objective(beta, omega, gamma, lam):
-    obj = np.abs(beta).sum() + lam * np.abs(omega).sum()
-    if gamma is not None:
-        obj += np.abs(gamma).sum()
-    return float(obj)
-
-
 def solve_jp(x: np.ndarray, y: np.ndarray, lam: float,
              corruption_cols: Optional[Sequence[int]] = None,
+             g: Optional[np.ndarray] = None,
              opts: Optional[SolverOptions] = None) -> JpSolution:
-    """Solve the corruption-aware l1 problem
-    min ||beta||_1 + lam ||omega||_1 s.t. X beta + sqrt(n) I_M omega = y."""
+    """Solve the l1 program of :func:`formulate_jp` with the same blocks.
+
+    ``gamma`` is None when there is no dictionary block.
+    """
+    prob = formulate_jp(x, y, lam, corruption_cols, g)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = x.shape
-    prob = formulate_jp(x, y, lam, corruption_cols)
+    cols = None if corruption_cols is None else np.asarray(corruption_cols, dtype=int)
+    rows = np.arange(n) if cols is None else cols
     sol, _, status = solve_lp(prob, opts)
-    signed = prob.recompose(sol)
-    beta = signed[:p]
-    omega = signed[p:]
-    if corruption_cols is None:
-        cols = None
-        fitted = x @ beta + np.sqrt(n) * omega
-    else:
-        cols = np.asarray(corruption_cols, dtype=int)
-        fitted = x @ beta
-        fitted[cols] += np.sqrt(n) * omega
-    residual = float(np.linalg.norm(y - fitted))
-    return JpSolution(beta=beta, omega=omega, gamma=None,
-                      objective=_jp_objective(beta, omega, None, lam),
-                      residual_norm=residual, status=status,
-                      corruption_cols=cols)
-
-
-def solve_augmented_jp(x: np.ndarray, y: np.ndarray, lam: float, g: np.ndarray,
-                       opts: Optional[SolverOptions] = None) -> JpSolution:
-    """Solve the noise-dictionary variant with an extra G gamma term."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    g = np.asarray(g, dtype=float)
-    n, p = x.shape
-    prob = formulate_augmented_jp(x, y, lam, g)
-    sol, _, status = solve_lp(prob, opts)
-    signed = prob.recompose(sol)
-    beta = signed[:p]
-    omega = signed[p:p + n]
-    gamma = signed[p + n:]
-    residual = float(np.linalg.norm(y - x @ beta - np.sqrt(n) * omega - g @ gamma))
-    return JpSolution(beta=beta, omega=omega, gamma=gamma,
-                      objective=_jp_objective(beta, omega, gamma, lam),
-                      residual_norm=residual, status=status)
-
-
-def solve_bp(x_aug: np.ndarray, y: np.ndarray,
-             opts: Optional[SolverOptions] = None):
-    """Minimum-l1 solution of y = x_aug z. Returns (z, status)."""
-    prob = formulate_bp(x_aug, y)
-    sol, _, status = solve_lp(prob, opts)
-    return prob.recompose(sol), status
+    beta, omega, gamma = np.split(prob.recompose(sol), [p, p + rows.size])
+    fitted = x @ beta
+    fitted[rows] += np.sqrt(n) * omega
+    if g is not None:
+        fitted += np.asarray(g, dtype=float) @ gamma
+    objective = float(np.abs(beta).sum() + lam * np.abs(omega).sum()
+                      + np.abs(gamma).sum())
+    return JpSolution(beta=beta, omega=omega,
+                      gamma=None if g is None else gamma,
+                      objective=objective,
+                      residual_norm=float(np.linalg.norm(y - fitted)),
+                      status=status, corruption_cols=cols)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ values more likely to be missing (MNAR).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -76,7 +76,9 @@ def solve_b_for_pi(a: float, pi: float, tol: float = 1e-10) -> float:
     if a == 0:
         return float(logit(pi))
     lo, hi = -50.0, 50.0
-    assert _gh_expectation(a, lo) < pi < _gh_expectation(a, hi)
+    if not _gh_expectation(a, lo) < pi < _gh_expectation(a, hi):
+        raise InputError(f"no intercept b in [{lo:g}, {hi:g}] gives a missing "
+                         f"proportion pi={pi} at slope a={a}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if _gh_expectation(a, mid) < pi:
@@ -169,11 +171,7 @@ def rlz_with_missing(y: np.ndarray, inc: IncompleteMatrix, cfg: RlzConfig,
     x_imp = _IMPUTERS[impute](inc)
     x_std, _, scales = standardize_columns(x_imp, return_stats=True)
     cols = inc.incomplete_rows if restrict_corruption else None
-    run_cfg = RlzConfig(lam=cfg.lam, tau=cfg.tau,
-                        n_dictionaries=cfg.n_dictionaries,
-                        master_seed=cfg.master_seed, corruption_cols=cols,
-                        rescale_dictionaries=cfg.rescale_dictionaries,
-                        tau_omega=cfg.tau_omega, rng_path=cfg.rng_path)
+    run_cfg = replace(cfg, corruption_cols=cols)
     qut: Optional[QutResult] = None
     if isinstance(cfg.tau, str):
         if qut_spec is None:

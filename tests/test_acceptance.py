@@ -24,7 +24,6 @@ from rlasszero.lp import (
     SolverOptions,
     certify_unique_jp,
     enumerate_vertex_optima,
-    formulate_augmented_jp,
     formulate_jp,
     solve_jp,
     solve_lp,
@@ -57,8 +56,7 @@ def test_criterion_1_lp_oracle_equivalence():
         if seed % 2 == 0:
             prob = formulate_jp(x, y, lam)
         else:
-            prob = formulate_augmented_jp(x, y, lam,
-                                          gen.standard_normal((n, n)))
+            prob = formulate_jp(x, y, lam, g=gen.standard_normal((n, n)))
         v, obj, status = solve_lp(prob, SolverOptions())
         assert status == OPTIMAL
         # feasibility and split complementarity

@@ -18,7 +18,7 @@ class TestQutSpec:
         assert spec.alpha == 0.05 and spec.n_mc == 500 and spec.lam == 1.0
 
     @pytest.mark.parametrize("kw", [dict(alpha=0.0), dict(alpha=1.0),
-                                    dict(n_mc=10), dict(pivot="nope")])
+                                    dict(n_mc=10)])
     def test_invalid_rejected(self, kw):
         with pytest.raises(InputError):
             QutSpec(**kw)

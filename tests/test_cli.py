@@ -160,6 +160,23 @@ class TestIdentifyCommand:
         d = json.loads(out.read_text())
         assert d["identifiable"] is False and d["witness"] is not None
 
+    def test_certification_lp_failure_exit_3(self, monkeypatch, tmp_path):
+        import rlasszero.analysis as analysis
+
+        monkeypatch.setattr(analysis, "solve_lp",
+                            lambda prob, opts=None: (None, np.nan,
+                                                     "tolerance_failure"))
+        n, p = 10, 4
+        write_design(tmp_path / "X.csv",
+                     RngStream(2, (205,)).generator().standard_normal((n, p)))
+        write_vector(tmp_path / "theta.csv", np.array([1.0, 0, 0, 0]))
+        write_vector(tmp_path / "tt.csv", np.zeros(n))
+        code = main(["identify", "--x", str(tmp_path / "X.csv"),
+                     "--theta", str(tmp_path / "theta.csv"),
+                     "--theta-tilde", str(tmp_path / "tt.csv"),
+                     "--out", str(tmp_path / "v.json")])
+        assert code == 3
+
 
 class TestSimulateCommand:
     def _config(self, tmp_path, **kw):
@@ -185,6 +202,12 @@ class TestSimulateCommand:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = self._config(tmp_path, bogus=1)
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "m.csv")]) == 2
+
+    def test_unreachable_missing_rate_exit_2(self, tmp_path):
+        cfg = self._config(tmp_path, mechanism="mnar", a=30, pi=0.001,
+                           replications=1)
         assert main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "m.csv")]) == 2
 

@@ -159,6 +159,16 @@ class TestRobustLassoZero:
         others = np.setdiff1d(np.arange(25), cols)
         np.testing.assert_array_equal(full[others], 0.0)
 
+    def test_all_rows_listed_equals_full_block(self):
+        x, y, _, _ = _small_instance(sigma=0.2)
+        full = robust_lasso_zero(x, y, RlzConfig(tau=0.3, n_dictionaries=3,
+                                                 master_seed=2))
+        listed = robust_lasso_zero(x, y, RlzConfig(
+            tau=0.3, n_dictionaries=3, master_seed=2,
+            corruption_cols=np.arange(25)))
+        np.testing.assert_array_equal(full.beta_med, listed.beta_med)
+        np.testing.assert_array_equal(full.omega_med, listed.omega_med)
+
 
 class TestLassoZero:
     def test_zero_response(self):
@@ -173,7 +183,10 @@ class TestLassoZero:
                         corruption_cols=np.array([], dtype=int))
         a = robust_lasso_zero(x, y, cfg)
         b = lasso_zero(x, y, RlzConfig(tau=0.3, n_dictionaries=4, master_seed=5))
-        np.testing.assert_allclose(a.beta_med, b.beta_med, atol=1e-10)
+        np.testing.assert_array_equal(a.beta_med, b.beta_med)
+        assert len(a.gamma_all) == len(b.gamma_all) == 4
+        for ga, gb in zip(a.gamma_all, b.gamma_all):
+            np.testing.assert_array_equal(ga, gb)
 
 
 class TestTjp:

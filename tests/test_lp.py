@@ -12,11 +12,7 @@ from rlasszero.lp import (
     SolverOptions,
     certify_unique_jp,
     enumerate_vertex_optima,
-    formulate_augmented_jp,
-    formulate_bp,
     formulate_jp,
-    solve_augmented_jp,
-    solve_bp,
     solve_jp,
     solve_lp,
 )
@@ -31,6 +27,12 @@ def random_jp_instance(seed, n_max=6, p_max=8, augmented=False):
     lam = float(gen.uniform(0.3, 3.0))
     g = gen.standard_normal((n, n)) if augmented else None
     return x, y, lam, g
+
+
+def _bp(a, y):
+    """Basis pursuit min ||z||_1 s.t. a z = y: no corruption block, no G."""
+    sol = solve_jp(a, y, 1.0, corruption_cols=[])
+    return sol.beta, sol.status
 
 
 class TestFormulate:
@@ -48,6 +50,31 @@ class TestFormulate:
         omega_block = prob.a[:, 2:4]
         np.testing.assert_allclose(omega_block[cols, [0, 1]], np.sqrt(5))
         assert np.count_nonzero(omega_block) == 2
+
+    def test_full_block_equals_all_rows_listed(self):
+        x, y, lam, g = random_jp_instance(3, augmented=True)
+        n = len(y)
+        for dictionary in (None, g):
+            full = formulate_jp(x, y, lam, g=dictionary)
+            listed = formulate_jp(x, y, lam, corruption_cols=np.arange(n),
+                                  g=dictionary)
+            np.testing.assert_array_equal(full.a, listed.a)
+            np.testing.assert_array_equal(full.c, listed.c)
+
+    def test_block_layout(self):
+        x, y, lam, g = random_jp_instance(5, augmented=True)
+        n, p = x.shape
+        prob = formulate_jp(x, y, lam, corruption_cols=[], g=g)
+        np.testing.assert_array_equal(prob.a[:, :p + n], np.hstack([x, g]))
+        np.testing.assert_array_equal(prob.c, np.ones(2 * (p + n)))
+        prob = formulate_jp(x, y, lam, g=g)
+        np.testing.assert_array_equal(prob.c[:p + 2 * n],
+                                      np.r_[np.ones(p), np.full(n, lam),
+                                            np.ones(n)])
+
+    def test_dictionary_row_mismatch_rejected(self):
+        with pytest.raises(InputError):
+            formulate_jp(np.eye(3), np.zeros(3), 1.0, g=np.ones((2, 3)))
 
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(InputError):
@@ -112,13 +139,13 @@ class TestJpHandExamples:
 
     def test_augmented_zero_rhs(self):
         g = RngStream(0, ()).generator().standard_normal((3, 3))
-        sol = solve_augmented_jp(np.eye(3), np.zeros(3), 1.0, g)
+        sol = solve_jp(np.eye(3), np.zeros(3), 1.0, g=g)
         assert sol.objective == pytest.approx(0.0, abs=1e-12)
 
     def test_augmented_with_zero_dictionary_matches_plain(self):
         x, y, lam, _ = random_jp_instance(9)
         plain = solve_jp(x, y, lam)
-        aug = solve_augmented_jp(x, y, lam, np.zeros((len(y), len(y))))
+        aug = solve_jp(x, y, lam, g=np.zeros((len(y), len(y))))
         assert aug.objective == pytest.approx(plain.objective, abs=1e-9)
         np.testing.assert_allclose(aug.gamma, 0.0, atol=1e-12)
 
@@ -126,21 +153,21 @@ class TestJpHandExamples:
 class TestBp:
     def test_identity_matrix(self):
         y = np.array([1.0, -2.0, 0.5])
-        z, status = solve_bp(np.eye(3), y)
+        z, status = _bp(np.eye(3), y)
         assert status == OPTIMAL
         np.testing.assert_allclose(z, y, atol=1e-10)
 
     def test_zero_rhs(self):
-        z, _ = solve_bp(np.eye(3), np.zeros(3))
+        z, _ = _bp(np.eye(3), np.zeros(3))
         np.testing.assert_array_equal(z, 0.0)
 
     def test_small_instance_vs_oracle(self):
         gen = RngStream(12, ()).generator()
         a = gen.standard_normal((3, 6))
         y = gen.standard_normal(3)
-        z, status = solve_bp(a, y)
+        z, status = _bp(a, y)
         assert status == OPTIMAL
-        prob = formulate_bp(a, y)
+        prob = formulate_jp(a, y, 1.0, corruption_cols=[])
         optima = enumerate_vertex_optima(prob)
         best = min(np.abs(prob.recompose(v)).sum() for v in optima)
         assert np.abs(z).sum() == pytest.approx(best, abs=1e-8)
@@ -165,7 +192,8 @@ class TestVertexOracle:
         assert not unique and len(optima) >= 2
 
     def test_budget_enforced(self):
-        prob = formulate_bp(np.ones((2, 40)), np.ones(2))
+        prob = formulate_jp(np.ones((2, 40)), np.ones(2), 1.0,
+                            corruption_cols=[])
         with pytest.raises(BudgetExceededError):
             enumerate_vertex_optima(prob, budget=10)
 
@@ -190,8 +218,8 @@ class TestOracleEquivalence:
         x = gen.standard_normal((n, p))
         y = gen.standard_normal(n)
         g = gen.standard_normal((n, n))
-        sol = solve_augmented_jp(x, y, 1.3, g)
-        prob = formulate_augmented_jp(x, y, 1.3, g)
+        sol = solve_jp(x, y, 1.3, g=g)
+        prob = formulate_jp(x, y, 1.3, g=g)
         optima = enumerate_vertex_optima(prob)
         best = min(np.abs(prob.recompose(v)[:p]).sum()
                    + 1.3 * np.abs(prob.recompose(v)[p:p + n]).sum()

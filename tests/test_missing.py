@@ -80,6 +80,11 @@ class TestSolveBForPi:
         with pytest.raises(InputError):
             solve_b_for_pi(1.0, 0.0)
 
+    def test_unreachable_pi_rejected(self):
+        # at slope 30 even b = -50 leaves about 9% of N(0,1) entries missing
+        with pytest.raises(InputError, match=r"pi=0\.001 at slope a=30"):
+            solve_b_for_pi(30.0, 1e-3)
+
 
 class TestMissingnessSpec:
     def test_b_derived(self):
