@@ -11,7 +11,10 @@ on execution order or worker count.
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
 import io
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -237,6 +240,31 @@ def _run_estimator(name: str, spec: SimulationSpec, x, y,
     return fit.beta_hat
 
 
+def _openblas_function(symbols):
+    """First of ``symbols`` exported by the OpenBLAS numpy loaded, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in symbols:
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _single_blas_thread():
+    """Pool initializer: one OpenBLAS thread per worker process.
+
+    Each worker otherwise keeps a thread per core, and the workers' thread
+    pools contend for the same cores.
+    """
+    fn = _openblas_function(("scipy_openblas_set_num_threads64_",
+                             "openblas_set_num_threads"))
+    if fn is not None:
+        fn.argtypes, fn.restype = [ctypes.c_int], None
+        fn(1)
+
+
 def run_experiment(spec: SimulationSpec, workers: int = 1):
     """Run all replications and aggregate; returns (records, raw_rows).
 
@@ -248,7 +276,8 @@ def run_experiment(spec: SimulationSpec, workers: int = 1):
     reps = range(1, spec.replications + 1)
     results = []
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_single_blas_thread) as pool:
             futures = {r: pool.submit(_replication_metrics, spec, r)
                        for r in reps}
             for r in reps:

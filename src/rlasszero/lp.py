@@ -9,11 +9,18 @@ where the corruption block E (identity columns for the corrupted rows) and
 the noise-dictionary block G are optional: basis pursuit has neither,
 Justice Pursuit has no G, Lasso-Zero has no E and Robust Lasso-Zero has
 both. :func:`formulate_jp` reduces it to a standard-form linear program by
-splitting each signed variable into a nonnegative pair. The solver is a
-two-phase revised simplex with Dantzig pricing and an automatic Bland
-fallback, which terminates on degenerate problems and returns exact basic
-feasible solutions -- needed downstream for uniqueness and sign-pattern
-certification, where first-order solvers are too loose.
+splitting each signed variable into a nonnegative pair, and builds a
+feasible starting basis from the program's own blocks: the corruption
+column of every row that has one, and dictionary columns for the other
+rows. The solver is a revised simplex with Dantzig pricing and an automatic
+Bland fallback, which terminates on degenerate problems and returns exact
+basic feasible solutions -- needed downstream for uniqueness and
+sign-pattern certification, where first-order solvers are too loose. It
+starts from the program's basis when one is known and runs a phase 1 on
+artificial variables only when there is none (basis pursuit, Justice
+Pursuit with a restricted block, or a hand-built :class:`LpProblem`).
+Before it reports "optimal" it checks the residual and the reduced costs
+at a freshly inverted final basis.
 
 A brute-force vertex enumeration oracle is provided for tiny instances;
 it is the independent cross-check used by the test suite.
@@ -55,20 +62,22 @@ class LpProblem:
 
     ``var_map`` links each original signed variable to its (positive,
     negative) split pair of columns, so signed optimizers can be
-    recomposed from the split solution.
+    recomposed from the split solution. ``basis``, when known, lists m
+    columns of ``a`` that form a feasible basis; the solver then skips
+    phase 1 (it checks the basis and falls back to phase 1 if it is not).
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     var_map: list[tuple[int, int]] = field(default_factory=list)
+    basis: Optional[np.ndarray] = None
 
     def recompose(self, x: np.ndarray) -> np.ndarray:
         """Map a split-variable solution back to the signed variables."""
-        out = np.empty(len(self.var_map))
-        for k, (pos, neg) in enumerate(self.var_map):
-            out[k] = x[pos] - x[neg]
-        return out
+        pos, neg = np.array(self.var_map, dtype=int).reshape(-1, 2).T
+        x = np.asarray(x, dtype=float)
+        return x[pos] - x[neg]
 
 
 @dataclass
@@ -109,6 +118,11 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
     otherwise only the listed rows get a corruption column, and an empty
     list drops the block. Without ``g`` there is no dictionary block.
     Variables are ordered [beta, omega, gamma].
+
+    The starting basis takes the corruption column of each row that has
+    one and the first dictionary columns for the other rows, each on the
+    side of its split pair that makes it nonnegative. It is None when the
+    dictionary has too few columns for those rows or the block is singular.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -129,7 +143,24 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
     a_signed = np.hstack([x, eye_block, g])
     costs = np.concatenate([np.ones(p), np.full(cols.size, lam),
                             np.ones(g.shape[1])])
-    return split_signed_problem(a_signed, y, costs)
+    prob = split_signed_problem(a_signed, y, costs)
+    prob.basis = _block_basis(a_signed, y, p, cols)
+    return prob
+
+
+def _block_basis(a_signed, y, p, cols):
+    """Feasible basis of the split program from the E and G blocks, or None."""
+    n, k = a_signed.shape
+    rows, first = np.unique(cols, return_index=True)
+    n_free = n - rows.size
+    if n_free > k - p - cols.size:
+        return None
+    signed = np.concatenate([p + first, p + cols.size + np.arange(n_free)])
+    try:
+        z = np.linalg.solve(a_signed[:, signed], y)
+    except np.linalg.LinAlgError:
+        return None
+    return np.where(z >= 0, signed, k + signed)
 
 
 # ---------------------------------------------------------------------------
@@ -148,26 +179,28 @@ def _refactor(a, b, basis):
 
 def _apply_pivot(binv, xb, basis, d, leave, enter):
     """Update the basis inverse and basic values after a pivot."""
-    t = xb[leave] / d[leave]
-    dd = d.copy()
-    dd[leave] = 0.0
-    xb -= t * dd
+    piv = d[leave]
+    t = xb[leave] / piv
+    xb -= t * d
     xb[leave] = t
     np.clip(xb, 0.0, None, out=xb)
-    binv[leave] /= d[leave]
-    binv -= np.outer(dd, binv[leave])
+    row = binv[leave] / piv
+    binv -= np.outer(d, row)
+    binv[leave] = row
     basis[leave] = enter
 
 
-def _pivot_loop(a, b, c, basis, binv, xb, allowed, opts: SolverOptions,
+def _pivot_loop(a, b, c, basis, binv, xb, n_price, opts: SolverOptions,
                 max_pivots: int, bland_after: int):
     """Run simplex pivots until optimality/unboundedness/pivot budget.
 
-    ``allowed`` masks the columns permitted to enter the basis.
+    Only the first ``n_price`` columns may enter the basis.
     Returns a status string; basis/binv/xb are updated in place.
     """
-    m, n_tot = a.shape
-    c_scale = 1.0 + np.abs(c).max()
+    m = a.shape[0]
+    a_price = a[:, :n_price]
+    c_price = c[:n_price]
+    threshold = -opts.opt_tol * (1.0 + np.abs(c).max())
     it = 0
     while True:
         if it and it % _REFACTOR_EVERY == 0:
@@ -175,23 +208,19 @@ def _pivot_loop(a, b, c, basis, binv, xb, allowed, opts: SolverOptions,
             binv[:, :] = new[0]
             xb[:] = new[1]
         y = c[basis] @ binv
-        reduced = c - y @ a
-        reduced[basis] = 0.0
-        candidates = allowed & (reduced < -opts.opt_tol * c_scale)
-        if not candidates.any():
+        reduced = c_price - y @ a_price
+        reduced[basis[basis < n_price]] = 0.0
+        enter = int(np.argmin(reduced))
+        if reduced[enter] >= threshold:
             return OPTIMAL
         if it >= bland_after:
-            enter = int(np.flatnonzero(candidates)[0])
-        else:
-            masked = np.where(candidates, reduced, 0.0)
-            enter = int(np.argmin(masked))
+            enter = int(np.flatnonzero(reduced < threshold)[0])
         d = binv @ a[:, enter]
-        pos = d > opts.feas_tol
-        if not pos.any():
-            return UNBOUNDED
-        ratios = np.full(m, np.inf)
-        ratios[pos] = xb[pos] / d[pos]
+        ratios = np.divide(xb, d, out=np.full(m, np.inf),
+                           where=d > opts.feas_tol)
         best = ratios.min()
+        if best == np.inf:
+            return UNBOUNDED
         ties = np.flatnonzero(ratios <= best + opts.feas_tol)
         # smallest variable index among ties: required for Bland, harmless
         # otherwise
@@ -202,11 +231,33 @@ def _pivot_loop(a, b, c, basis, binv, xb, allowed, opts: SolverOptions,
             return TOLERANCE_FAILURE
 
 
+def _residual_ok(a, b, basis, xb):
+    """Whether a[:, basis] xb = b holds to 1e-9 (1 + ||b||_inf)."""
+    return np.abs(a[:, basis] @ xb - b).max() <= 1e-9 * (1.0 + np.abs(b).max())
+
+
+def _checked_start(a, b, basis, feas_tol):
+    """(basis, binv, xb) when ``basis`` is feasible for a x = b, else None."""
+    try:
+        binv = np.linalg.inv(a[:, basis])
+    except np.linalg.LinAlgError:
+        return None
+    xb = binv @ b
+    if xb.min() < -feas_tol or not _residual_ok(a, b, basis, xb):
+        return None
+    np.clip(xb, 0.0, None, out=xb)
+    return basis.copy(), binv, xb
+
+
 def solve_lp(prob: LpProblem, opts: Optional[SolverOptions] = None):
     """Solve a standard-form LP; returns (x, objective, status).
 
-    At status "optimal" the point is a basic feasible solution whose
-    reduced costs are all >= -opt_tol (up to cost scaling).
+    The solve starts from ``prob.basis`` when that is a feasible basis and
+    runs phase 1 otherwise. At status "optimal" the point is a basic
+    feasible solution whose residual, recomputed at the final basis, is at
+    most 1e-9 (1 + ||b||_inf) and whose reduced costs are all
+    >= -opt_tol (1 + ||c||_inf); a basis failing either check gives
+    "tolerance_failure".
     """
     if opts is None:
         opts = SolverOptions()
@@ -224,47 +275,61 @@ def solve_lp(prob: LpProblem, opts: Optional[SolverOptions] = None):
     a[flip] *= -1.0
     b[flip] *= -1.0
 
-    # phase 1: artificial variables
-    a1 = np.hstack([a, np.eye(m)])
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = np.arange(n, n + m)
-    binv = np.eye(m)
-    xb = b.copy()
-    allowed1 = np.ones(n + m, dtype=bool)
-    status = _pivot_loop(a1, b, c1, basis, binv, xb, allowed1, opts,
-                         max_pivots, bland_after)
-    if status != OPTIMAL:
-        return np.zeros(n), np.nan, TOLERANCE_FAILURE
-    b_scale = 1.0 + np.abs(b).max()
-    phase1_obj = float(xb[basis >= n].sum())
-    if phase1_obj > 1e-7 * b_scale:
-        return np.zeros(n), np.nan, INFEASIBLE
+    start = None
+    if prob.basis is not None:
+        hint = np.asarray(prob.basis, dtype=int)
+        if hint.shape != (m,) or hint.min(initial=0) < 0 \
+                or hint.max(initial=0) >= n:
+            raise InputError(f"basis must list {m} column indices below {n}")
+        start = _checked_start(a, b, hint, opts.feas_tol)
+    if start is not None:
+        basis, binv, xb = start
+    else:
+        # phase 1: artificial variables
+        a1 = np.hstack([a, np.eye(m)])
+        c1 = np.concatenate([np.zeros(n), np.ones(m)])
+        basis = np.arange(n, n + m)
+        binv = np.eye(m)
+        xb = b.copy()
+        status = _pivot_loop(a1, b, c1, basis, binv, xb, n + m, opts,
+                             max_pivots, bland_after)
+        if status != OPTIMAL:
+            return np.zeros(n), np.nan, TOLERANCE_FAILURE
+        b_scale = 1.0 + np.abs(b).max()
+        phase1_obj = float(xb[basis >= n].sum())
+        if phase1_obj > 1e-7 * b_scale:
+            return np.zeros(n), np.nan, INFEASIBLE
 
-    # drive remaining artificials out of the basis (degenerate pivots)
-    for leave in np.flatnonzero(basis >= n):
-        row = binv[leave] @ a
-        pivot_cols = np.flatnonzero(np.abs(row) > 1e-9)
-        pivot_cols = [j for j in pivot_cols if j not in set(basis)]
-        if pivot_cols:
-            enter = int(pivot_cols[0])
-            d = binv @ a1[:, enter]
-            _apply_pivot(binv, xb, basis, d, leave, enter)
-        # else: redundant constraint row; the artificial stays basic at 0
-        # and can never move since the row is null on original columns
+        # drive remaining artificials out of the basis (degenerate pivots)
+        for leave in np.flatnonzero(basis >= n):
+            row = binv[leave] @ a
+            pivot_cols = np.flatnonzero(np.abs(row) > 1e-9)
+            pivot_cols = [j for j in pivot_cols if j not in set(basis)]
+            if pivot_cols:
+                enter = int(pivot_cols[0])
+                d = binv @ a1[:, enter]
+                _apply_pivot(binv, xb, basis, d, leave, enter)
+            # else: redundant constraint row; the artificial stays basic at 0
+            # and can never move since the row is null on original columns
+        a = a1
+        c = np.concatenate([c, np.zeros(m)])
 
     # phase 2
-    allowed2 = np.concatenate([np.ones(n, dtype=bool), np.zeros(m, dtype=bool)])
-    c2 = np.concatenate([c, np.zeros(m)])
-    status = _pivot_loop(a1, b, c2, basis, binv, xb, allowed2, opts,
+    status = _pivot_loop(a, b, c, basis, binv, xb, n, opts,
                          max_pivots, bland_after)
     if status == TOLERANCE_FAILURE:
         return np.zeros(n), np.nan, TOLERANCE_FAILURE
-    # final refresh for accuracy
-    binv, xb = _refactor(a1, b, basis)
+    # final refresh for accuracy, then certify the basis
+    binv, xb = _refactor(a, b, basis)
+    if status == OPTIMAL:
+        reduced = c[:n] - (c[basis] @ binv) @ a[:, :n]
+        if not _residual_ok(a, b, basis, xb) \
+                or reduced.min() < -opts.opt_tol * (1.0 + np.abs(c).max()):
+            return np.zeros(n), np.nan, TOLERANCE_FAILURE
     x = np.zeros(n)
     keep = basis < n
     x[basis[keep]] = xb[keep]
-    objective = float(c @ x)
+    objective = float(c[:n] @ x)
     return x, objective, status
 
 

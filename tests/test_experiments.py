@@ -1,7 +1,10 @@
+import ctypes
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
-from rlasszero import InputError
+from rlasszero import InputError, experiments
 from rlasszero.estimators import hard_threshold
 from rlasszero.experiments import (
     MetricsRecord,
@@ -149,6 +152,21 @@ class TestRunExperiment:
         assert metrics_to_csv(r1) == metrics_to_csv(r2)
         assert raw_to_csv(raw1) == raw_to_csv(raw2)
 
+    def test_pool_workers_use_one_blas_thread(self, monkeypatch):
+        if _blas_threads_getter() is None:
+            pytest.skip("numpy does not load OpenBLAS")
+        seen = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def submit(self, fn, *args):
+                seen.append(super().submit(_worker_blas_threads).result(60))
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        run_experiment(_tiny_spec(replications=2, estimators=("tjp",)),
+                       workers=2)
+        assert seen == [1, 1]
+
     def test_easy_regime_perfect_recovery(self):
         spec = _tiny_spec(sigma_noise=0.0, pi=0.01, estimators=("tjp",),
                           beta_magnitude=10.0)
@@ -165,3 +183,15 @@ class TestRunExperiment:
         r = records[0]
         want = np.sqrt(r.psr * (1 - r.psr) / r.replications)
         assert r.psr_se == pytest.approx(want)
+
+
+def _blas_threads_getter():
+    fn = experiments._openblas_function(("scipy_openblas_get_num_threads64_",
+                                         "openblas_get_num_threads"))
+    if fn is not None:
+        fn.argtypes, fn.restype = [], ctypes.c_int
+    return fn
+
+
+def _worker_blas_threads():
+    return _blas_threads_getter()()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from rlasszero import BudgetExceededError, InputError
+from rlasszero import BudgetExceededError, InputError, lp
 from rlasszero.core import RngStream
 from rlasszero.lp import (
     INFEASIBLE,
@@ -80,6 +81,10 @@ class TestFormulate:
         with pytest.raises(InputError):
             formulate_jp(np.eye(2), np.zeros(2), 0.0)
 
+    def test_recompose_empty_var_map(self):
+        prob = LpProblem(a=np.ones((1, 2)), b=np.ones(1), c=np.ones(2))
+        assert prob.recompose(np.ones(2)).shape == (0,)
+
     def test_zero_rhs_optimum_zero(self):
         prob = formulate_jp(np.eye(3), np.zeros(3), 1.0)
         x, obj, status = solve_lp(prob, SolverOptions())
@@ -117,6 +122,106 @@ class TestSolveLp:
         # a shared ones-column covers both rows at cost 1, and the row sums
         # force objective >= 1
         assert obj == pytest.approx(1.0)
+
+
+def _program(seed, n, p, corruption, with_g):
+    """Seeded (x, y, lam, cols, g) for one of the four block layouts."""
+    gen = RngStream(seed, (41,)).generator()
+    x = gen.standard_normal((n, p))
+    y = gen.standard_normal(n)
+    cols = {"full": None, "restricted": np.sort(gen.choice(n, n // 3,
+                                                           replace=False)),
+            "empty": []}[corruption]
+    g = gen.standard_normal((n, n)) if with_g else None
+    return x, y, 1.3, cols, g
+
+
+BLOCKS = [("full", True), ("restricted", True), ("empty", True),
+          ("restricted", False)]
+
+
+class TestStartingBasis:
+    @pytest.mark.parametrize("corruption", ["full", "restricted", "empty"])
+    def test_block_basis_nonsingular_and_feasible(self, corruption):
+        x, y, lam, cols, g = _program(1, 12, 20, corruption, True)
+        prob = formulate_jp(x, y, lam, corruption_cols=cols, g=g)
+        assert prob.basis.shape == (12,)
+        assert np.unique(prob.basis).size == 12
+        b = prob.a[:, prob.basis]
+        assert np.linalg.matrix_rank(b) == 12
+        xb = np.linalg.solve(b, y)
+        assert xb.min() >= -1e-12
+        np.testing.assert_allclose(b @ xb, y, atol=1e-12)
+
+    def test_no_basis_without_dictionary_for_restricted_block(self):
+        x, y, lam, cols, _ = _program(1, 12, 20, "restricted", False)
+        assert formulate_jp(x, y, lam, corruption_cols=cols).basis is None
+
+    def _same_as_without_hint(self, prob, hint):
+        plain = LpProblem(a=prob.a, b=prob.b, c=prob.c, var_map=prob.var_map)
+        hinted = LpProblem(a=prob.a, b=prob.b, c=prob.c, var_map=prob.var_map,
+                           basis=hint)
+        _, obj_plain, status_plain = solve_lp(plain)
+        _, obj_hinted, status_hinted = solve_lp(hinted)
+        assert status_hinted == status_plain == OPTIMAL
+        assert obj_hinted == obj_plain
+
+    def test_singular_hint_falls_back_to_phase_one(self):
+        x, y, lam, cols, _ = _program(2, 10, 15, "restricted", False)
+        n, p = x.shape
+        prob = formulate_jp(x, y, lam, corruption_cols=cols, g=np.zeros((n, n)))
+        assert prob.basis is None
+        hint = np.concatenate([p + np.arange(cols.size),
+                               p + cols.size + np.arange(n - cols.size)])
+        self._same_as_without_hint(prob, hint)
+
+    def test_infeasible_hint_falls_back_to_phase_one(self):
+        x, y, lam, cols, g = _program(3, 10, 15, "full", True)
+        prob = formulate_jp(x, y, lam, corruption_cols=cols, g=g)
+        half = prob.a.shape[1] // 2
+        hint = prob.basis.copy()
+        hint[0] = (hint[0] + half) % (2 * half)   # other side of the pair
+        self._same_as_without_hint(prob, hint)
+
+    def test_malformed_hint_rejected(self):
+        x, y, lam, cols, g = _program(3, 10, 15, "full", True)
+        prob = formulate_jp(x, y, lam, corruption_cols=cols, g=g)
+        prob.basis = prob.basis[:-1]
+        with pytest.raises(InputError):
+            solve_lp(prob)
+
+
+class TestAgainstHighs:
+    """solve_lp against HiGHS dual simplex at (n, p) = (100, 200), a size
+    vertex enumeration cannot reach; the last layout has no starting
+    basis and runs phase 1."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("corruption, with_g", BLOCKS)
+    def test_objective_matches_highs(self, corruption, with_g, seed):
+        x, y, lam, cols, g = _program(seed, 100, 200, corruption, with_g)
+        prob = formulate_jp(x, y, lam, corruption_cols=cols, g=g)
+        assert (prob.basis is None) == (not with_g)
+        _, obj, status = solve_lp(prob)
+        ref = linprog(prob.c, A_eq=prob.a, b_eq=prob.b, bounds=(0, None),
+                      method="highs-ds")
+        assert status == OPTIMAL and ref.status == 0
+        assert obj == pytest.approx(ref.fun, rel=1e-8)
+
+
+class TestCertification:
+    def test_perturbed_final_basis_is_tolerance_failure(self, monkeypatch):
+        x, y, lam, cols, g = _program(4, 10, 15, "full", True)
+        prob = formulate_jp(x, y, lam, corruption_cols=cols, g=g)
+        assert solve_lp(prob)[2] == OPTIMAL
+        refactor = lp._refactor
+
+        def perturbed(a, b, basis):
+            binv, xb = refactor(a, b, basis)
+            return binv, xb + 1e-6
+
+        monkeypatch.setattr(lp, "_refactor", perturbed)
+        assert solve_lp(prob)[2] == TOLERANCE_FAILURE
 
 
 class TestJpHandExamples:
