@@ -34,7 +34,7 @@ from .missing import (
     mean_impute,
     rlz_with_missing,
     solve_b_for_pi,
-    zero_impute,
+    standardized_design,
 )
 from .analysis import (
     IdentifiabilityVerdict,

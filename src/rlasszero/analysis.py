@@ -22,12 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, InputError, SolverFailure
-from .lp import (
-    LpProblem,
-    OPTIMAL,
-    SolverOptions,
-    solve_lp,
-)
+from .lp import LpProblem, OPTIMAL, solve_lp
 
 _STRICTNESS = 1e-9
 
@@ -49,7 +44,7 @@ def _check_signs(v: np.ndarray, name: str) -> np.ndarray:
 
 
 def _max_inner_product_lp(a_null: np.ndarray, h: np.ndarray,
-                          off_weights: np.ndarray, opts: SolverOptions):
+                          off_weights: np.ndarray):
     """Solve max h'nu s.t. a_null nu = 0, sum_off w_j |nu_j| <= 1.
 
     ``off_weights`` is zero on the support (entries excluded from the
@@ -70,7 +65,7 @@ def _max_inner_product_lp(a_null: np.ndarray, h: np.ndarray,
     c[:k] = -h
     c[k:2 * k] = h
     prob = LpProblem(a=a, b=b, c=c, var_map=[(j, k + j) for j in range(k)])
-    x, obj, status = solve_lp(prob, opts)
+    x, obj, status = solve_lp(prob)
     if status == "unbounded":
         return np.inf, None
     if status != OPTIMAL:
@@ -79,8 +74,7 @@ def _max_inner_product_lp(a_null: np.ndarray, h: np.ndarray,
 
 
 def check_identifiability(x: np.ndarray, theta: np.ndarray,
-                          theta_tilde: np.ndarray, lam: float = 1.0,
-                          opts: Optional[SolverOptions] = None
+                          theta_tilde: np.ndarray, lam: float = 1.0
                           ) -> IdentifiabilityVerdict:
     """Certify whether the sign pair is identifiable for the given design.
 
@@ -95,8 +89,6 @@ def check_identifiability(x: np.ndarray, theta: np.ndarray,
         raise InputError("sign vector lengths must match the design shape")
     if lam <= 0:
         raise InputError(f"lambda must be > 0, got {lam}")
-    if opts is None:
-        opts = SolverOptions()
 
     a_null = np.hstack([x, (np.sqrt(n) / lam) * np.eye(n)])
     h = np.concatenate([theta, theta_tilde])
@@ -116,7 +108,7 @@ def check_identifiability(x: np.ndarray, theta: np.ndarray,
                 method="sign_pattern_lp", margin=-np.inf)
 
     off_weights = (~support).astype(float)
-    value, nu = _max_inner_product_lp(a_null, h, off_weights, opts)
+    value, nu = _max_inner_product_lp(a_null, h, off_weights)
     margin = 1.0 - value
     if margin > _STRICTNESS:
         return IdentifiabilityVerdict(identifiable=True, witness=None,
@@ -134,8 +126,7 @@ def check_identifiability(x: np.ndarray, theta: np.ndarray,
 
 def check_stable_nsp(x: np.ndarray, s0, t0, lam: float = 1.0,
                      rho_nsp: float = 1.0 / 3.0,
-                     budget: int = 2 ** 20,
-                     opts: Optional[SolverOptions] = None) -> bool:
+                     budget: int = 2 ** 20) -> bool:
     """Certify the stability condition on the augmented null space:
 
         ||beta_S||_1 + lam ||omega_T||_1
@@ -161,8 +152,6 @@ def check_stable_nsp(x: np.ndarray, s0, t0, lam: float = 1.0,
     if 2 ** n_on > budget:
         raise BudgetExceededError(
             f"2^{n_on} sign patterns exceed budget {budget}")
-    if opts is None:
-        opts = SolverOptions()
 
     a_null = np.hstack([x, np.sqrt(n) * np.eye(n)])
     weights = np.concatenate([np.ones(p), np.full(n, lam)])
@@ -177,7 +166,7 @@ def check_stable_nsp(x: np.ndarray, s0, t0, lam: float = 1.0,
         signs = np.array([1.0 if bits >> i & 1 else -1.0
                           for i in range(n_on)])
         h[on_idx] = signs * weights[on_idx]
-        value, _ = _max_inner_product_lp(a_null, h, off_weights, opts)
+        value, _ = _max_inner_product_lp(a_null, h, off_weights)
         if not np.isfinite(value):
             return False
         worst = max(worst, value)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .core import RngStream
 from .errors import InputError, SolverFailure
-from .estimators import RlzConfig, RlzFit, robust_lasso_zero
-from .lp import SolverOptions
+from .estimators import RlzConfig, RlzFit, pivot_scale_from_gammas, \
+    robust_lasso_zero
 
 
 @dataclass
@@ -42,29 +42,6 @@ class QutSpec:
 class QutResult:
     pivot_quantile: float
     mc_statistics: np.ndarray
-    tau: Optional[float] = None  # filled in once a data fit is available
-
-
-def pivot_scale_from_gammas(gamma_all) -> float:
-    """Noise scale from the dictionary coefficients: the median of the
-    nonzero |gamma| pooled over all dictionaries.
-
-    Only the nonzero coefficients enter: basic solutions of the l1
-    programs zero out most dictionary entries, so a median over all of
-    them would collapse to zero. The scale is scale-equivariant
-    (solutions are positively homogeneous in the response, with the
-    sparsity pattern unchanged), which is what makes the calibration
-    noise-level-free.
-    """
-    if not gamma_all:
-        raise InputError("no dictionary noise coefficients available")
-    pooled = np.abs(np.concatenate([np.ravel(g) for g in gamma_all]))
-    nz = pooled[pooled > 0.0]
-    scale = float(np.median(nz)) if nz.size else 0.0
-    if scale <= 0.0:
-        raise InputError("all noise coefficients are zero; pivot scale "
-                         "undefined (degenerate response)")
-    return scale
 
 
 def pivot_scale(fit: RlzFit) -> float:
@@ -73,8 +50,7 @@ def pivot_scale(fit: RlzFit) -> float:
 
 
 def qut_threshold(x: np.ndarray, spec: QutSpec,
-                  corruption_cols: Optional[np.ndarray] = None,
-                  opts: Optional[SolverOptions] = None) -> QutResult:
+                  corruption_cols: Optional[np.ndarray] = None) -> QutResult:
     """Upper alpha-quantile of the pivotized null statistic.
 
     For each draw j the noise comes from the stream (master_seed, (j, 0))
@@ -83,7 +59,7 @@ def qut_threshold(x: np.ndarray, spec: QutSpec,
     the subsequent fit will use (already imputed and rescaled).
 
     The returned ``pivot_quantile`` multiplies the pivot scale of the data
-    fit to give the data-dependent threshold; ``tau`` is left unset here.
+    fit to give the data-dependent threshold.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -96,7 +72,7 @@ def qut_threshold(x: np.ndarray, spec: QutSpec,
                         master_seed=spec.master_seed,
                         corruption_cols=corruption_cols, rng_path=(j,))
         try:
-            fit = robust_lasso_zero(x, eps, cfg, opts)
+            fit = robust_lasso_zero(x, eps, cfg)
             scale = pivot_scale(fit)
         except (SolverFailure, InputError):
             failed += 1

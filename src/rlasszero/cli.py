@@ -28,7 +28,7 @@ from .errors import BudgetExceededError, InputError, SolverFailure
 from .estimators import RlzConfig
 from .experiments import SimulationSpec, metrics_to_csv, raw_to_csv, \
     run_experiment
-from .missing import IncompleteMatrix, rlz_with_missing
+from .missing import IncompleteMatrix, rlz_with_missing, standardized_design
 
 
 def _parse_cell(token: str, path: str, row: int, col: str) -> float:
@@ -69,7 +69,7 @@ def read_design_csv(path: str):
     return np.array(rows, dtype=float), names
 
 
-def read_vector_csv(path: str, allow_header: bool = True) -> np.ndarray:
+def read_vector_csv(path: str) -> np.ndarray:
     """One value per line; a single non-numeric first line is skipped."""
     try:
         fh = open(path, encoding="utf-8")
@@ -80,11 +80,10 @@ def read_vector_csv(path: str, allow_header: bool = True) -> np.ndarray:
     if not lines:
         raise InputError(f"{path}: empty file")
     start = 0
-    if allow_header:
-        try:
-            float(lines[0].split(",")[0])
-        except ValueError:
-            start = 1
+    try:
+        float(lines[0].split(",")[0])
+    except ValueError:
+        start = 1
     vals = []
     for i, ln in enumerate(lines[start:], start=start + 1):
         tok = ln.split(",")[0].strip()
@@ -163,7 +162,8 @@ def _cmd_qut(args) -> int:
         raise InputError("design for qut must be complete (no NA entries)")
     spec = QutSpec(alpha=args.alpha, n_mc=args.mc, lam=args.lam,
                    n_dictionaries=args.dictionaries, master_seed=args.seed)
-    result = qut_threshold(x_raw, spec)
+    x_std, _ = standardized_design(IncompleteMatrix.from_values(x_raw))
+    result = qut_threshold(x_std, spec)
     _write_json(args.out, {
         "pivot_quantile": result.pivot_quantile,
         "alpha": args.alpha,

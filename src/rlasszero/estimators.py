@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import RngStream
 from .errors import InputError, SolverFailure
-from .lp import OPTIMAL, SolverOptions, solve_jp
+from .lp import OPTIMAL, solve_jp
 
 
 def hard_threshold(v: np.ndarray, tau: float) -> np.ndarray:
@@ -95,19 +95,38 @@ class RlzFit:
         return out
 
 
+def pivot_scale_from_gammas(gamma_all) -> float:
+    """Noise scale from the dictionary coefficients: the median of the
+    nonzero |gamma| pooled over all dictionaries.
+
+    Only the nonzero coefficients enter: basic solutions of the l1
+    programs zero out most dictionary entries, so a median over all of
+    them would collapse to zero. The scale is scale-equivariant
+    (solutions are positively homogeneous in the response, with the
+    sparsity pattern unchanged), which is what makes the calibration
+    noise-level-free.
+    """
+    if not gamma_all:
+        raise InputError("no dictionary noise coefficients available")
+    pooled = np.abs(np.concatenate([np.ravel(g) for g in gamma_all]))
+    nz = pooled[pooled > 0.0]
+    scale = float(np.median(nz)) if nz.size else 0.0
+    if scale <= 0.0:
+        raise InputError("all noise coefficients are zero; pivot scale "
+                         "undefined (degenerate response)")
+    return scale
+
+
 def _resolve_tau(cfg: RlzConfig, gamma_all, qut):
     if not isinstance(cfg.tau, str):
         return float(cfg.tau)
     if qut is None:
         raise InputError("tau='qut' requires a calibration result")
-    from .calibration import pivot_scale_from_gammas  # cycle-free local import
-
     return float(qut.pivot_quantile * pivot_scale_from_gammas(gamma_all))
 
 
 def _median_fit(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
-                corruption_cols: Optional[np.ndarray],
-                opts: Optional[SolverOptions], qut) -> RlzFit:
+                corruption_cols: Optional[np.ndarray], qut) -> RlzFit:
     """Solve with M noise dictionaries, take medians and hard-threshold.
 
     Dictionary k (1-based) is drawn from the stream
@@ -125,7 +144,7 @@ def _median_fit(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
     betas, omegas, gammas, statuses = [], [], [], []
     for k in range(1, cfg.n_dictionaries + 1):
         g = base.child(k).generator().standard_normal((n, n))
-        sol = solve_jp(x, y, cfg.lam, cols, g, opts)
+        sol = solve_jp(x, y, cfg.lam, cols, g)
         statuses.append(sol.status)
         if sol.status != OPTIMAL:
             continue
@@ -152,28 +171,26 @@ def _median_fit(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
 
 
 def robust_lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
-                      opts: Optional[SolverOptions] = None,
                       qut=None) -> RlzFit:
     """Noise-dictionary median estimator for the sparse corruption model,
     with the corruption block on the rows ``cfg.corruption_cols``."""
-    return _median_fit(x, y, cfg, cfg.corruption_cols, opts, qut)
+    return _median_fit(x, y, cfg, cfg.corruption_cols, qut)
 
 
 def lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
-               opts: Optional[SolverOptions] = None, qut=None) -> RlzFit:
+               qut=None) -> RlzFit:
     """Baseline without a corruption block: repeated minimum-l1 solves on
     the dictionary-augmented matrix [X | G^(k)]."""
-    return _median_fit(x, y, cfg, np.array([], dtype=int), opts, qut)
+    return _median_fit(x, y, cfg, np.array([], dtype=int), qut)
 
 
 def tjp(x: np.ndarray, y: np.ndarray, lam: float, tau: float,
-        corruption_cols: Optional[Sequence[int]] = None,
-        opts: Optional[SolverOptions] = None):
+        corruption_cols: Optional[Sequence[int]] = None):
     """Hard-thresholded single solve (no dictionaries).
 
     Returns (beta_hat, omega_hat).
     """
-    sol = solve_jp(x, y, lam, corruption_cols, opts=opts)
+    sol = solve_jp(x, y, lam, corruption_cols)
     if sol.status != OPTIMAL:
         raise SolverFailure(f"solve ended with status {sol.status}")
     return hard_threshold(sol.beta, tau), hard_threshold(sol.omega, tau)

@@ -19,16 +19,17 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .calibration import QutSpec
+from .calibration import QutSpec, qut_threshold
 from .core import RngStream, sample_design, standardize_columns, toeplitz_sigma
 from .errors import InputError, SolverFailure
-from .estimators import RlzConfig, hard_threshold, lasso_zero, robust_lasso_zero
-from .lp import SolverOptions, solve_jp
+from .estimators import RlzConfig, hard_threshold, lasso_zero
+from .lp import OPTIMAL, solve_jp
 from .missing import IncompleteMatrix, MissingnessSpec, generate_missingness, \
-    mean_impute, rlz_with_missing
+    rlz_with_missing, standardized_design
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +152,7 @@ class SimulationSpec:
         if self.tuning == "automatic" and "tjp" in self.estimators:
             raise InputError("automatic tuning is undefined for tjp "
                              "(no noise dictionaries to pivotize with)")
+        self.missingness()  # rejects an (a, pi) that no intercept reaches
 
     def missingness(self) -> MissingnessSpec:
         a = 0.0 if self.mechanism == "mcar" else self.a
@@ -186,9 +188,10 @@ def _replication_metrics(spec: SimulationSpec, r: int) -> dict:
     y = x @ beta0 + spec.sigma_noise * eps
 
     inc = generate_missingness(x, spec.missingness(), RngStream(seed, (r, 1)))
+    x_std, _ = standardized_design(inc)
     out: dict = {"replication": r}
     for name in spec.estimators:
-        beta_hat = _run_estimator(name, spec, x, y, inc, r)
+        beta_hat = _run_estimator(name, spec, x_std, y, inc, r)
         out[name] = {
             "psr": psr_indicator(beta_hat, beta0),
             "s_tpp": s_tpp(beta_hat, beta0),
@@ -197,13 +200,13 @@ def _replication_metrics(spec: SimulationSpec, r: int) -> dict:
     return out
 
 
-def _run_estimator(name: str, spec: SimulationSpec, x, y,
+def _run_estimator(name: str, spec: SimulationSpec, x_std, y,
                    inc: IncompleteMatrix, r: int) -> np.ndarray:
-    opts = SolverOptions()
+    """Thresholded estimate of one estimator; ``x_std`` is the
+    :func:`standardized_design` of ``inc``."""
     if name == "tjp":
-        x_imp = standardize_columns(mean_impute(inc))
-        sol = solve_jp(x_imp, y, spec.lam, opts=opts)
-        if sol.status != "optimal":
+        sol = solve_jp(x_std, y, spec.lam)
+        if sol.status != OPTIMAL:
             raise SolverFailure(f"tjp solve failed in replication {r}")
         tau = oracle_s_threshold(sol.beta, spec.s)
         return hard_threshold(sol.beta, tau)
@@ -211,26 +214,21 @@ def _run_estimator(name: str, spec: SimulationSpec, x, y,
     cfg = RlzConfig(lam=spec.lam, tau=0.0,
                     n_dictionaries=spec.n_dictionaries,
                     master_seed=spec.master_seed, rng_path=(r, 4))
+    qut_spec = None
     if spec.tuning == "automatic":
         cfg.tau = "qut"
         qut_spec = QutSpec(alpha=spec.alpha, n_mc=spec.qut_mc, lam=spec.lam,
                            n_dictionaries=spec.n_dictionaries,
                            master_seed=spec.master_seed)
-    else:
-        qut_spec = None
 
     if name == "rlass0":
-        fit = rlz_with_missing(y, inc, cfg, qut_spec=qut_spec, opts=opts)
+        fit = rlz_with_missing(y, inc, cfg, qut_spec=qut_spec)
     elif name == "lass0":
-        x_imp = standardize_columns(mean_impute(inc))
-        if spec.tuning == "automatic":
-            from .calibration import qut_threshold
-            empty = np.array([], dtype=int)
-            qut = qut_threshold(x_imp, qut_spec, corruption_cols=empty,
-                                opts=opts)
-            fit = lasso_zero(x_imp, y, cfg, opts, qut=qut)
-        else:
-            fit = lasso_zero(x_imp, y, cfg, opts)
+        qut = None
+        if qut_spec is not None:
+            qut = qut_threshold(x_std, qut_spec,
+                                corruption_cols=np.array([], dtype=int))
+        fit = lasso_zero(x_std, y, cfg, qut=qut)
     else:
         raise InputError(f"unknown estimator {name!r}")
 
@@ -265,32 +263,44 @@ def _single_blas_thread():
         fn(1)
 
 
+def _surviving(calls) -> list:
+    """Results of the (replication, call) pairs whose call did not fail.
+
+    Each failure is dropped with a warning naming the replication; when
+    none survives, the first failure is raised again with that context.
+    """
+    results, first = [], None
+    for r, call in calls:
+        try:
+            results.append(call())
+        except (InputError, SolverFailure) as exc:
+            warnings.warn(f"replication {r} dropped: {exc}")
+            first = first or exc
+    if not results:
+        raise type(first)(f"every replication failed; the first: {first}")
+    return results
+
+
 def run_experiment(spec: SimulationSpec, workers: int = 1):
     """Run all replications and aggregate; returns (records, raw_rows).
 
     ``raw_rows`` holds one dict per (replication, estimator) for optional
-    per-replication output. Failed replications are dropped with a
-    warning and the per-estimator replication counts reflect that.
+    per-replication output. A replication that raises InputError (say a
+    column left fully missing or constant by the mask) or SolverFailure is
+    dropped with a warning, and the per-estimator replication counts
+    reflect that.
     """
     t0 = time.perf_counter()
     reps = range(1, spec.replications + 1)
-    results = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_single_blas_thread) as pool:
             futures = {r: pool.submit(_replication_metrics, spec, r)
                        for r in reps}
-            for r in reps:
-                try:
-                    results.append(futures[r].result())
-                except SolverFailure as exc:
-                    warnings.warn(f"replication {r} failed: {exc}")
+            results = _surviving((r, futures[r].result) for r in reps)
     else:
-        for r in reps:
-            try:
-                results.append(_replication_metrics(spec, r))
-            except SolverFailure as exc:
-                warnings.warn(f"replication {r} failed: {exc}")
+        results = _surviving((r, partial(_replication_metrics, spec, r))
+                             for r in reps)
     elapsed = time.perf_counter() - t0
 
     records = []

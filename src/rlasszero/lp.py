@@ -42,6 +42,8 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 TOLERANCE_FAILURE = "tolerance_failure"
 
+_ENUM_CHUNK = 20000  # column subsets per batched solve in the vertex oracle
+
 
 @dataclass
 class SolverOptions:
@@ -339,8 +341,7 @@ def solve_lp(prob: LpProblem, opts: Optional[SolverOptions] = None):
 
 def solve_jp(x: np.ndarray, y: np.ndarray, lam: float,
              corruption_cols: Optional[Sequence[int]] = None,
-             g: Optional[np.ndarray] = None,
-             opts: Optional[SolverOptions] = None) -> JpSolution:
+             g: Optional[np.ndarray] = None) -> JpSolution:
     """Solve the l1 program of :func:`formulate_jp` with the same blocks.
 
     ``gamma`` is None when there is no dictionary block.
@@ -351,7 +352,7 @@ def solve_jp(x: np.ndarray, y: np.ndarray, lam: float,
     n, p = x.shape
     cols = None if corruption_cols is None else np.asarray(corruption_cols, dtype=int)
     rows = np.arange(n) if cols is None else cols
-    sol, _, status = solve_lp(prob, opts)
+    sol, _, status = solve_lp(prob)
     beta, omega, gamma = np.split(prob.recompose(sol), [p, p + rows.size])
     fitted = x @ beta
     fitted[rows] += np.sqrt(n) * omega
@@ -371,8 +372,7 @@ def solve_jp(x: np.ndarray, y: np.ndarray, lam: float,
 # ---------------------------------------------------------------------------
 
 def enumerate_vertex_optima(prob: LpProblem, tol: float = 1e-8,
-                            budget: int = 10 ** 6,
-                            chunk: int = 20000) -> list[np.ndarray]:
+                            budget: int = 10 ** 6) -> list[np.ndarray]:
     """All basic feasible solutions attaining the optimal objective.
 
     Brute force over column subsets; intended as a test oracle on tiny
@@ -391,7 +391,7 @@ def enumerate_vertex_optima(prob: LpProblem, tol: float = 1e-8,
     optima: list[tuple[float, np.ndarray]] = []
     combos_iter = itertools.combinations(range(n), m)
     while True:
-        block = list(itertools.islice(combos_iter, chunk))
+        block = list(itertools.islice(combos_iter, _ENUM_CHUNK))
         if not block:
             break
         idx = np.array(block)                       # (k, m)

@@ -20,7 +20,9 @@ from .calibration import QutResult, QutSpec, qut_threshold
 from .core import RngStream, standardize_columns
 from .errors import InputError
 from .estimators import RlzConfig, RlzFit, robust_lasso_zero
-from .lp import SolverOptions
+
+_GH_NODES = 96        # Gauss-Hermite nodes for the expected missing rate
+_BISECTION_TOL = 1e-10  # width at which the intercept bisection stops
 
 
 @dataclass
@@ -56,14 +58,14 @@ def logistic_missing_prob(x, a: float, b: float):
     return expit(a * np.abs(x) + b)
 
 
-def _gh_expectation(a: float, b: float, nodes: int = 96) -> float:
+def _gh_expectation(a: float, b: float) -> float:
     """E[logistic_missing_prob(Z, a, b)] for Z ~ N(0,1), by Gauss-Hermite."""
-    t, w = np.polynomial.hermite.hermgauss(nodes)
+    t, w = np.polynomial.hermite.hermgauss(_GH_NODES)
     vals = expit(a * np.abs(np.sqrt(2.0) * t) + b)
     return float((w * vals).sum() / np.sqrt(np.pi))
 
 
-def solve_b_for_pi(a: float, pi: float, tol: float = 1e-10) -> float:
+def solve_b_for_pi(a: float, pi: float) -> float:
     """Intercept b giving an expected missing proportion pi for N(0,1) entries.
 
     Closed form logit(pi) when a = 0; otherwise bisection on the
@@ -79,7 +81,7 @@ def solve_b_for_pi(a: float, pi: float, tol: float = 1e-10) -> float:
     if not _gh_expectation(a, lo) < pi < _gh_expectation(a, hi):
         raise InputError(f"no intercept b in [{lo:g}, {hi:g}] gives a missing "
                          f"proportion pi={pi} at slope a={a}")
-    while hi - lo > tol:
+    while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if _gh_expectation(a, mid) < pi:
             lo = mid
@@ -133,12 +135,15 @@ def mean_impute(inc: IncompleteMatrix) -> np.ndarray:
     return np.where(inc.mask, means[None, :], values)
 
 
-def zero_impute(inc: IncompleteMatrix) -> np.ndarray:
-    """Replace missing entries by zero."""
-    return np.where(inc.mask, 0.0, inc.values)
+def standardized_design(inc: IncompleteMatrix):
+    """The matrix every fit and calibration of an incomplete design uses.
 
-
-_IMPUTERS = {"mean": mean_impute, "zero": zero_impute}
+    Mean-imputes, centers each column and rescales it to norm sqrt(n).
+    Returns (matrix, column scales); the scales map coefficients back to
+    the original columns.
+    """
+    x_std, _, scales = standardize_columns(mean_impute(inc), return_stats=True)
+    return x_std, scales
 
 
 def implied_corruption(x_true: np.ndarray, x_imputed: np.ndarray,
@@ -151,25 +156,20 @@ def implied_corruption(x_true: np.ndarray, x_imputed: np.ndarray,
 
 def rlz_with_missing(y: np.ndarray, inc: IncompleteMatrix, cfg: RlzConfig,
                      qut_spec: Optional[QutSpec] = None,
-                     opts: Optional[SolverOptions] = None,
-                     impute: str = "mean",
                      restrict_corruption: bool = True) -> RlzFit:
     """End-to-end pipeline for an incomplete design matrix.
 
-    Imputes, centers and rescales columns to norm sqrt(n), restricts the
-    corruption block to the incomplete rows (unless told otherwise), and
-    runs the median-aggregated estimator. With ``cfg.tau == "qut"`` the
-    threshold is calibrated on the imputed, rescaled matrix first.
+    Fits the median-aggregated estimator on :func:`standardized_design`,
+    with the corruption block restricted to the incomplete rows (unless
+    told otherwise). With ``cfg.tau == "qut"`` the threshold is first
+    calibrated by :func:`qut_threshold` on that same matrix and
+    corruption block.
 
     The returned fit carries the rescaling factors and the corruption
     column indices, so coefficients can be mapped back to the original
     column scale and row numbering.
     """
-    if impute not in _IMPUTERS:
-        raise InputError(f"unknown imputation {impute!r}; use one of "
-                         f"{sorted(_IMPUTERS)}")
-    x_imp = _IMPUTERS[impute](inc)
-    x_std, _, scales = standardize_columns(x_imp, return_stats=True)
+    x_std, scales = standardized_design(inc)
     cols = inc.incomplete_rows if restrict_corruption else None
     run_cfg = replace(cfg, corruption_cols=cols)
     qut: Optional[QutResult] = None
@@ -178,9 +178,7 @@ def rlz_with_missing(y: np.ndarray, inc: IncompleteMatrix, cfg: RlzConfig,
             qut_spec = QutSpec(lam=cfg.lam,
                                n_dictionaries=cfg.n_dictionaries,
                                master_seed=cfg.master_seed)
-        qut = qut_threshold(x_std, qut_spec, corruption_cols=cols, opts=opts)
-    fit = robust_lasso_zero(x_std, np.asarray(y, float), run_cfg, opts, qut=qut)
-    if qut is not None:
-        qut.tau = fit.tau_used
+        qut = qut_threshold(x_std, qut_spec, corruption_cols=cols)
+    fit = robust_lasso_zero(x_std, np.asarray(y, float), run_cfg, qut=qut)
     fit.column_scales = scales
     return fit

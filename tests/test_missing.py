@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import inspect
+
+import rlasszero.calibration as calibration
+import rlasszero.missing as missing
 from rlasszero import InputError
+from rlasszero.calibration import QutResult, QutSpec
 from rlasszero.core import RngStream, standardize_columns
 from rlasszero.estimators import RlzConfig, robust_lasso_zero
 from rlasszero.missing import (
@@ -14,7 +19,7 @@ from rlasszero.missing import (
     mean_impute,
     rlz_with_missing,
     solve_b_for_pi,
-    zero_impute,
+    standardized_design,
 )
 
 NA = np.nan
@@ -140,18 +145,13 @@ class TestImputation:
         inc = IncompleteMatrix.from_values(np.array([[4.0], [NA], [4.0]]))
         np.testing.assert_array_equal(mean_impute(inc), [[4.0], [4.0], [4.0]])
 
-    def test_zero_impute(self):
-        inc = IncompleteMatrix.from_values(np.array([[NA, 5.0]]))
-        np.testing.assert_array_equal(zero_impute(inc), [[0.0, 5.0]])
-
     def test_observed_entries_bit_exact(self):
         gen = RngStream(7, (0,)).generator()
         x = gen.standard_normal((20, 5))
         inc = generate_missingness(x, MissingnessSpec.mcar(0.3),
                                    RngStream(8, ()))
-        for imputed in (mean_impute(inc), zero_impute(inc)):
-            obs = ~inc.mask
-            np.testing.assert_array_equal(imputed[obs], x[obs])
+        obs = ~inc.mask
+        np.testing.assert_array_equal(mean_impute(inc)[obs], x[obs])
 
     def test_fully_missing_column_rejected(self):
         inc = IncompleteMatrix.from_values(np.array([[NA, 1.0], [NA, 2.0]]))
@@ -218,8 +218,50 @@ class TestPipeline:
         fit = rlz_with_missing(y, inc, cfg)
         assert np.array_equal(np.sign(fit.beta_hat), np.sign(beta0))
 
-    def test_unknown_imputer_rejected(self):
-        inc = IncompleteMatrix.from_values(np.zeros((0, 0)))
-        with pytest.raises(InputError):
-            rlz_with_missing(np.zeros(0), inc, RlzConfig(tau=0.0),
-                             impute="knn")
+    def test_calibrates_through_module_hook(self, monkeypatch):
+        # rlz_with_missing must call the module-level qut_threshold once,
+        # on the standardized design and the corruption block of the fit
+        gen = RngStream(18, (0,)).generator()
+        n, p = 15, 6
+        x = gen.standard_normal((n, p))
+        y = gen.standard_normal(n)
+        inc = generate_missingness(x, MissingnessSpec.mcar(0.1),
+                                   RngStream(19, ()))
+        calls = []
+
+        def recorder(*args, **kwargs):
+            bound = inspect.signature(calibration.qut_threshold).bind(
+                *args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments)
+            return QutResult(pivot_quantile=1.0, mc_statistics=np.ones(50))
+
+        monkeypatch.setattr(missing, "qut_threshold", recorder)
+        spec = QutSpec(n_mc=50, n_dictionaries=2)
+        fit = rlz_with_missing(y, inc, RlzConfig(tau="qut", n_dictionaries=2),
+                               qut_spec=spec)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0]["x"],
+                                      standardize_columns(mean_impute(inc)))
+        assert calls[0]["spec"] is spec
+        np.testing.assert_array_equal(calls[0]["corruption_cols"],
+                                      inc.incomplete_rows)
+        assert np.isfinite(fit.tau_used)
+
+
+class TestStandardizedDesign:
+    def test_mean_imputed_and_standardized(self):
+        gen = RngStream(20, (0,)).generator()
+        x = 3.0 * gen.standard_normal((12, 4)) + 5.0
+        inc = generate_missingness(x, MissingnessSpec.mcar(0.2),
+                                   RngStream(21, ()))
+        x_std, scales = standardized_design(inc)
+        expected, _, expected_scales = standardize_columns(
+            mean_impute(inc), return_stats=True)
+        np.testing.assert_array_equal(x_std, expected)
+        np.testing.assert_array_equal(scales, expected_scales)
+
+    def test_fully_missing_column_rejected(self):
+        inc = IncompleteMatrix.from_values(np.array([[1.0, NA], [2.0, NA]]))
+        with pytest.raises(InputError, match="column 1"):
+            standardized_design(inc)
