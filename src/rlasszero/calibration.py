@@ -22,6 +22,11 @@ from .errors import InputError, SolverFailure
 from .estimators import RlzConfig, RlzFit, pivot_scale_from_gammas, \
     robust_lasso_zero
 
+# Leading entry of every calibration stream path. The simulation harness
+# numbers its replications from 1, so no replication path starts with 0
+# and calibration draws never reuse a replication's streams.
+_QUT_STREAM_TAG = 0
+
 
 @dataclass
 class QutSpec:
@@ -53,10 +58,12 @@ def qut_threshold(x: np.ndarray, spec: QutSpec,
                   corruption_cols: Optional[np.ndarray] = None) -> QutResult:
     """Upper alpha-quantile of the pivotized null statistic.
 
-    For each draw j the noise comes from the stream (master_seed, (j, 0))
-    and its dictionaries from (master_seed, (j, k)), so the result is a
-    deterministic function of (x, spec). ``x`` must be the exact matrix
-    the subsequent fit will use (already imputed and rescaled).
+    For each draw j the noise comes from the stream (master_seed, (0, j, 0))
+    and its dictionaries from (master_seed, (0, j, k)), so the result is a
+    deterministic function of (x, spec) and shares no stream with a data
+    fit or a simulation replication. ``x`` must be the exact matrix the subsequent
+    fit will use; for an incomplete design that is
+    :func:`rlasszero.missing.standardized_design`.
 
     The returned ``pivot_quantile`` multiplies the pivot scale of the data
     fit to give the data-dependent threshold.
@@ -66,11 +73,12 @@ def qut_threshold(x: np.ndarray, spec: QutSpec,
     stats = []
     failed = 0
     for j in range(1, spec.n_mc + 1):
-        eps = RngStream(spec.master_seed, (j, 0)).generator().standard_normal(n)
+        path = (_QUT_STREAM_TAG, j)
+        eps = RngStream(spec.master_seed, path + (0,)).generator().standard_normal(n)
         cfg = RlzConfig(lam=spec.lam, tau=0.0,
                         n_dictionaries=spec.n_dictionaries,
                         master_seed=spec.master_seed,
-                        corruption_cols=corruption_cols, rng_path=(j,))
+                        corruption_cols=corruption_cols, rng_path=path)
         try:
             fit = robust_lasso_zero(x, eps, cfg)
             scale = pivot_scale(fit)

@@ -4,7 +4,8 @@ Subcommands:
 
 * ``fit``      — fit the median-aggregated estimator to a CSV design/response
 * ``simulate`` — run the replication harness from a JSON spec
-* ``qut``      — calibrate the null-quantile threshold for a design
+* ``qut``      — calibrate the null-quantile threshold on the standardized
+  design that ``fit`` uses
 * ``identify`` — certify identifiability of a sign pattern
 
 Design CSVs carry a header row of column names; missing entries are the

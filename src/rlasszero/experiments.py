@@ -4,8 +4,8 @@ The harness reproduces the standard protocol: Toeplitz-correlated Gaussian
 design, +-1 coefficients on a random support, logistic missingness,
 mean imputation, and per-replication metrics (exact sign recovery, signed
 true-positive and false-discovery proportions) aggregated with standard
-errors. Every replication owns its RNG streams, so results do not depend
-on execution order or worker count.
+errors. Every replication owns its RNG streams, which no calibration
+draw reuses, so results do not depend on execution order or worker count.
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ def oracle_s_threshold(beta_med: np.ndarray, s: int) -> float:
     tau = mags[s] if s < p else 0.5 * mags[p - 1]
     if s < p and mags[s - 1] <= tau:
         # tie at the cut: lower tau so the tied block is kept
-        below = mags[mags < tau - 1e-300]
         smaller = mags[mags < mags[s - 1]]
         tau = float(smaller[0]) if smaller.size else 0.5 * mags[s - 1]
         warnings.warn("magnitude tie at the oracle cut; support size may "
@@ -264,11 +263,8 @@ def _single_blas_thread():
 
 
 def _surviving(calls) -> list:
-    """Results of the (replication, call) pairs whose call did not fail.
-
-    Each failure is dropped with a warning naming the replication; when
-    none survives, the first failure is raised again with that context.
-    """
+    """Results of the (replication, call) pairs whose call succeeded; each
+    failure is dropped with a warning, and the first is raised if all fail."""
     results, first = [], None
     for r, call in calls:
         try:

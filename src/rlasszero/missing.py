@@ -163,7 +163,10 @@ def rlz_with_missing(y: np.ndarray, inc: IncompleteMatrix, cfg: RlzConfig,
     with the corruption block restricted to the incomplete rows (unless
     told otherwise). With ``cfg.tau == "qut"`` the threshold is first
     calibrated by :func:`qut_threshold` on that same matrix and
-    corruption block.
+    corruption block. Dictionary k of the fit comes from the stream
+    (master_seed, (*cfg.rng_path, k)); the calibration draws use paths
+    that start with 0, (0, j, 0) and (0, j, k), so with the default empty
+    ``rng_path`` the fit and its calibration share no stream.
 
     The returned fit carries the rescaling factors and the corruption
     column indices, so coefficients can be mapped back to the original

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rlasszero import BudgetExceededError, SolverFailure
+from rlasszero.calibration import QutSpec, qut_threshold
 from rlasszero.cli import main, read_design_csv, read_vector_csv
 from rlasszero.core import RngStream, standardize_columns
 
@@ -124,6 +125,18 @@ class TestQutCommand:
         _, x_path, _, _ = instance
         code = main(["qut", "--x", x_path, "--out", str(tmp_path / "q.json")])
         assert code == 2
+
+    def test_calibrates_the_standardized_design(self, tmp_path):
+        # the matrix rlz fit calibrates, not the raw CSV values
+        x = 3.0 * RngStream(2, (203,)).generator().standard_normal((12, 5)) + 5.0
+        x_path = tmp_path / "X.csv"
+        write_design(x_path, x)
+        out = tmp_path / "q.json"
+        assert main(["qut", "--x", str(x_path), "--mc", "50",
+                     "--dictionaries", "3", "--out", str(out)]) == 0
+        spec = QutSpec(n_mc=50, n_dictionaries=3)
+        want = qut_threshold(standardize_columns(x), spec).pivot_quantile
+        assert json.loads(out.read_text())["pivot_quantile"] == want
 
 
 class TestIdentifyCommand:

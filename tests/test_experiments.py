@@ -1,10 +1,12 @@
 import ctypes
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from rlasszero import InputError, experiments
+from rlasszero import InputError, calibration, experiments
+from rlasszero.core import RngStream
 from rlasszero.estimators import hard_threshold
 from rlasszero.experiments import (
     MetricsRecord,
@@ -107,7 +109,8 @@ class TestSimulationSpec:
                                     dict(pi=1.0), dict(replications=0),
                                     dict(mechanism="mar"),
                                     dict(tuning="cv"),
-                                    dict(estimators=("lasso",))])
+                                    dict(estimators=("lasso",)),
+                                    dict(mechanism="mnar", a=30.0, pi=0.001)])
     def test_invalid_rejected(self, kw):
         with pytest.raises(InputError):
             SimulationSpec(**kw)
@@ -125,6 +128,14 @@ def _tiny_spec(**kw):
     base = dict(n=30, p=20, rho=0.3, s=2, sigma_noise=0.1, pi=0.1,
                 replications=3, estimators=("rlass0", "lass0", "tjp"),
                 n_dictionaries=4, master_seed=21)
+    base.update(kw)
+    return SimulationSpec(**base)
+
+
+def _auto_spec(**kw):
+    base = dict(n=12, p=8, s=1, sigma_noise=0.1, pi=0.1, replications=2,
+                estimators=("rlass0", "lass0"), tuning="automatic",
+                qut_mc=50, n_dictionaries=2, master_seed=5)
     base.update(kw)
     return SimulationSpec(**base)
 
@@ -177,6 +188,51 @@ class TestRunExperiment:
         records, _ = run_experiment(_tiny_spec(estimators=("tjp",)))
         assert records[0].runtime_seconds > 0.0
         assert "runtime" not in metrics_to_csv(records)
+
+    def test_unusable_replications_dropped_with_warning(self):
+        # with 5 rows and pi = 0.7 masking often leaves a column fully
+        # missing or constant; those replications are dropped, not fatal
+        spec = SimulationSpec(n=5, p=3, s=1, pi=0.7, replications=20,
+                              estimators=("tjp",), master_seed=3)
+        with pytest.warns(UserWarning, match=r"replication \d+ dropped: column"):
+            r1, raw1 = run_experiment(spec)
+        assert 0 < r1[0].replications < 20
+        with pytest.warns(UserWarning, match="dropped"):
+            r2, raw2 = run_experiment(spec, workers=2)
+        assert metrics_to_csv(r1) == metrics_to_csv(r2)
+        assert raw_to_csv(raw1) == raw_to_csv(raw2)
+
+    def test_no_surviving_replication_raises_first_reason(self):
+        spec = SimulationSpec(n=2, p=3, s=1, pi=0.9, replications=2,
+                              estimators=("tjp",), master_seed=3)
+        with pytest.warns(UserWarning, match="dropped"):
+            with pytest.raises(InputError, match="every replication failed"):
+                run_experiment(spec)
+
+    def test_automatic_csv_bytes_identical_across_workers(self):
+        spec = _auto_spec()
+        r1, raw1 = run_experiment(spec, workers=1)
+        r2, raw2 = run_experiment(spec, workers=2)
+        assert metrics_to_csv(r1) == metrics_to_csv(r2)
+        assert raw_to_csv(raw1) == raw_to_csv(raw2)
+
+    def test_calibration_streams_disjoint_from_replication_streams(
+            self, monkeypatch):
+        inside, outside = set(), set()
+        generator = RngStream.generator
+        qut_code = calibration.qut_threshold.__code__
+
+        def recording_generator(stream):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not qut_code:
+                frame = frame.f_back
+            (outside if frame is None else inside).add(stream.path)
+            return generator(stream)
+
+        monkeypatch.setattr(RngStream, "generator", recording_generator)
+        run_experiment(_auto_spec(replications=1))
+        assert inside and outside
+        assert inside.isdisjoint(outside)
 
     def test_psr_se_binomial_formula(self):
         records, _ = run_experiment(_tiny_spec(estimators=("tjp",)))
