@@ -27,7 +27,7 @@ from .calibration import QutSpec, qut_threshold
 from .core import RngStream, sample_design, standardize_columns, toeplitz_sigma
 from .errors import InputError, SolverFailure
 from .estimators import RlzConfig, hard_threshold, lasso_zero
-from .lp import OPTIMAL, solve_jp
+from .lp import solve_jp
 from .missing import IncompleteMatrix, MissingnessSpec, generate_missingness, \
     rlz_with_missing, standardized_design
 
@@ -205,7 +205,7 @@ def _run_estimator(name: str, spec: SimulationSpec, x_std, y,
     :func:`standardized_design` of ``inc``."""
     if name == "tjp":
         sol = solve_jp(x_std, y, spec.lam)
-        if sol.status != OPTIMAL:
+        if sol.status != "optimal":
             raise SolverFailure(f"tjp solve failed in replication {r}")
         tau = oracle_s_threshold(sol.beta, spec.s)
         return hard_threshold(sol.beta, tau)

@@ -21,7 +21,9 @@ from .core import RngStream, standardize_columns
 from .errors import InputError
 from .estimators import RlzConfig, RlzFit, robust_lasso_zero
 
-_GH_NODES = 96        # Gauss-Hermite nodes for the expected missing rate
+# Gauss-Hermite nodes and weights for the expected missing rate, computed
+# once: the intercept bisection evaluates the expectation about 40 times
+_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(96)
 _BISECTION_TOL = 1e-10  # width at which the intercept bisection stops
 
 
@@ -60,9 +62,8 @@ def logistic_missing_prob(x, a: float, b: float):
 
 def _gh_expectation(a: float, b: float) -> float:
     """E[logistic_missing_prob(Z, a, b)] for Z ~ N(0,1), by Gauss-Hermite."""
-    t, w = np.polynomial.hermite.hermgauss(_GH_NODES)
-    vals = expit(a * np.abs(np.sqrt(2.0) * t) + b)
-    return float((w * vals).sum() / np.sqrt(np.pi))
+    vals = expit(a * np.abs(np.sqrt(2.0) * _GH_NODES) + b)
+    return float((_GH_WEIGHTS * vals).sum() / np.sqrt(np.pi))
 
 
 def solve_b_for_pi(a: float, pi: float) -> float:

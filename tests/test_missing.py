@@ -260,8 +260,3 @@ class TestStandardizedDesign:
             mean_impute(inc), return_stats=True)
         np.testing.assert_array_equal(x_std, expected)
         np.testing.assert_array_equal(scales, expected_scales)
-
-    def test_fully_missing_column_rejected(self):
-        inc = IncompleteMatrix.from_values(np.array([[1.0, NA], [2.0, NA]]))
-        with pytest.raises(InputError, match="column 1"):
-            standardized_design(inc)
