@@ -64,13 +64,14 @@ def _max_inner_product_lp(a_null: np.ndarray, h: np.ndarray,
     c = np.zeros(2 * k + 1)
     c[:k] = -h
     c[k:2 * k] = h
-    prob = LpProblem(a=a, b=b, c=c, var_map=[(j, k + j) for j in range(k)])
-    x, obj, status = solve_lp(prob)
+    # the budget row puts +w_j under both halves, so column k + j is not
+    # minus column j: the pairs are not declared and every column is priced
+    x, obj, status = solve_lp(LpProblem(a=a, b=b, c=c))
     if status == "unbounded":
         return np.inf, None
     if status != OPTIMAL:
         raise SolverFailure(f"certification LP ended with status {status}")
-    return -obj, prob.recompose(x)
+    return -obj, x[:k] - x[k:2 * k]
 
 
 def check_identifiability(x: np.ndarray, theta: np.ndarray,

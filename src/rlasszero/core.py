@@ -1,4 +1,5 @@
-"""Dense design-matrix primitives and deterministic RNG stream derivation.
+"""Dense design-matrix primitives, deterministic RNG stream derivation and
+the BLAS thread setting.
 
 All randomness in the package flows through :class:`RngStream`, a
 (master_seed, path) pair mapped to an independent counter-based generator.
@@ -10,7 +11,12 @@ results.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
+import os
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -91,3 +97,50 @@ def standardize_columns(x: np.ndarray, return_stats: bool = False):
     if return_stats:
         return out, means, scales
     return out
+
+
+def _openblas_thread_functions():
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or
+    (None, None) when numpy loaded no OpenBLAS."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None, None
+
+
+_GET_BLAS_THREADS, _SET_BLAS_THREADS = _openblas_thread_functions()
+
+
+def blas_threads() -> Optional[int]:
+    """Thread count of numpy's OpenBLAS, or None when numpy loaded none."""
+    return None if _GET_BLAS_THREADS is None else _GET_BLAS_THREADS()
+
+
+def set_blas_threads(count: int) -> None:
+    """Set numpy's OpenBLAS to ``count`` threads; a no-op without OpenBLAS."""
+    if _SET_BLAS_THREADS is not None:
+        _SET_BLAS_THREADS(count)
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the body on one OpenBLAS thread, then restore the caller's count.
+
+    The solves are too small to gain from a second BLAS thread: it only
+    spins, and it keeps spinning through the Python code between BLAS
+    calls, so a whole replication has to run inside, not just its solves.
+    """
+    before = blas_threads()
+    set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if before is not None:
+            set_blas_threads(before)

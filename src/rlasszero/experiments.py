@@ -11,10 +11,7 @@ draw reuses, so results do not depend on execution order or worker count.
 from __future__ import annotations
 
 import csv
-import ctypes
-import glob
 import io
-import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +21,8 @@ from functools import partial
 import numpy as np
 
 from .calibration import QutSpec, qut_threshold
-from .core import RngStream, sample_design, standardize_columns, toeplitz_sigma
+from .core import RngStream, sample_design, set_blas_threads, \
+    single_blas_thread, standardize_columns, toeplitz_sigma
 from .errors import InputError, SolverFailure
 from .estimators import RlzConfig, hard_threshold, lasso_zero
 from .lp import solve_jp
@@ -237,31 +235,6 @@ def _run_estimator(name: str, spec: SimulationSpec, x_std, y,
     return fit.beta_hat
 
 
-def _openblas_function(symbols):
-    """First of ``symbols`` exported by the OpenBLAS numpy loaded, or None."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for symbol in symbols:
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                return fn
-    return None
-
-
-def _single_blas_thread():
-    """Pool initializer: one OpenBLAS thread per worker process.
-
-    Each worker otherwise keeps a thread per core, and the workers' thread
-    pools contend for the same cores.
-    """
-    fn = _openblas_function(("scipy_openblas_set_num_threads64_",
-                             "openblas_set_num_threads"))
-    if fn is not None:
-        fn.argtypes, fn.restype = [ctypes.c_int], None
-        fn(1)
-
-
 def _surviving(calls) -> list:
     """Results of the (replication, call) pairs whose call succeeded; each
     failure is dropped with a warning, and the first is raised if all fail."""
@@ -285,18 +258,27 @@ def run_experiment(spec: SimulationSpec, workers: int = 1):
     column left fully missing or constant by the mask) or SolverFailure is
     dropped with a warning, and the per-estimator replication counts
     reflect that.
+
+    Every replication runs on one BLAS thread: a pool worker is set to one
+    when it starts, and at ``workers=1`` the replications run inside
+    :func:`~rlasszero.core.single_blas_thread`, which gives the caller's
+    thread count back when the run returns or raises.
     """
     t0 = time.perf_counter()
     reps = range(1, spec.replications + 1)
     if workers > 1:
+        # one BLAS thread per worker, or the workers' thread pools contend
+        # for the same cores
         with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_single_blas_thread) as pool:
+                                 initializer=set_blas_threads,
+                                 initargs=(1,)) as pool:
             futures = {r: pool.submit(_replication_metrics, spec, r)
                        for r in reps}
             results = _surviving((r, futures[r].result) for r in reps)
     else:
-        results = _surviving((r, partial(_replication_metrics, spec, r))
-                             for r in reps)
+        with single_blas_thread():
+            results = _surviving((r, partial(_replication_metrics, spec, r))
+                                 for r in reps)
     elapsed = time.perf_counter() - t0
 
     records = []

@@ -12,10 +12,12 @@ both. :func:`formulate_jp` reduces it to a standard-form linear program by
 splitting each signed variable into a nonnegative pair, and builds a
 feasible starting basis from the program's own blocks: the corruption
 column of every row that has one, and dictionary columns for the other
-rows. The solver is a revised simplex with Dantzig pricing and an automatic
-Bland fallback, which terminates on degenerate problems and returns exact
-basic feasible solutions -- needed downstream for uniqueness and
-sign-pattern certification, where first-order solvers are too loose. It
+rows. The split program's columns are [A | -A], and ``LpProblem.n_signed``
+declares those pairs so that the solver prices both columns of a pair
+with one product. The solver is a revised simplex with Dantzig pricing and
+an automatic Bland fallback, which terminates on degenerate problems and
+returns exact basic feasible solutions -- needed downstream for uniqueness
+and sign-pattern certification, where first-order solvers are too loose. It
 starts from the program's basis when one is known and runs a phase 1 on
 artificial variables only when there is none (basis pursuit, Justice
 Pursuit with a restricted block, or a hand-built :class:`LpProblem`).
@@ -29,7 +31,7 @@ it is the independent cross-check used by the test suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
@@ -62,24 +64,26 @@ class SolverOptions:
 class LpProblem:
     """Standard-form LP: min c'x s.t. a x = b, x >= 0.
 
-    ``var_map`` links each original signed variable to its (positive,
-    negative) split pair of columns, so signed optimizers can be
-    recomposed from the split solution. ``basis``, when known, lists m
-    columns of ``a`` that form a feasible basis; the solver then skips
-    phase 1 (it checks the basis and falls back to phase 1 if it is not).
+    ``n_signed = K`` declares that the first 2K columns split K signed
+    variables into nonnegative pairs x = u - v: column K + j is exactly
+    minus column j, so the solver prices each pair with one product, and
+    signed optimizers are recomposed as ``x[:K] - x[K:2K]``. ``basis``,
+    when known, lists m columns of ``a`` that form a feasible basis; the
+    solver then skips phase 1 (it checks the basis and falls back to
+    phase 1 if it is not).
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    var_map: list[tuple[int, int]] = field(default_factory=list)
+    n_signed: int = 0
     basis: Optional[np.ndarray] = None
 
     def recompose(self, x: np.ndarray) -> np.ndarray:
         """Map a split-variable solution back to the signed variables."""
-        pos, neg = np.array(self.var_map, dtype=int).reshape(-1, 2).T
+        k = self.n_signed
         x = np.asarray(x, dtype=float)
-        return x[pos] - x[neg]
+        return x[:k] - x[k:2 * k]
 
 
 @dataclass
@@ -91,23 +95,6 @@ class JpSolution:
     residual_norm: float
     status: str
     corruption_cols: Optional[np.ndarray] = None  # None means full I_n block
-
-
-def split_signed_problem(a_signed: np.ndarray, b: np.ndarray,
-                         costs: np.ndarray) -> LpProblem:
-    """Split free variables into nonnegative pairs: x = u - v.
-
-    ``a_signed`` is m x K with free variables of nonnegative cost
-    ``costs``; the result has N = 2K columns ordered [u block, v block].
-    """
-    a_signed = np.asarray(a_signed, dtype=float)
-    b = np.asarray(b, dtype=float)
-    costs = np.asarray(costs, dtype=float)
-    m, k = a_signed.shape
-    a = np.hstack([a_signed, -a_signed])
-    c = np.concatenate([costs, costs])
-    var_map = [(j, k + j) for j in range(k)]
-    return LpProblem(a=a, b=b.copy(), c=c, var_map=var_map)
 
 
 def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
@@ -145,9 +132,11 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
     a_signed = np.hstack([x, eye_block, g])
     costs = np.concatenate([np.ones(p), np.full(cols.size, lam),
                             np.ones(g.shape[1])])
-    prob = split_signed_problem(a_signed, y, costs)
-    prob.basis = _block_basis(a_signed, y, p, cols)
-    return prob
+    # split each signed variable into a nonnegative pair: [u block, v block]
+    return LpProblem(a=np.hstack([a_signed, -a_signed]), b=y.copy(),
+                     c=np.concatenate([costs, costs]),
+                     n_signed=a_signed.shape[1],
+                     basis=_block_basis(a_signed, y, p, cols))
 
 
 def _block_basis(a_signed, y, p, cols):
@@ -192,16 +181,23 @@ def _apply_pivot(binv, xb, basis, d, leave, enter):
     basis[leave] = enter
 
 
-def _pivot_loop(a, b, c, basis, binv, xb, n_price, opts: SolverOptions,
-                max_pivots: int, bland_after: int):
+def _pivot_loop(a, b, c, basis, binv, xb, n_price, n_signed,
+                opts: SolverOptions, max_pivots: int, bland_after: int):
     """Run simplex pivots until optimality/unboundedness/pivot budget.
 
-    Only the first ``n_price`` columns may enter the basis.
+    Only the first ``n_price`` columns may enter the basis. Column
+    ``n_signed + j`` is minus column j, so one product w = y a[:, :n_signed]
+    prices both halves of each pair (reduced costs c_u - w and c_v + w);
+    only the columns past the pairs are priced on their own.
     Returns a status string; basis/binv/xb are updated in place.
     """
     m = a.shape[0]
-    a_price = a[:, :n_price]
-    c_price = c[:n_price]
+    k = n_signed
+    a_pair, a_rest = a[:, :k], a[:, 2 * k:n_price]
+    c_u, c_v, c_rest = c[:k], c[k:2 * k], c[2 * k:n_price]
+    reduced = np.empty(n_price)
+    r_u, r_v, r_rest = reduced[:k], reduced[k:2 * k], reduced[2 * k:]
+    w = np.empty(k)
     threshold = -opts.opt_tol * (1.0 + np.abs(c).max())
     it = 0
     while True:
@@ -210,7 +206,12 @@ def _pivot_loop(a, b, c, basis, binv, xb, n_price, opts: SolverOptions,
             binv[:, :] = new[0]
             xb[:] = new[1]
         y = c[basis] @ binv
-        reduced = c_price - y @ a_price
+        if k:
+            np.matmul(y, a_pair, out=w)
+            np.subtract(c_u, w, out=r_u)
+            np.add(c_v, w, out=r_v)
+        if r_rest.size:
+            np.subtract(c_rest, y @ a_rest, out=r_rest)
         reduced[basis[basis < n_price]] = 0.0
         enter = int(np.argmin(reduced))
         if reduced[enter] >= threshold:
@@ -259,7 +260,8 @@ def solve_lp(prob: LpProblem, opts: Optional[SolverOptions] = None):
     feasible solution whose residual, recomputed at the final basis, is at
     most 1e-9 (1 + ||b||_inf) and whose reduced costs are all
     >= -opt_tol (1 + ||c||_inf); a basis failing either check gives
-    "tolerance_failure".
+    "tolerance_failure". A problem whose ``n_signed`` pairs are not exact
+    negatives raises InputError.
     """
     if opts is None:
         opts = SolverOptions()
@@ -267,6 +269,10 @@ def solve_lp(prob: LpProblem, opts: Optional[SolverOptions] = None):
     b = np.asarray(prob.b, dtype=float)
     c = np.asarray(prob.c, dtype=float)
     m, n = a.shape
+    k = prob.n_signed
+    if not 0 <= 2 * k <= n or not np.array_equal(a[:, k:2 * k], -a[:, :k]):
+        raise InputError(f"n_signed = {k}: columns {k}..{2 * k - 1} must be "
+                         f"exactly minus columns 0..{k - 1}")
     max_pivots = opts.max_pivots if opts.max_pivots is not None else 50 * (m + n)
     bland_after = 10 * (m + n)
 
@@ -293,7 +299,7 @@ def solve_lp(prob: LpProblem, opts: Optional[SolverOptions] = None):
         basis = np.arange(n, n + m)
         binv = np.eye(m)
         xb = b.copy()
-        status = _pivot_loop(a1, b, c1, basis, binv, xb, n + m, opts,
+        status = _pivot_loop(a1, b, c1, basis, binv, xb, n + m, k, opts,
                              max_pivots, bland_after)
         if status != OPTIMAL:
             return np.zeros(n), np.nan, TOLERANCE_FAILURE
@@ -304,10 +310,10 @@ def solve_lp(prob: LpProblem, opts: Optional[SolverOptions] = None):
 
         # drive remaining artificials out of the basis (degenerate pivots)
         for leave in np.flatnonzero(basis >= n):
-            row = binv[leave] @ a
-            pivot_cols = np.flatnonzero(np.abs(row) > 1e-9)
-            pivot_cols = [j for j in pivot_cols if j not in set(basis)]
-            if pivot_cols:
+            candidates = np.abs(binv[leave] @ a) > 1e-9
+            candidates[basis[basis < n]] = False
+            pivot_cols = np.flatnonzero(candidates)
+            if pivot_cols.size:
                 enter = int(pivot_cols[0])
                 d = binv @ a1[:, enter]
                 _apply_pivot(binv, xb, basis, d, leave, enter)
@@ -317,7 +323,7 @@ def solve_lp(prob: LpProblem, opts: Optional[SolverOptions] = None):
         c = np.concatenate([c, np.zeros(m)])
 
     # phase 2
-    status = _pivot_loop(a, b, c, basis, binv, xb, n, opts,
+    status = _pivot_loop(a, b, c, basis, binv, xb, n, k, opts,
                          max_pivots, bland_after)
     if status == TOLERANCE_FAILURE:
         return np.zeros(n), np.nan, TOLERANCE_FAILURE

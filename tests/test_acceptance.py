@@ -61,7 +61,8 @@ def test_criterion_1_lp_oracle_equivalence():
         assert status == OPTIMAL
         # feasibility and split complementarity
         assert np.abs(prob.a @ v - prob.b).max() < 1e-8
-        assert all(min(v[i], v[j]) <= 1e-9 for i, j in prob.var_map)
+        k = prob.n_signed
+        assert all(min(v[i], v[k + i]) <= 1e-9 for i in range(k))
         optima = enumerate_vertex_optima(prob)
         best = min(float(prob.c @ np.concatenate(
             [np.maximum(prob.recompose(w), 0.0),

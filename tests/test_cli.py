@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from rlasszero import BudgetExceededError, SolverFailure
+from rlasszero import BudgetExceededError, SolverFailure, lp
 from rlasszero.calibration import QutSpec, qut_threshold
 from rlasszero.cli import main, read_design_csv, read_vector_csv
 from rlasszero.core import RngStream, standardize_columns
@@ -189,6 +189,68 @@ class TestIdentifyCommand:
                      "--theta-tilde", str(tmp_path / "tt.csv"),
                      "--out", str(tmp_path / "v.json")])
         assert code == 3
+
+
+def _full_pricing_loop(a, b, c, basis, binv, xb, n_price, n_signed, opts,
+                       max_pivots, bland_after):
+    """Reference pivot loop that prices every column with its own product
+    and ignores ``n_signed``."""
+    m = a.shape[0]
+    threshold = -opts.opt_tol * (1.0 + np.abs(c).max())
+    it = 0
+    while True:
+        if it and it % lp._REFACTOR_EVERY == 0:
+            new = lp._refactor(a, b, basis)
+            binv[:, :] = new[0]
+            xb[:] = new[1]
+        y = c[basis] @ binv
+        reduced = c[:n_price] - y @ a[:, :n_price]
+        reduced[basis[basis < n_price]] = 0.0
+        enter = int(np.argmin(reduced))
+        if reduced[enter] >= threshold:
+            return lp.OPTIMAL
+        if it >= bland_after:
+            enter = int(np.flatnonzero(reduced < threshold)[0])
+        d = binv @ a[:, enter]
+        ratios = np.divide(xb, d, out=np.full(m, np.inf),
+                           where=d > opts.feas_tol)
+        best = ratios.min()
+        if best == np.inf:
+            return lp.UNBOUNDED
+        ties = np.flatnonzero(ratios <= best + opts.feas_tol)
+        leave = int(ties[np.argmin(basis[ties])])
+        lp._apply_pivot(binv, xb, basis, d, leave, enter)
+        it += 1
+        if it >= max_pivots:
+            return lp.TOLERANCE_FAILURE
+
+
+class TestIdentifyFullPricing:
+    # an identifiable pattern, and one whose LP gives a witness
+    @pytest.mark.parametrize("theta_support, n_corrupt",
+                             [([0], 2), ([0, 3, 7], 15)])
+    def test_output_bytes_match_full_pricing(self, monkeypatch, tmp_path,
+                                             theta_support, n_corrupt):
+        gen = RngStream(4, (209,)).generator()
+        n, p = 30, 10
+        write_design(tmp_path / "X.csv", gen.standard_normal((n, p)))
+        theta = np.zeros(p)
+        theta[theta_support] = gen.choice([-1.0, 1.0], len(theta_support))
+        write_vector(tmp_path / "theta.csv", theta)
+        tt = np.zeros(n)
+        tt[:n_corrupt] = 1.0
+        write_vector(tmp_path / "tt.csv", tt)
+
+        def identify(out):
+            assert main(["identify", "--x", str(tmp_path / "X.csv"),
+                         "--theta", str(tmp_path / "theta.csv"),
+                         "--theta-tilde", str(tmp_path / "tt.csv"),
+                         "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        got = identify(tmp_path / "v.json")
+        monkeypatch.setattr(lp, "_pivot_loop", _full_pricing_loop)
+        assert got == identify(tmp_path / "ref.json")
 
 
 class TestSimulateCommand:

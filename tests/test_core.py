@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,3 +120,16 @@ class TestStandardizeColumns:
         x = RngStream(seed, (0,)).generator().standard_normal((n, p))
         once = standardize_columns(x)
         assert np.abs(standardize_columns(once) - once).max() < 1e-12
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg loads scipy's own OpenBLAS next to numpy's: more memory,
+    # and a second thread pool that the BLAS thread setting does not reach
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = ("import sys, rlasszero, rlasszero.cli; "
+            "print('scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

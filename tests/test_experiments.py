@@ -1,11 +1,10 @@
-import ctypes
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from rlasszero import InputError, calibration, experiments
+from rlasszero import InputError, calibration, core, experiments
 from rlasszero.core import RngStream
 from rlasszero.estimators import hard_threshold
 from rlasszero.experiments import (
@@ -164,19 +163,47 @@ class TestRunExperiment:
         assert raw_to_csv(raw1) == raw_to_csv(raw2)
 
     def test_pool_workers_use_one_blas_thread(self, monkeypatch):
-        if _blas_threads_getter() is None:
+        if core.blas_threads() is None:
             pytest.skip("numpy does not load OpenBLAS")
         seen = []
 
         class RecordingPool(ProcessPoolExecutor):
             def submit(self, fn, *args):
-                seen.append(super().submit(_worker_blas_threads).result(60))
+                seen.append(super().submit(core.blas_threads).result(60))
                 return super().submit(fn, *args)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
         run_experiment(_tiny_spec(replications=2, estimators=("tjp",)),
                        workers=2)
         assert seen == [1, 1]
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_serial_replications_use_one_blas_thread(self, monkeypatch,
+                                                      fails):
+        caller = core.blas_threads()
+        if caller is None:
+            pytest.skip("numpy does not load OpenBLAS")
+        seen = []
+        replication = experiments._replication_metrics
+
+        def recording(spec, r):
+            seen.append(core.blas_threads())
+            if fails:
+                raise RuntimeError("replication failed")
+            return replication(spec, r)
+
+        monkeypatch.setattr(experiments, "_replication_metrics", recording)
+        core.set_blas_threads(2)
+        try:
+            if fails:
+                with pytest.raises(RuntimeError):
+                    run_experiment(_tiny_spec(estimators=("tjp",)))
+            else:
+                run_experiment(_tiny_spec(estimators=("tjp",)))
+            assert core.blas_threads() == 2
+        finally:
+            core.set_blas_threads(caller)
+        assert seen == ([1] if fails else [1, 1, 1])
 
     def test_easy_regime_perfect_recovery(self):
         spec = _tiny_spec(sigma_noise=0.0, pi=0.01, estimators=("tjp",),
@@ -239,15 +266,3 @@ class TestRunExperiment:
         r = records[0]
         want = np.sqrt(r.psr * (1 - r.psr) / r.replications)
         assert r.psr_se == pytest.approx(want)
-
-
-def _blas_threads_getter():
-    fn = experiments._openblas_function(("scipy_openblas_get_num_threads64_",
-                                         "openblas_get_num_threads"))
-    if fn is not None:
-        fn.argtypes, fn.restype = [], ctypes.c_int
-    return fn
-
-
-def _worker_blas_threads():
-    return _blas_threads_getter()()

@@ -40,7 +40,7 @@ class TestFormulate:
     def test_tiny_dimensions(self):
         prob = formulate_jp(np.array([[1.0]]), np.array([3.0]), 2.0)
         assert prob.a.shape == (1, 4)
-        assert len(prob.var_map) == 2
+        assert prob.n_signed == 2
 
     def test_restricted_block_scaling(self):
         cols = np.array([1, 3])
@@ -81,7 +81,7 @@ class TestFormulate:
         with pytest.raises(InputError):
             formulate_jp(np.eye(2), np.zeros(2), 0.0)
 
-    def test_recompose_empty_var_map(self):
+    def test_recompose_without_signed_pairs(self):
         prob = LpProblem(a=np.ones((1, 2)), b=np.ones(1), c=np.ones(2))
         assert prob.recompose(np.ones(2)).shape == (0,)
 
@@ -95,7 +95,7 @@ class TestFormulate:
 class TestSolveLp:
     def test_one_constraint(self):
         prob = LpProblem(a=np.array([[1.0, 1.0]]), b=np.array([1.0]),
-                         c=np.array([1.0, 1.0]), var_map=[])
+                         c=np.array([1.0, 1.0]))
         _, obj, status = solve_lp(prob, SolverOptions())
         assert status == OPTIMAL
         assert obj == pytest.approx(1.0)
@@ -103,20 +103,19 @@ class TestSolveLp:
     def test_infeasible_detected(self):
         prob = LpProblem(a=np.array([[1.0, 1.0], [1.0, 1.0]]),
                          b=np.array([1.0, 2.0]),
-                         c=np.array([1.0, 1.0]), var_map=[])
+                         c=np.array([1.0, 1.0]))
         _, _, status = solve_lp(prob, SolverOptions())
         assert status == INFEASIBLE
 
     def test_unbounded_detected(self):
         prob = LpProblem(a=np.array([[1.0, -1.0]]), b=np.array([0.0]),
-                         c=np.array([-1.0, 0.0]), var_map=[])
+                         c=np.array([-1.0, 0.0]))
         _, _, status = solve_lp(prob, SolverOptions())
         assert status == UNBOUNDED
 
     def test_duplicate_columns_terminate(self):
         a = np.hstack([np.ones((2, 4)), np.eye(2)])
-        prob = LpProblem(a=a, b=np.ones(2),
-                         c=np.ones(6), var_map=[])
+        prob = LpProblem(a=a, b=np.ones(2), c=np.ones(6))
         _, obj, status = solve_lp(prob, SolverOptions())
         assert status == OPTIMAL
         # a shared ones-column covers both rows at cost 1, and the row sums
@@ -140,6 +139,45 @@ BLOCKS = [("full", True), ("restricted", True), ("empty", True),
           ("restricted", False)]
 
 
+class TestPairPricing:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("corruption, with_g", BLOCKS)
+    def test_half_pricing_matches_full_pricing(self, corruption, with_g,
+                                               seed):
+        x, y, lam, cols, g = _program(seed, 100, 200, corruption, with_g)
+        half = formulate_jp(x, y, lam, corruption_cols=cols, g=g)
+        full = LpProblem(a=half.a, b=half.b, c=half.c, basis=half.basis)
+        assert half.n_signed == half.a.shape[1] // 2 and full.n_signed == 0
+        v_half, obj_half, status_half = solve_lp(half)
+        v_full, obj_full, status_full = solve_lp(full)
+        assert status_half == status_full == OPTIMAL
+        assert obj_half == obj_full
+        np.testing.assert_array_equal(np.flatnonzero(v_half),
+                                      np.flatnonzero(v_full))
+
+    def test_certification_shaped_pairs_rejected(self):
+        # the budget row of the certification LP puts +w_j under both
+        # halves, so column k + j is not minus column j
+        gen = RngStream(8, ()).generator()
+        m, k = 4, 6
+        a_null = gen.standard_normal((m, k))
+        a = np.zeros((m + 1, 2 * k + 1))
+        a[:m, :k], a[:m, k:2 * k] = a_null, -a_null
+        a[m, :2 * k], a[m, 2 * k] = 1.0, 1.0
+        c = np.concatenate([-np.ones(k), np.ones(k), [0.0]])
+        b = np.r_[np.zeros(m), 1.0]
+        with pytest.raises(InputError, match="n_signed"):
+            solve_lp(LpProblem(a=a, b=b, c=c, n_signed=k))
+        _, _, status = solve_lp(LpProblem(a=a, b=b, c=c))
+        assert status == OPTIMAL
+
+    def test_more_pairs_than_columns_rejected(self):
+        prob = formulate_jp(np.eye(2), np.ones(2), 1.0)
+        with pytest.raises(InputError, match="n_signed"):
+            solve_lp(LpProblem(a=prob.a, b=prob.b, c=prob.c,
+                               n_signed=prob.n_signed + 1))
+
+
 class TestStartingBasis:
     @pytest.mark.parametrize("corruption", ["full", "restricted", "empty"])
     def test_block_basis_nonsingular_and_feasible(self, corruption):
@@ -158,8 +196,8 @@ class TestStartingBasis:
         assert formulate_jp(x, y, lam, corruption_cols=cols).basis is None
 
     def _same_as_without_hint(self, prob, hint):
-        plain = LpProblem(a=prob.a, b=prob.b, c=prob.c, var_map=prob.var_map)
-        hinted = LpProblem(a=prob.a, b=prob.b, c=prob.c, var_map=prob.var_map,
+        plain = LpProblem(a=prob.a, b=prob.b, c=prob.c, n_signed=prob.n_signed)
+        hinted = LpProblem(a=prob.a, b=prob.b, c=prob.c, n_signed=prob.n_signed,
                            basis=hint)
         _, obj_plain, status_plain = solve_lp(plain)
         _, obj_hinted, status_hinted = solve_lp(hinted)
@@ -281,7 +319,7 @@ class TestBp:
 class TestVertexOracle:
     def test_tie_gives_two_optima(self):
         prob = LpProblem(a=np.array([[1.0, 1.0]]), b=np.array([1.0]),
-                         c=np.array([1.0, 1.0]), var_map=[])
+                         c=np.array([1.0, 1.0]))
         optima = enumerate_vertex_optima(prob)
         pts = sorted(tuple(np.round(v, 9)) for v in optima)
         assert pts == [(0.0, 1.0), (1.0, 0.0)]
@@ -367,8 +405,9 @@ class TestInvariants:
         prob = formulate_jp(x, y, lam)
         v, _, status = solve_lp(prob, SolverOptions())
         assert status == OPTIMAL
-        for pos, neg in prob.var_map:
-            assert min(v[pos], v[neg]) <= 1e-9
+        k = prob.n_signed
+        for pos in range(k):
+            assert min(v[pos], v[k + pos]) <= 1e-9
 
     def test_max_pivots_triggers_tolerance_failure(self):
         gen = RngStream(77, ()).generator()
