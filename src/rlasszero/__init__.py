@@ -25,7 +25,12 @@ from .estimators import (
     robust_lasso_zero,
     tjp,
 )
-from .calibration import QutResult, QutSpec, pivot_scale, qut_threshold
+from .calibration import (
+    QutResult,
+    QutSpec,
+    pivot_scale_from_gammas,
+    qut_threshold,
+)
 from .missing import (
     IncompleteMatrix,
     MissingnessSpec,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import RngStream
 from .errors import InputError, SolverFailure
-from .estimators import RlzConfig, RlzFit, pivot_scale_from_gammas, \
+from .estimators import RlzConfig, pivot_scale_from_gammas, \
     robust_lasso_zero
 
 # Leading entry of every calibration stream path. The simulation harness
@@ -49,21 +49,16 @@ class QutResult:
     mc_statistics: np.ndarray
 
 
-def pivot_scale(fit: RlzFit) -> float:
-    """Pivot scale of a fitted estimate; requires stored noise coefficients."""
-    return pivot_scale_from_gammas(fit.gamma_all)
-
-
 def qut_threshold(x: np.ndarray, spec: QutSpec,
                   corruption_cols: Optional[np.ndarray] = None) -> QutResult:
     """Upper alpha-quantile of the pivotized null statistic.
 
     For each draw j the noise comes from the stream (master_seed, (0, j, 0))
     and its dictionaries from (master_seed, (0, j, k)), so the result is a
-    deterministic function of (x, spec) and shares no stream with a data
-    fit or a simulation replication. ``x`` must be the exact matrix the subsequent
-    fit will use; for an incomplete design that is
-    :func:`rlasszero.missing.standardized_design`.
+    deterministic function of its arguments and shares no stream with a
+    data fit or a simulation replication. ``x`` and ``corruption_cols`` must
+    be the exact matrix and corruption rows the subsequent fit will use,
+    as :func:`rlasszero.missing.rlz_with_missing` passes them.
 
     The returned ``pivot_quantile`` multiplies the pivot scale of the data
     fit to give the data-dependent threshold.
@@ -77,11 +72,10 @@ def qut_threshold(x: np.ndarray, spec: QutSpec,
         eps = RngStream(spec.master_seed, path + (0,)).generator().standard_normal(n)
         cfg = RlzConfig(lam=spec.lam, tau=0.0,
                         n_dictionaries=spec.n_dictionaries,
-                        master_seed=spec.master_seed,
-                        corruption_cols=corruption_cols, rng_path=path)
+                        master_seed=spec.master_seed, rng_path=path)
         try:
-            fit = robust_lasso_zero(x, eps, cfg)
-            scale = pivot_scale(fit)
+            fit = robust_lasso_zero(x, eps, cfg, corruption_cols=corruption_cols)
+            scale = pivot_scale_from_gammas(fit.gamma_all)
         except (SolverFailure, InputError):
             failed += 1
             continue

@@ -9,8 +9,9 @@ Subcommands:
 * ``identify`` — certify identifiability of a sign pattern
 
 Design CSVs carry a header row of column names; missing entries are the
-literal token ``NA``. Exit codes: 0 success, 2 input error, 3 solver
-failure, 4 budget exceeded.
+literal token ``NA``. ``fit`` and ``qut`` solve on one OpenBLAS thread,
+so their output does not depend on the caller's thread setting. Exit
+codes: 0 success, 2 input error, 3 solver failure, 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from .analysis import check_identifiability
 from .calibration import QutSpec, qut_threshold
+from .core import single_blas_thread
 from .errors import BudgetExceededError, InputError, SolverFailure
 from .estimators import RlzConfig
 from .experiments import SimulationSpec, metrics_to_csv, raw_to_csv, \
@@ -113,8 +115,9 @@ def _cmd_fit(args) -> int:
                        n_dictionaries=args.dictionaries,
                        master_seed=args.seed) if tau == "qut" else None
     inc = IncompleteMatrix.from_values(x_raw)
-    fit = rlz_with_missing(y, inc, cfg, qut_spec=qut_spec,
-                           restrict_corruption=args.restrict_corruption_rows)
+    with single_blas_thread():
+        fit = rlz_with_missing(y, inc, cfg, qut_spec=qut_spec,
+                               restrict_corruption=args.restrict_corruption_rows)
     n = x_raw.shape[0]
     omega_full = fit.omega_full(n)
     _write_json(args.out, {
@@ -164,7 +167,8 @@ def _cmd_qut(args) -> int:
     spec = QutSpec(alpha=args.alpha, n_mc=args.mc, lam=args.lam,
                    n_dictionaries=args.dictionaries, master_seed=args.seed)
     x_std, _ = standardized_design(IncompleteMatrix.from_values(x_raw))
-    result = qut_threshold(x_std, spec)
+    with single_blas_thread():
+        result = qut_threshold(x_std, spec)
     _write_json(args.out, {
         "pivot_quantile": result.pivot_quantile,
         "alpha": args.alpha,

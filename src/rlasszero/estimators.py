@@ -4,9 +4,11 @@ All estimators solve the one l1 program of :func:`rlasszero.lp.solve_jp`,
 which has an optional corruption block and an optional dictionary block.
 :func:`robust_lasso_zero` solves it M times with both blocks, each time
 with a fresh n x n standard-normal noise dictionary, takes componentwise
-medians of the estimates, and hard-thresholds. :func:`lasso_zero` runs the
-same median loop without the corruption block, and :func:`tjp` is a single
-thresholded solve without the dictionary block.
+medians of the estimates, and hard-thresholds. The rows that can be
+corrupted are a property of the data, so they are an argument of the
+fit; :class:`RlzConfig` holds only hyperparameters. :func:`lasso_zero`
+runs the same median loop without the corruption block, and :func:`tjp`
+is a single thresholded solve without the dictionary block.
 """
 
 from __future__ import annotations
@@ -49,15 +51,12 @@ class RlzConfig:
 
     ``tau`` is either a numeric threshold or the string "qut", in which
     case a calibration result must be passed to the fitting function.
-    ``corruption_cols`` restricts the corruption block to the given rows
-    (None = all rows, empty = no corruption block).
     """
 
     lam: float = 1.0
     tau: Union[float, str] = "qut"
     n_dictionaries: int = 20
     master_seed: int = 0
-    corruption_cols: Optional[np.ndarray] = None
     rng_path: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -171,10 +170,12 @@ def _median_fit(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
 
 
 def robust_lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
-                      qut=None) -> RlzFit:
+                      qut=None, corruption_cols: Optional[np.ndarray] = None
+                      ) -> RlzFit:
     """Noise-dictionary median estimator for the sparse corruption model,
-    with the corruption block on the rows ``cfg.corruption_cols``."""
-    return _median_fit(x, y, cfg, cfg.corruption_cols, qut)
+    with the corruption block on the rows ``corruption_cols`` (None = all
+    rows, empty = no corruption block)."""
+    return _median_fit(x, y, cfg, corruption_cols, qut)
 
 
 def lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
@@ -184,13 +185,12 @@ def lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
     return _median_fit(x, y, cfg, np.array([], dtype=int), qut)
 
 
-def tjp(x: np.ndarray, y: np.ndarray, lam: float, tau: float,
-        corruption_cols: Optional[Sequence[int]] = None):
+def tjp(x: np.ndarray, y: np.ndarray, lam: float, tau: float):
     """Hard-thresholded single solve (no dictionaries).
 
     Returns (beta_hat, omega_hat).
     """
-    sol = solve_jp(x, y, lam, corruption_cols)
+    sol = solve_jp(x, y, lam)
     if sol.status != OPTIMAL:
         raise SolverFailure(f"solve ended with status {sol.status}")
     return hard_threshold(sol.beta, tau), hard_threshold(sol.omega, tau)

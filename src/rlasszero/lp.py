@@ -6,7 +6,9 @@ Every estimator solves one program,
     s.t. X beta + sqrt(n) E omega + G gamma = y,
 
 where the corruption block E (identity columns for the corrupted rows) and
-the noise-dictionary block G are optional: basis pursuit has neither,
+the noise-dictionary block G are optional. The corrupted rows are an
+argument of each solve, chosen by the caller from the data (all rows, the
+incomplete rows of an imputed design, or none). Basis pursuit has neither,
 Justice Pursuit has no G, Lasso-Zero has no E and Robust Lasso-Zero has
 both. :func:`formulate_jp` reduces it to a standard-form linear program by
 splitting each signed variable into a nonnegative pair, and builds a
@@ -92,9 +94,7 @@ class JpSolution:
     omega: np.ndarray
     gamma: Optional[np.ndarray]
     objective: float
-    residual_norm: float
     status: str
-    corruption_cols: Optional[np.ndarray] = None  # None means full I_n block
 
 
 def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
@@ -350,27 +350,18 @@ def solve_jp(x: np.ndarray, y: np.ndarray, lam: float,
              g: Optional[np.ndarray] = None) -> JpSolution:
     """Solve the l1 program of :func:`formulate_jp` with the same blocks.
 
-    ``gamma`` is None when there is no dictionary block.
+    ``omega`` has one entry per corruption row, ``gamma`` is None when
+    there is no dictionary block, and ``objective`` is the value
+    :func:`solve_lp` reports (NaN unless the status is "optimal").
     """
     prob = formulate_jp(x, y, lam, corruption_cols, g)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, p = x.shape
-    cols = None if corruption_cols is None else np.asarray(corruption_cols, dtype=int)
-    rows = np.arange(n) if cols is None else cols
-    sol, _, status = solve_lp(prob)
-    beta, omega, gamma = np.split(prob.recompose(sol), [p, p + rows.size])
-    fitted = x @ beta
-    fitted[rows] += np.sqrt(n) * omega
-    if g is not None:
-        fitted += np.asarray(g, dtype=float) @ gamma
-    objective = float(np.abs(beta).sum() + lam * np.abs(omega).sum()
-                      + np.abs(gamma).sum())
+    sol, objective, status = solve_lp(prob)
+    n_g = 0 if g is None else np.shape(g)[1]
+    beta, omega, gamma = np.split(prob.recompose(sol),
+                                  [np.shape(x)[1], prob.n_signed - n_g])
     return JpSolution(beta=beta, omega=omega,
                       gamma=None if g is None else gamma,
-                      objective=objective,
-                      residual_norm=float(np.linalg.norm(y - fitted)),
-                      status=status, corruption_cols=cols)
+                      objective=objective, status=status)
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +427,13 @@ def enumerate_vertex_optima(prob: LpProblem, tol: float = 1e-8,
     return result
 
 
-def certify_unique_jp(x: np.ndarray, y: np.ndarray, lam: float,
-                      tol: float = 1e-8, budget: int = 10 ** 6):
+def certify_unique_jp(x: np.ndarray, y: np.ndarray, lam: float):
     """Enumerate optima of the corruption-aware problem at (x, y, lam).
 
     Returns (unique: bool, optima in recomposed (beta, omega) form).
     """
     prob = formulate_jp(np.asarray(x, float), np.asarray(y, float), lam)
-    vertices = enumerate_vertex_optima(prob, tol=tol, budget=budget)
+    vertices = enumerate_vertex_optima(prob)
     if not vertices:
         raise SolverFailure("vertex oracle found no feasible basis")
     signed = [prob.recompose(v) for v in vertices]

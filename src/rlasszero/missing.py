@@ -10,7 +10,7 @@ values more likely to be missing (MNAR).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -161,10 +161,10 @@ def rlz_with_missing(y: np.ndarray, inc: IncompleteMatrix, cfg: RlzConfig,
     """End-to-end pipeline for an incomplete design matrix.
 
     Fits the median-aggregated estimator on :func:`standardized_design`,
-    with the corruption block restricted to the incomplete rows (unless
-    told otherwise). With ``cfg.tau == "qut"`` the threshold is first
-    calibrated by :func:`qut_threshold` on that same matrix and
-    corruption block. Dictionary k of the fit comes from the stream
+    passing the incomplete rows (all rows when ``restrict_corruption`` is
+    False) to the fit as its corruption rows. With ``cfg.tau == "qut"``
+    the threshold is first calibrated by :func:`qut_threshold` on that
+    same matrix and the same rows. Dictionary k of the fit comes from the stream
     (master_seed, (*cfg.rng_path, k)); the calibration draws use paths
     that start with 0, (0, j, 0) and (0, j, k), so with the default empty
     ``rng_path`` the fit and its calibration share no stream.
@@ -175,7 +175,6 @@ def rlz_with_missing(y: np.ndarray, inc: IncompleteMatrix, cfg: RlzConfig,
     """
     x_std, scales = standardized_design(inc)
     cols = inc.incomplete_rows if restrict_corruption else None
-    run_cfg = replace(cfg, corruption_cols=cols)
     qut: Optional[QutResult] = None
     if isinstance(cfg.tau, str):
         if qut_spec is None:
@@ -183,6 +182,7 @@ def rlz_with_missing(y: np.ndarray, inc: IncompleteMatrix, cfg: RlzConfig,
                                n_dictionaries=cfg.n_dictionaries,
                                master_seed=cfg.master_seed)
         qut = qut_threshold(x_std, qut_spec, corruption_cols=cols)
-    fit = robust_lasso_zero(x_std, np.asarray(y, float), run_cfg, qut=qut)
+    fit = robust_lasso_zero(x_std, np.asarray(y, float), cfg, qut=qut,
+                            corruption_cols=cols)
     fit.column_scales = scales
     return fit

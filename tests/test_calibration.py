@@ -4,12 +4,13 @@ import pytest
 from rlasszero import InputError
 from rlasszero.calibration import (
     QutSpec,
-    pivot_scale,
     pivot_scale_from_gammas,
     qut_threshold,
 )
 from rlasszero.core import RngStream, standardize_columns
 from rlasszero.estimators import RlzConfig, robust_lasso_zero
+from rlasszero.missing import MissingnessSpec, generate_missingness, \
+    rlz_with_missing
 
 
 class TestQutSpec:
@@ -62,8 +63,8 @@ class TestPivotInvariance:
         eps = gen.standard_normal(n)
         fit1 = _fit_null(x, eps)
         fit3 = _fit_null(x, 3.0 * eps)
-        t1 = np.abs(fit1.beta_med).max() / pivot_scale(fit1)
-        t3 = np.abs(fit3.beta_med).max() / pivot_scale(fit3)
+        t1 = np.abs(fit1.beta_med).max() / pivot_scale_from_gammas(fit1.gamma_all)
+        t3 = np.abs(fit3.beta_med).max() / pivot_scale_from_gammas(fit3.gamma_all)
         assert t3 == pytest.approx(t1, rel=1e-6)
 
     def test_scale_grows_linearly(self):
@@ -71,8 +72,8 @@ class TestPivotInvariance:
         n, p = 15, 6
         x = standardize_columns(gen.standard_normal((n, p)))
         eps = gen.standard_normal(n)
-        s1 = pivot_scale(_fit_null(x, eps))
-        s2 = pivot_scale(_fit_null(x, 2.0 * eps))
+        s1 = pivot_scale_from_gammas(_fit_null(x, eps).gamma_all)
+        s2 = pivot_scale_from_gammas(_fit_null(x, 2.0 * eps).gamma_all)
         assert s2 == pytest.approx(2.0 * s1, rel=1e-6)
 
 
@@ -103,3 +104,26 @@ class TestQutThreshold:
                            master_seed=2)
             qs.append(qut_threshold(design, spec).pivot_quantile)
         assert qs[0] >= qs[1] >= qs[2] >= 0.0
+
+
+class TestPivotUnderSignal:
+    def test_restricted_scale_grows_with_the_signal(self):
+        # Pins a measured property, not a requirement of the method: with
+        # the corruption block on the incomplete rows, the nonzero |gamma|
+        # of the data fit take up signal, so the pivot scale (and the QUT
+        # threshold it multiplies) is larger at coefficients +-6 than at 0.
+        # A change to the pivot that removes this makes the test fail.
+        n, p, seed = 50, 100, 0
+        gen = RngStream(seed, (0,)).generator()
+        x = gen.standard_normal((n, p))
+        eps = 0.5 * gen.standard_normal(n)
+        inc = generate_missingness(x, MissingnessSpec.mcar(0.01),
+                                   RngStream(seed, (1,)))
+        assert 0 < inc.incomplete_rows.size < n
+        cfg = RlzConfig(tau=0.0, n_dictionaries=10, master_seed=seed)
+        beta0 = np.zeros(p)
+        beta0[:3] = [6.0, -6.0, 6.0]
+        null = rlz_with_missing(eps, inc, cfg)
+        signal = rlz_with_missing(x @ beta0 + eps, inc, cfg)
+        assert pivot_scale_from_gammas(signal.gamma_all) \
+            > pivot_scale_from_gammas(null.gamma_all)

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ import pytest
 from rlasszero import BudgetExceededError, SolverFailure, lp
 from rlasszero.calibration import QutSpec, qut_threshold
 from rlasszero.cli import main, read_design_csv, read_vector_csv
-from rlasszero.core import RngStream, standardize_columns
+from rlasszero.core import RngStream, blas_threads, standardize_columns
 
 
 def write_design(path, x, na_mask=None):
@@ -93,6 +97,34 @@ class TestFitCommand:
         assert d["M"] == 4 and d["seed"] == 3
         got = np.sign(d["beta_hat"])
         np.testing.assert_array_equal(got, np.sign(beta0))
+
+    @pytest.mark.skipif(blas_threads() is None,
+                        reason="numpy loaded no OpenBLAS")
+    def test_output_independent_of_blas_threads(self, tmp_path):
+        # at (100, 200) the last bits of a solve follow the BLAS thread
+        # count; rlz fit solves on one thread whatever the caller set
+        gen = RngStream(5, (207,)).generator()
+        n, p = 100, 200
+        x = gen.standard_normal((n, p))
+        beta0 = np.zeros(p)
+        beta0[:3] = [2.0, -2.0, 2.0]
+        write_design(tmp_path / "X.csv", x)
+        write_vector(tmp_path / "y.csv", x @ beta0 + 0.5 * gen.standard_normal(n),
+                     header="y")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"fit{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "rlasszero.cli", "fit",
+                            "--x", str(tmp_path / "X.csv"),
+                            "--y", str(tmp_path / "y.csv"), "--tau", "0.5",
+                            "--dictionaries", "5", "--out", str(out)],
+                           env=env, check=True)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_missing_file_exit_2(self, tmp_path):
         code = main(["fit", "--x", "nope.csv", "--y", "nope.csv",

@@ -150,8 +150,8 @@ class TestRobustLassoZero:
     def test_restricted_corruption_and_omega_full(self):
         x, y, _, _ = _small_instance()
         cols = np.array([0, 1, 5])
-        cfg = RlzConfig(tau=0.1, n_dictionaries=3, corruption_cols=cols)
-        fit = robust_lasso_zero(x, y, cfg)
+        cfg = RlzConfig(tau=0.1, n_dictionaries=3)
+        fit = robust_lasso_zero(x, y, cfg, corruption_cols=cols)
         assert fit.omega_med.shape == (3,)
         full = fit.omega_full(25)
         assert full.shape == (25,)
@@ -163,9 +163,9 @@ class TestRobustLassoZero:
         x, y, _, _ = _small_instance(sigma=0.2)
         full = robust_lasso_zero(x, y, RlzConfig(tau=0.3, n_dictionaries=3,
                                                  master_seed=2))
-        listed = robust_lasso_zero(x, y, RlzConfig(
-            tau=0.3, n_dictionaries=3, master_seed=2,
-            corruption_cols=np.arange(25)))
+        listed = robust_lasso_zero(
+            x, y, RlzConfig(tau=0.3, n_dictionaries=3, master_seed=2),
+            corruption_cols=np.arange(25))
         np.testing.assert_array_equal(full.beta_med, listed.beta_med)
         np.testing.assert_array_equal(full.omega_med, listed.omega_med)
 
@@ -179,9 +179,8 @@ class TestLassoZero:
 
     def test_equals_restricted_rlz_with_empty_corruption(self):
         x, y, _, _ = _small_instance(sigma=0.2)
-        cfg = RlzConfig(tau=0.3, n_dictionaries=4, master_seed=5,
-                        corruption_cols=np.array([], dtype=int))
-        a = robust_lasso_zero(x, y, cfg)
+        cfg = RlzConfig(tau=0.3, n_dictionaries=4, master_seed=5)
+        a = robust_lasso_zero(x, y, cfg, corruption_cols=np.array([], dtype=int))
         b = lasso_zero(x, y, RlzConfig(tau=0.3, n_dictionaries=4, master_seed=5))
         np.testing.assert_array_equal(a.beta_med, b.beta_med)
         assert len(a.gamma_all) == len(b.gamma_all) == 4
