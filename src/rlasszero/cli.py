@@ -114,7 +114,7 @@ def _cmd_fit(args) -> int:
     qut_spec = QutSpec(alpha=args.alpha, lam=args.lam,
                        n_dictionaries=args.dictionaries,
                        master_seed=args.seed) if tau == "qut" else None
-    inc = IncompleteMatrix.from_values(x_raw)
+    inc = IncompleteMatrix(x_raw)
     with single_blas_thread():
         fit = rlz_with_missing(y, inc, cfg, qut_spec=qut_spec,
                                restrict_corruption=args.restrict_corruption_rows)
@@ -166,7 +166,7 @@ def _cmd_qut(args) -> int:
         raise InputError("design for qut must be complete (no NA entries)")
     spec = QutSpec(alpha=args.alpha, n_mc=args.mc, lam=args.lam,
                    n_dictionaries=args.dictionaries, master_seed=args.seed)
-    x_std, _ = standardized_design(IncompleteMatrix.from_values(x_raw))
+    x_std, _ = standardized_design(IncompleteMatrix(x_raw))
     with single_blas_thread():
         result = qut_threshold(x_std, spec)
     _write_json(args.out, {

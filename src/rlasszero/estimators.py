@@ -80,15 +80,14 @@ class RlzFit:
     omega_hat: Optional[np.ndarray]
     tau_used: float
     per_dictionary_status: list[str]
-    corruption_cols: Optional[np.ndarray] = None
+    corruption_cols: np.ndarray  # the rows with a corruption column
     column_scales: Optional[np.ndarray] = None  # set by the missing-data path
 
     def omega_full(self, n: int) -> Optional[np.ndarray]:
-        """Corruption medians indexed by original row, zero on complete rows."""
+        """Corruption medians indexed by original row, zero on the rows
+        without a corruption column."""
         if self.omega_med is None:
             return None
-        if self.corruption_cols is None:
-            return self.omega_med
         out = np.zeros(n)
         out[self.corruption_cols] = self.omega_med
         return out
@@ -138,7 +137,8 @@ def _median_fit(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
     base = RngStream(cfg.master_seed, cfg.rng_path)
-    cols = None if corruption_cols is None else np.asarray(corruption_cols, dtype=int)
+    cols = np.arange(n) if corruption_cols is None \
+        else np.asarray(corruption_cols, dtype=int)
 
     betas, omegas, gammas, statuses = [], [], [], []
     for k in range(1, cfg.n_dictionaries + 1):

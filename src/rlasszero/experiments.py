@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -166,7 +165,6 @@ class MetricsRecord:
     s_fdr: float
     s_fdr_se: float
     replications: int
-    runtime_seconds: float = 0.0
 
 
 def _replication_metrics(spec: SimulationSpec, r: int) -> dict:
@@ -264,7 +262,6 @@ def run_experiment(spec: SimulationSpec, workers: int = 1):
     :func:`~rlasszero.core.single_blas_thread`, which gives the caller's
     thread count back when the run returns or raises.
     """
-    t0 = time.perf_counter()
     reps = range(1, spec.replications + 1)
     if workers > 1:
         # one BLAS thread per worker, or the workers' thread pools contend
@@ -279,7 +276,6 @@ def run_experiment(spec: SimulationSpec, workers: int = 1):
         with single_blas_thread():
             results = _surviving((r, partial(_replication_metrics, spec, r))
                                  for r in reps)
-    elapsed = time.perf_counter() - t0
 
     records = []
     raw_rows = []
@@ -298,7 +294,6 @@ def run_experiment(spec: SimulationSpec, workers: int = 1):
             s_fdr=float(fdp.mean()),
             s_fdr_se=float(fdp.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0,
             replications=m,
-            runtime_seconds=elapsed,
         ))
         for res in results:
             raw_rows.append({"replication": res["replication"],
@@ -313,8 +308,8 @@ def _fmt(v: float) -> str:
 def metrics_to_csv(records: list[MetricsRecord]) -> str:
     """Aggregate metrics as CSV text.
 
-    Runtime is deliberately excluded so identical (spec, seed) runs
-    produce byte-identical output.
+    The records hold no timings, so identical (spec, seed) runs produce
+    byte-identical output.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -48,18 +48,11 @@ TOLERANCE_FAILURE = "tolerance_failure"
 
 _ENUM_CHUNK = 20000  # column subsets per batched solve in the vertex oracle
 
-
-@dataclass
-class SolverOptions:
-    feas_tol: float = 1e-9
-    opt_tol: float = 1e-9
-    max_pivots: Optional[int] = None  # default 50 * (m + N), set at solve time
-
-    def __post_init__(self):
-        if self.feas_tol <= 0 or self.opt_tol <= 0:
-            raise InputError("tolerances must be positive")
-        if self.max_pivots is not None and self.max_pivots < 1:
-            raise InputError("max_pivots must be >= 1")
+# feasibility tolerance of the ratio test and the starting basis, and
+# optimality tolerance of the reduced costs (relative to 1 + ||c||_inf)
+_FEAS_TOL = _OPT_TOL = 1e-9
+# each phase may take this many pivots per row and column, 50 (m + N)
+_PIVOTS_PER_COLUMN = 50
 
 
 @dataclass
@@ -182,7 +175,7 @@ def _apply_pivot(binv, xb, basis, d, leave, enter):
 
 
 def _pivot_loop(a, b, c, basis, binv, xb, n_price, n_signed,
-                opts: SolverOptions, max_pivots: int, bland_after: int):
+                max_pivots: int, bland_after: int):
     """Run simplex pivots until optimality/unboundedness/pivot budget.
 
     Only the first ``n_price`` columns may enter the basis. Column
@@ -198,7 +191,7 @@ def _pivot_loop(a, b, c, basis, binv, xb, n_price, n_signed,
     reduced = np.empty(n_price)
     r_u, r_v, r_rest = reduced[:k], reduced[k:2 * k], reduced[2 * k:]
     w = np.empty(k)
-    threshold = -opts.opt_tol * (1.0 + np.abs(c).max())
+    threshold = -_OPT_TOL * (1.0 + np.abs(c).max())
     it = 0
     while True:
         if it and it % _REFACTOR_EVERY == 0:
@@ -220,11 +213,11 @@ def _pivot_loop(a, b, c, basis, binv, xb, n_price, n_signed,
             enter = int(np.flatnonzero(reduced < threshold)[0])
         d = binv @ a[:, enter]
         ratios = np.divide(xb, d, out=np.full(m, np.inf),
-                           where=d > opts.feas_tol)
+                           where=d > _FEAS_TOL)
         best = ratios.min()
         if best == np.inf:
             return UNBOUNDED
-        ties = np.flatnonzero(ratios <= best + opts.feas_tol)
+        ties = np.flatnonzero(ratios <= best + _FEAS_TOL)
         # smallest variable index among ties: required for Bland, harmless
         # otherwise
         leave = int(ties[np.argmin(basis[ties])])
@@ -239,32 +232,32 @@ def _residual_ok(a, b, basis, xb):
     return np.abs(a[:, basis] @ xb - b).max() <= 1e-9 * (1.0 + np.abs(b).max())
 
 
-def _checked_start(a, b, basis, feas_tol):
+def _checked_start(a, b, basis):
     """(basis, binv, xb) when ``basis`` is feasible for a x = b, else None."""
     try:
         binv = np.linalg.inv(a[:, basis])
     except np.linalg.LinAlgError:
         return None
     xb = binv @ b
-    if xb.min() < -feas_tol or not _residual_ok(a, b, basis, xb):
+    if xb.min() < -_FEAS_TOL or not _residual_ok(a, b, basis, xb):
         return None
     np.clip(xb, 0.0, None, out=xb)
     return basis.copy(), binv, xb
 
 
-def solve_lp(prob: LpProblem, opts: Optional[SolverOptions] = None):
+def solve_lp(prob: LpProblem):
     """Solve a standard-form LP; returns (x, objective, status).
 
     The solve starts from ``prob.basis`` when that is a feasible basis and
     runs phase 1 otherwise. At status "optimal" the point is a basic
     feasible solution whose residual, recomputed at the final basis, is at
     most 1e-9 (1 + ||b||_inf) and whose reduced costs are all
-    >= -opt_tol (1 + ||c||_inf); a basis failing either check gives
-    "tolerance_failure". A problem whose ``n_signed`` pairs are not exact
-    negatives raises InputError.
+    >= -1e-9 (1 + ||c||_inf); a basis failing either check gives
+    "tolerance_failure". Each phase may take 50 (m + N) pivots for m rows
+    and N columns, and switches to Bland's rule after 10 (m + N); a phase
+    that runs out of pivots gives "tolerance_failure". A problem whose
+    ``n_signed`` pairs are not exact negatives raises InputError.
     """
-    if opts is None:
-        opts = SolverOptions()
     a = np.asarray(prob.a, dtype=float)
     b = np.asarray(prob.b, dtype=float)
     c = np.asarray(prob.c, dtype=float)
@@ -273,7 +266,7 @@ def solve_lp(prob: LpProblem, opts: Optional[SolverOptions] = None):
     if not 0 <= 2 * k <= n or not np.array_equal(a[:, k:2 * k], -a[:, :k]):
         raise InputError(f"n_signed = {k}: columns {k}..{2 * k - 1} must be "
                          f"exactly minus columns 0..{k - 1}")
-    max_pivots = opts.max_pivots if opts.max_pivots is not None else 50 * (m + n)
+    max_pivots = _PIVOTS_PER_COLUMN * (m + n)
     bland_after = 10 * (m + n)
 
     # ensure b >= 0 so the artificial identity basis is feasible
@@ -289,7 +282,7 @@ def solve_lp(prob: LpProblem, opts: Optional[SolverOptions] = None):
         if hint.shape != (m,) or hint.min(initial=0) < 0 \
                 or hint.max(initial=0) >= n:
             raise InputError(f"basis must list {m} column indices below {n}")
-        start = _checked_start(a, b, hint, opts.feas_tol)
+        start = _checked_start(a, b, hint)
     if start is not None:
         basis, binv, xb = start
     else:
@@ -299,7 +292,7 @@ def solve_lp(prob: LpProblem, opts: Optional[SolverOptions] = None):
         basis = np.arange(n, n + m)
         binv = np.eye(m)
         xb = b.copy()
-        status = _pivot_loop(a1, b, c1, basis, binv, xb, n + m, k, opts,
+        status = _pivot_loop(a1, b, c1, basis, binv, xb, n + m, k,
                              max_pivots, bland_after)
         if status != OPTIMAL:
             return np.zeros(n), np.nan, TOLERANCE_FAILURE
@@ -323,7 +316,7 @@ def solve_lp(prob: LpProblem, opts: Optional[SolverOptions] = None):
         c = np.concatenate([c, np.zeros(m)])
 
     # phase 2
-    status = _pivot_loop(a, b, c, basis, binv, xb, n, k, opts,
+    status = _pivot_loop(a, b, c, basis, binv, xb, n, k,
                          max_pivots, bland_after)
     if status == TOLERANCE_FAILURE:
         return np.zeros(n), np.nan, TOLERANCE_FAILURE
@@ -332,7 +325,7 @@ def solve_lp(prob: LpProblem, opts: Optional[SolverOptions] = None):
     if status == OPTIMAL:
         reduced = c[:n] - (c[basis] @ binv) @ a[:, :n]
         if not _residual_ok(a, b, basis, xb) \
-                or reduced.min() < -opts.opt_tol * (1.0 + np.abs(c).max()):
+                or reduced.min() < -_OPT_TOL * (1.0 + np.abs(c).max()):
             return np.zeros(n), np.nan, TOLERANCE_FAILURE
     x = np.zeros(n)
     keep = basis < n
@@ -368,13 +361,24 @@ def solve_jp(x: np.ndarray, y: np.ndarray, lam: float,
 # Vertex enumeration oracle
 # ---------------------------------------------------------------------------
 
-def enumerate_vertex_optima(prob: LpProblem, tol: float = 1e-8,
+def _distinct(vectors) -> list[np.ndarray]:
+    """The vectors, without any that lies within 1e-6 (max norm) of an
+    earlier kept one."""
+    kept: list[np.ndarray] = []
+    for v in vectors:
+        if not any(np.abs(v - seen).max() <= 1e-6 for seen in kept):
+            kept.append(v)
+    return kept
+
+
+def enumerate_vertex_optima(prob: LpProblem,
                             budget: int = 10 ** 6) -> list[np.ndarray]:
     """All basic feasible solutions attaining the optimal objective.
 
     Brute force over column subsets; intended as a test oracle on tiny
     instances. Raises BudgetExceededError when C(N, m) exceeds ``budget``.
     """
+    tol = 1e-8  # feasibility of a basis, and optimality gap to the best
     a = np.asarray(prob.a, dtype=float)
     b = np.asarray(prob.b, dtype=float)
     c = np.asarray(prob.c, dtype=float)
@@ -415,16 +419,8 @@ def enumerate_vertex_optima(prob: LpProblem, tol: float = 1e-8,
                 x = np.zeros(n)
                 x[combo] = np.clip(sol, 0.0, None)
                 optima.append((obj, x))
-    if not optima:
-        return []
     # re-filter against the final best and deduplicate solutions
-    result: list[np.ndarray] = []
-    for obj, x in optima:
-        if obj > best + tol:
-            continue
-        if not any(np.abs(x - seen).max() <= 1e-6 for seen in result):
-            result.append(x)
-    return result
+    return _distinct(x for obj, x in optima if obj <= best + tol)
 
 
 def certify_unique_jp(x: np.ndarray, y: np.ndarray, lam: float):
@@ -436,9 +432,5 @@ def certify_unique_jp(x: np.ndarray, y: np.ndarray, lam: float):
     vertices = enumerate_vertex_optima(prob)
     if not vertices:
         raise SolverFailure("vertex oracle found no feasible basis")
-    signed = [prob.recompose(v) for v in vertices]
-    distinct: list[np.ndarray] = []
-    for s in signed:
-        if not any(np.abs(s - seen).max() <= 1e-6 for seen in distinct):
-            distinct.append(s)
+    distinct = _distinct(prob.recompose(v) for v in vertices)
     return len(distinct) == 1, distinct

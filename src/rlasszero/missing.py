@@ -10,7 +10,7 @@ values more likely to be missing (MNAR).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -29,23 +29,15 @@ _BISECTION_TOL = 1e-10  # width at which the intercept bisection stops
 
 @dataclass
 class IncompleteMatrix:
-    """Observed matrix with NaN at missing positions plus the boolean mask."""
+    """Observed matrix with NaN at missing positions; the boolean mask is
+    derived from the NaN positions."""
 
     values: np.ndarray  # n x p, NaN where missing
-    mask: np.ndarray    # n x p bool, True = missing
+    mask: np.ndarray = field(init=False)  # n x p bool, True = missing
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.values.shape != self.mask.shape:
-            raise InputError("values and mask shapes differ")
-        if not np.array_equal(np.isnan(self.values), self.mask):
-            raise InputError("NaN positions and mask disagree")
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "IncompleteMatrix":
-        values = np.asarray(values, dtype=float)
-        return cls(values=values, mask=np.isnan(values))
+        self.mask = np.isnan(self.values)
 
     @property
     def incomplete_rows(self) -> np.ndarray:
@@ -93,15 +85,15 @@ def solve_b_for_pi(a: float, pi: float) -> float:
 
 @dataclass
 class MissingnessSpec:
-    """Logistic mechanism parameters; b derived from (a, pi) when omitted."""
+    """Logistic mechanism with slope a and expected missing proportion pi;
+    the intercept b is derived from (a, pi) by :func:`solve_b_for_pi`."""
 
     a: float
     pi: float
-    b: Optional[float] = None
+    b: float = field(init=False)
 
     def __post_init__(self):
-        if self.b is None:
-            self.b = solve_b_for_pi(self.a, self.pi)
+        self.b = solve_b_for_pi(self.a, self.pi)
 
     @classmethod
     def mcar(cls, pi: float) -> "MissingnessSpec":
@@ -120,7 +112,7 @@ def generate_missingness(x: np.ndarray, spec: MissingnessSpec,
     mask = stream.generator().random(x.shape) < probs
     values = x.copy()
     values[mask] = np.nan
-    return IncompleteMatrix(values=values, mask=mask)
+    return IncompleteMatrix(values)
 
 
 def mean_impute(inc: IncompleteMatrix) -> np.ndarray:
@@ -164,7 +156,9 @@ def rlz_with_missing(y: np.ndarray, inc: IncompleteMatrix, cfg: RlzConfig,
     passing the incomplete rows (all rows when ``restrict_corruption`` is
     False) to the fit as its corruption rows. With ``cfg.tau == "qut"``
     the threshold is first calibrated by :func:`qut_threshold` on that
-    same matrix and the same rows. Dictionary k of the fit comes from the stream
+    same matrix and the same rows, by a ``qut_spec`` that must have the
+    ``lam`` and ``n_dictionaries`` of ``cfg`` (InputError otherwise; its
+    ``master_seed`` may differ). Dictionary k of the fit comes from the stream
     (master_seed, (*cfg.rng_path, k)); the calibration draws use paths
     that start with 0, (0, j, 0) and (0, j, k), so with the default empty
     ``rng_path`` the fit and its calibration share no stream.
@@ -181,6 +175,12 @@ def rlz_with_missing(y: np.ndarray, inc: IncompleteMatrix, cfg: RlzConfig,
             qut_spec = QutSpec(lam=cfg.lam,
                                n_dictionaries=cfg.n_dictionaries,
                                master_seed=cfg.master_seed)
+        elif (qut_spec.lam, qut_spec.n_dictionaries) != \
+                (cfg.lam, cfg.n_dictionaries):
+            raise InputError(
+                f"qut_spec calibrates lam={qut_spec.lam}, "
+                f"M={qut_spec.n_dictionaries} but the fit uses "
+                f"lam={cfg.lam}, M={cfg.n_dictionaries}")
         qut = qut_threshold(x_std, qut_spec, corruption_cols=cols)
     fit = robust_lasso_zero(x_std, np.asarray(y, float), cfg, qut=qut,
                             corruption_cols=cols)

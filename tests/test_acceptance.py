@@ -21,7 +21,6 @@ from rlasszero.experiments import (
 )
 from rlasszero.lp import (
     OPTIMAL,
-    SolverOptions,
     certify_unique_jp,
     enumerate_vertex_optima,
     formulate_jp,
@@ -57,7 +56,7 @@ def test_criterion_1_lp_oracle_equivalence():
             prob = formulate_jp(x, y, lam)
         else:
             prob = formulate_jp(x, y, lam, g=gen.standard_normal((n, n)))
-        v, obj, status = solve_lp(prob, SolverOptions())
+        v, obj, status = solve_lp(prob)
         assert status == OPTIMAL
         # feasibility and split complementarity
         assert np.abs(prob.a @ v - prob.b).max() < 1e-8

@@ -209,8 +209,7 @@ class TestIdentifyCommand:
         import rlasszero.analysis as analysis
 
         monkeypatch.setattr(analysis, "solve_lp",
-                            lambda prob, opts=None: (None, np.nan,
-                                                     "tolerance_failure"))
+                            lambda prob: (None, np.nan, "tolerance_failure"))
         n, p = 10, 4
         write_design(tmp_path / "X.csv",
                      RngStream(2, (205,)).generator().standard_normal((n, p)))
@@ -223,12 +222,12 @@ class TestIdentifyCommand:
         assert code == 3
 
 
-def _full_pricing_loop(a, b, c, basis, binv, xb, n_price, n_signed, opts,
+def _full_pricing_loop(a, b, c, basis, binv, xb, n_price, n_signed,
                        max_pivots, bland_after):
     """Reference pivot loop that prices every column with its own product
     and ignores ``n_signed``."""
     m = a.shape[0]
-    threshold = -opts.opt_tol * (1.0 + np.abs(c).max())
+    threshold = -lp._OPT_TOL * (1.0 + np.abs(c).max())
     it = 0
     while True:
         if it and it % lp._REFACTOR_EVERY == 0:
@@ -245,11 +244,11 @@ def _full_pricing_loop(a, b, c, basis, binv, xb, n_price, n_signed, opts,
             enter = int(np.flatnonzero(reduced < threshold)[0])
         d = binv @ a[:, enter]
         ratios = np.divide(xb, d, out=np.full(m, np.inf),
-                           where=d > opts.feas_tol)
+                           where=d > lp._FEAS_TOL)
         best = ratios.min()
         if best == np.inf:
             return lp.UNBOUNDED
-        ties = np.flatnonzero(ratios <= best + opts.feas_tol)
+        ties = np.flatnonzero(ratios <= best + lp._FEAS_TOL)
         leave = int(ties[np.argmin(basis[ties])])
         lp._apply_pivot(binv, xb, basis, d, leave, enter)
         it += 1

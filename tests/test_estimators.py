@@ -169,6 +169,12 @@ class TestRobustLassoZero:
         np.testing.assert_array_equal(full.beta_med, listed.beta_med)
         np.testing.assert_array_equal(full.omega_med, listed.omega_med)
 
+    def test_full_block_lists_every_row(self):
+        x, y, _, _ = _small_instance()
+        fit = robust_lasso_zero(x, y, RlzConfig(tau=0.1, n_dictionaries=3))
+        np.testing.assert_array_equal(fit.corruption_cols, np.arange(25))
+        np.testing.assert_array_equal(fit.omega_full(25), fit.omega_med)
+
 
 class TestLassoZero:
     def test_zero_response(self):

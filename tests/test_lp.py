@@ -10,7 +10,6 @@ from rlasszero.lp import (
     TOLERANCE_FAILURE,
     UNBOUNDED,
     LpProblem,
-    SolverOptions,
     certify_unique_jp,
     enumerate_vertex_optima,
     formulate_jp,
@@ -87,7 +86,7 @@ class TestFormulate:
 
     def test_zero_rhs_optimum_zero(self):
         prob = formulate_jp(np.eye(3), np.zeros(3), 1.0)
-        x, obj, status = solve_lp(prob, SolverOptions())
+        x, obj, status = solve_lp(prob)
         assert status == OPTIMAL
         assert obj == pytest.approx(0.0, abs=1e-12)
 
@@ -96,7 +95,7 @@ class TestSolveLp:
     def test_one_constraint(self):
         prob = LpProblem(a=np.array([[1.0, 1.0]]), b=np.array([1.0]),
                          c=np.array([1.0, 1.0]))
-        _, obj, status = solve_lp(prob, SolverOptions())
+        _, obj, status = solve_lp(prob)
         assert status == OPTIMAL
         assert obj == pytest.approx(1.0)
 
@@ -104,19 +103,19 @@ class TestSolveLp:
         prob = LpProblem(a=np.array([[1.0, 1.0], [1.0, 1.0]]),
                          b=np.array([1.0, 2.0]),
                          c=np.array([1.0, 1.0]))
-        _, _, status = solve_lp(prob, SolverOptions())
+        _, _, status = solve_lp(prob)
         assert status == INFEASIBLE
 
     def test_unbounded_detected(self):
         prob = LpProblem(a=np.array([[1.0, -1.0]]), b=np.array([0.0]),
                          c=np.array([-1.0, 0.0]))
-        _, _, status = solve_lp(prob, SolverOptions())
+        _, _, status = solve_lp(prob)
         assert status == UNBOUNDED
 
     def test_duplicate_columns_terminate(self):
         a = np.hstack([np.ones((2, 4)), np.eye(2)])
         prob = LpProblem(a=a, b=np.ones(2), c=np.ones(6))
-        _, obj, status = solve_lp(prob, SolverOptions())
+        _, obj, status = solve_lp(prob)
         assert status == OPTIMAL
         # a shared ones-column covers both rows at cost 1, and the row sums
         # force objective >= 1
@@ -434,14 +433,15 @@ class TestInvariants:
     def test_split_complementarity(self, seed):
         x, y, lam, _ = random_jp_instance(seed + 500)
         prob = formulate_jp(x, y, lam)
-        v, _, status = solve_lp(prob, SolverOptions())
+        v, _, status = solve_lp(prob)
         assert status == OPTIMAL
         k = prob.n_signed
         for pos in range(k):
             assert min(v[pos], v[k + pos]) <= 1e-9
 
-    def test_max_pivots_triggers_tolerance_failure(self):
+    def test_max_pivots_triggers_tolerance_failure(self, monkeypatch):
+        monkeypatch.setattr(lp, "_PIVOTS_PER_COLUMN", 0)
         gen = RngStream(77, ()).generator()
         prob = formulate_jp(gen.standard_normal((5, 8)), gen.standard_normal(5), 1.0)
-        _, _, status = solve_lp(prob, SolverOptions(max_pivots=1))
+        _, _, status = solve_lp(prob)
         assert status == TOLERANCE_FAILURE

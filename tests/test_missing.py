@@ -27,18 +27,17 @@ NA = np.nan
 
 class TestIncompleteMatrix:
     def test_from_values_builds_mask(self):
-        inc = IncompleteMatrix.from_values(np.array([[1.0, NA], [3.0, 4.0]]))
+        inc = IncompleteMatrix(np.array([[1.0, NA], [3.0, 4.0]]))
         np.testing.assert_array_equal(inc.mask, [[False, True], [False, False]])
         np.testing.assert_array_equal(inc.incomplete_rows, [0])
 
-    def test_mask_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            IncompleteMatrix(values=np.array([[1.0, NA]]),
-                             mask=np.array([[False, False]]))
+    def test_mask_follows_values(self):
+        with pytest.raises(TypeError):
+            IncompleteMatrix(np.array([[1.0, NA]]), mask=np.zeros((1, 2), bool))
 
     def test_incomplete_rows_exact(self):
         vals = np.array([[1.0, 2.0], [NA, 2.0], [1.0, NA], [0.0, 0.0]])
-        inc = IncompleteMatrix.from_values(vals)
+        inc = IncompleteMatrix(vals)
         np.testing.assert_array_equal(inc.incomplete_rows, [1, 2])
 
 
@@ -100,6 +99,10 @@ class TestMissingnessSpec:
         spec = MissingnessSpec.mnar(0.2)
         assert spec.a == 5.0
 
+    def test_b_not_settable(self):
+        with pytest.raises(TypeError):
+            MissingnessSpec(a=0.0, pi=0.2, b=0.0)
+
 
 class TestGenerateMissingness:
     def test_empirical_rate(self):
@@ -132,17 +135,17 @@ class TestGenerateMissingness:
 
 class TestImputation:
     def test_mean_hand_example(self):
-        inc = IncompleteMatrix.from_values(np.array([[1.0], [NA], [3.0]]))
+        inc = IncompleteMatrix(np.array([[1.0], [NA], [3.0]]))
         np.testing.assert_array_equal(mean_impute(inc),
                                       [[1.0], [2.0], [3.0]])
 
     def test_mean_identity_when_complete(self):
         x = np.arange(6.0).reshape(3, 2)
-        inc = IncompleteMatrix.from_values(x)
+        inc = IncompleteMatrix(x)
         np.testing.assert_array_equal(mean_impute(inc), x)
 
     def test_mean_constant_column(self):
-        inc = IncompleteMatrix.from_values(np.array([[4.0], [NA], [4.0]]))
+        inc = IncompleteMatrix(np.array([[4.0], [NA], [4.0]]))
         np.testing.assert_array_equal(mean_impute(inc), [[4.0], [4.0], [4.0]])
 
     def test_observed_entries_bit_exact(self):
@@ -154,7 +157,7 @@ class TestImputation:
         np.testing.assert_array_equal(mean_impute(inc)[obs], x[obs])
 
     def test_fully_missing_column_rejected(self):
-        inc = IncompleteMatrix.from_values(np.array([[NA, 1.0], [NA, 2.0]]))
+        inc = IncompleteMatrix(np.array([[NA, 1.0], [NA, 2.0]]))
         with pytest.raises(InputError, match="0"):
             mean_impute(inc)
 
@@ -187,7 +190,7 @@ class TestPipeline:
         n, p = 20, 8
         x = gen.standard_normal((n, p))
         y = gen.standard_normal(n)
-        inc = IncompleteMatrix.from_values(x)
+        inc = IncompleteMatrix(x)
         cfg = RlzConfig(tau=0.2, n_dictionaries=3, master_seed=13)
         fit_missing = rlz_with_missing(y, inc, cfg, restrict_corruption=False)
         plain = robust_lasso_zero(standardize_columns(x), y, cfg)
@@ -247,6 +250,36 @@ class TestPipeline:
         np.testing.assert_array_equal(calls[0]["corruption_cols"],
                                       inc.incomplete_rows)
         assert np.isfinite(fit.tau_used)
+
+    @pytest.mark.parametrize("field, value", [("lam", 2.0),
+                                              ("n_dictionaries", 3)])
+    def test_mismatched_calibration_rejected(self, monkeypatch, field, value):
+        # a threshold calibrated for another lambda or M would be applied
+        # to this fit without notice
+        calls = []
+        monkeypatch.setattr(missing, "qut_threshold",
+                            lambda *a, **k: calls.append(a))
+        x = RngStream(22, (0,)).generator().standard_normal((15, 6))
+        inc = generate_missingness(x, MissingnessSpec.mcar(0.1),
+                                   RngStream(23, ()))
+        spec = QutSpec(n_mc=50, **{"lam": 1.0, "n_dictionaries": 2,
+                                   field: value})
+        with pytest.raises(InputError, match="qut_spec"):
+            rlz_with_missing(np.ones(15), inc,
+                             RlzConfig(tau="qut", n_dictionaries=2),
+                             qut_spec=spec)
+        assert calls == []
+
+    def test_matching_calibration_at_another_seed_accepted(self):
+        gen = RngStream(24, (0,)).generator()
+        x = gen.standard_normal((15, 6))
+        inc = generate_missingness(x, MissingnessSpec.mcar(0.1),
+                                   RngStream(25, ()))
+        cfg = RlzConfig(lam=1.5, tau="qut", n_dictionaries=2, master_seed=3)
+        spec = QutSpec(n_mc=50, lam=1.5, n_dictionaries=2, master_seed=4)
+        fit = rlz_with_missing(gen.standard_normal(15), inc, cfg,
+                               qut_spec=spec)
+        assert np.isfinite(fit.tau_used) and fit.tau_used > 0.0
 
 
 class TestStandardizedDesign:
