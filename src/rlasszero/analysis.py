@@ -88,8 +88,8 @@ def check_identifiability(x: np.ndarray, theta: np.ndarray,
     theta_tilde = _check_signs(theta_tilde, "theta_tilde")
     if theta.shape != (p,) or theta_tilde.shape != (n,):
         raise InputError("sign vector lengths must match the design shape")
-    if lam <= 0:
-        raise InputError(f"lambda must be > 0, got {lam}")
+    if not 0 < lam < np.inf:
+        raise InputError(f"lambda must be finite and > 0, got {lam}")
 
     a_null = np.hstack([x, (np.sqrt(n) / lam) * np.eye(n)])
     h = np.concatenate([theta, theta_tilde])

@@ -13,6 +13,7 @@ is a single thresholded solve without the dictionary block.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -60,15 +61,16 @@ class RlzConfig:
     rng_path: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise InputError(f"lambda must be > 0, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise InputError(f"lambda must be finite and > 0, got {self.lam}")
         if self.n_dictionaries < 1:
             raise InputError("need at least one dictionary")
         if isinstance(self.tau, str):
             if self.tau != "qut":
                 raise InputError(f"tau must be numeric or 'qut', got {self.tau!r}")
-        elif self.tau < 0:
-            raise InputError(f"tau must be >= 0, got {self.tau}")
+        elif not (isinstance(self.tau, numbers.Real)
+                  and 0 <= self.tau < np.inf):
+            raise InputError(f"tau must be finite and >= 0, got {self.tau!r}")
 
 
 @dataclass

@@ -260,8 +260,11 @@ def run_experiment(spec: SimulationSpec, workers: int = 1):
     Every replication runs on one BLAS thread: a pool worker is set to one
     when it starts, and at ``workers=1`` the replications run inside
     :func:`~rlasszero.core.single_blas_thread`, which gives the caller's
-    thread count back when the run returns or raises.
+    thread count back when the run returns or raises. ``workers`` below
+    1 raises InputError.
     """
+    if workers < 1:
+        raise InputError(f"workers must be >= 1, got {workers}")
     reps = range(1, spec.replications + 1)
     if workers > 1:
         # one BLAS thread per worker, or the workers' thread pools contend

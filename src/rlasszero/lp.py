@@ -108,11 +108,11 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if lam <= 0:
-        raise InputError(f"lambda must be > 0, got {lam}")
+    if not 0 < lam < np.inf:
+        raise InputError(f"lambda must be finite and > 0, got {lam}")
     n, p = x.shape
-    if y.shape != (n,):
-        raise InputError(f"y must have length {n}, got shape {y.shape}")
+    if y.shape != (n,) or not np.isfinite(y).all():
+        raise InputError(f"y must be {n} finite values, got shape {y.shape}")
     if corruption_cols is None:
         cols = np.arange(n)
     else:
@@ -162,14 +162,15 @@ def _refactor(a, b, basis):
 
 
 def _apply_pivot(binv, xb, basis, d, leave, enter):
-    """Update the basis inverse and basic values after a pivot."""
+    """Update the basis inverse and basic values after a pivot, with the
+    float operations of the tests' reference update (np.clip, np.outer)."""
     piv = d[leave]
     t = xb[leave] / piv
     xb -= t * d
     xb[leave] = t
-    np.clip(xb, 0.0, None, out=xb)
+    np.maximum(xb, 0.0, out=xb)
     row = binv[leave] / piv
-    binv -= np.outer(d, row)
+    binv -= np.multiply.outer(d, row)
     binv[leave] = row
     basis[leave] = enter
 
@@ -182,46 +183,45 @@ def _pivot_loop(a, b, c, basis, binv, xb, n_price, n_signed,
     ``n_signed + j`` is minus column j, so one product w = y a[:, :n_signed]
     prices both halves of each pair (reduced costs c_u - w and c_v + w);
     only the columns past the pairs are priced on their own.
-    Returns a status string; basis/binv/xb are updated in place.
+    Returns a status string; basis/binv/xb are updated in place, along
+    the pivot path of the tests' reference loop, bit for bit.
     """
-    m = a.shape[0]
     k = n_signed
     a_pair, a_rest = a[:, :k], a[:, 2 * k:n_price]
     c_u, c_v, c_rest = c[:k], c[k:2 * k], c[2 * k:n_price]
-    reduced = np.empty(n_price)
-    r_u, r_v, r_rest = reduced[:k], reduced[k:2 * k], reduced[2 * k:]
-    w = np.empty(k)
+    reduced = np.full(a.shape[1], np.inf)  # columns past n_price never enter
+    r_u, r_v, r_rest = reduced[:k], reduced[k:2 * k], reduced[2 * k:n_price]
+    w, ratios, cb = np.empty(k), np.empty(a.shape[0]), c[basis]
     threshold = -_OPT_TOL * (1.0 + np.abs(c).max())
     it = 0
     while True:
         if it and it % _REFACTOR_EVERY == 0:
-            new = _refactor(a, b, basis)
-            binv[:, :] = new[0]
-            xb[:] = new[1]
-        y = c[basis] @ binv
+            binv[:, :], xb[:] = _refactor(a, b, basis)
+        y = cb @ binv
         if k:
             np.matmul(y, a_pair, out=w)
             np.subtract(c_u, w, out=r_u)
             np.add(c_v, w, out=r_v)
         if r_rest.size:
             np.subtract(c_rest, y @ a_rest, out=r_rest)
-        reduced[basis[basis < n_price]] = 0.0
-        enter = int(np.argmin(reduced))
+        reduced[basis] = 0.0
+        enter = int(reduced.argmin())
         if reduced[enter] >= threshold:
             return OPTIMAL
         if it >= bland_after:
-            enter = int(np.flatnonzero(reduced < threshold)[0])
+            enter = int((reduced < threshold).nonzero()[0][0])
         d = binv @ a[:, enter]
-        ratios = np.divide(xb, d, out=np.full(m, np.inf),
-                           where=d > _FEAS_TOL)
-        best = ratios.min()
+        ratios.fill(np.inf)
+        np.divide(xb, d, out=ratios, where=d > _FEAS_TOL)
+        best = ratios[ratios.argmin()]
         if best == np.inf:
             return UNBOUNDED
-        ties = np.flatnonzero(ratios <= best + _FEAS_TOL)
+        ties = (ratios <= best + _FEAS_TOL).nonzero()[0]
         # smallest variable index among ties: required for Bland, harmless
         # otherwise
-        leave = int(ties[np.argmin(basis[ties])])
+        leave = int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
         _apply_pivot(binv, xb, basis, d, leave, enter)
+        cb[leave] = c[enter]
         it += 1
         if it >= max_pivots:
             return TOLERANCE_FAILURE

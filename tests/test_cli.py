@@ -13,6 +13,8 @@ from rlasszero.calibration import QutSpec, qut_threshold
 from rlasszero.cli import main, read_design_csv, read_vector_csv
 from rlasszero.core import RngStream, blas_threads, standardize_columns
 
+import reference_simplex
+
 
 def write_design(path, x, na_mask=None):
     n, p = x.shape
@@ -139,6 +141,22 @@ class TestFitCommand:
                      "--out", str(tmp_path / "o.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("flags, nan_response", [
+        (["--lambda", "nan"], False), (["--lambda", "inf"], False),
+        (["--tau", "nan"], False), (["--tau", "0.5"], True)])
+    def test_non_finite_input_exit_2(self, instance, tmp_path, flags,
+                                     nan_response):
+        _, x_path, y_path, _ = instance
+        if nan_response:
+            lines = Path(y_path).read_text().splitlines()
+            lines[4] = "nan"
+            y_path = tmp_path / "y_nan.csv"
+            y_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o.json"
+        code = main(["fit", "--x", x_path, "--y", str(y_path),
+                     "--dictionaries", "3", *flags, "--out", str(out)])
+        assert code == 2 and not out.exists()
+
 
 class TestQutCommand:
     def test_runs_and_writes(self, tmp_path):
@@ -205,6 +223,20 @@ class TestIdentifyCommand:
         d = json.loads(out.read_text())
         assert d["identifiable"] is False and d["witness"] is not None
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_exit_2(self, tmp_path, lam):
+        n, p = 10, 4
+        write_design(tmp_path / "X.csv",
+                     RngStream(2, (205,)).generator().standard_normal((n, p)))
+        write_vector(tmp_path / "theta.csv", np.array([1.0, 0, 0, 0]))
+        write_vector(tmp_path / "tt.csv", np.zeros(n))
+        out = tmp_path / "v.json"
+        code = main(["identify", "--x", str(tmp_path / "X.csv"),
+                     "--theta", str(tmp_path / "theta.csv"),
+                     "--theta-tilde", str(tmp_path / "tt.csv"),
+                     "--lambda", lam, "--out", str(out)])
+        assert code == 2 and not out.exists()
+
     def test_certification_lp_failure_exit_3(self, monkeypatch, tmp_path):
         import rlasszero.analysis as analysis
 
@@ -220,40 +252,6 @@ class TestIdentifyCommand:
                      "--theta-tilde", str(tmp_path / "tt.csv"),
                      "--out", str(tmp_path / "v.json")])
         assert code == 3
-
-
-def _full_pricing_loop(a, b, c, basis, binv, xb, n_price, n_signed,
-                       max_pivots, bland_after):
-    """Reference pivot loop that prices every column with its own product
-    and ignores ``n_signed``."""
-    m = a.shape[0]
-    threshold = -lp._OPT_TOL * (1.0 + np.abs(c).max())
-    it = 0
-    while True:
-        if it and it % lp._REFACTOR_EVERY == 0:
-            new = lp._refactor(a, b, basis)
-            binv[:, :] = new[0]
-            xb[:] = new[1]
-        y = c[basis] @ binv
-        reduced = c[:n_price] - y @ a[:, :n_price]
-        reduced[basis[basis < n_price]] = 0.0
-        enter = int(np.argmin(reduced))
-        if reduced[enter] >= threshold:
-            return lp.OPTIMAL
-        if it >= bland_after:
-            enter = int(np.flatnonzero(reduced < threshold)[0])
-        d = binv @ a[:, enter]
-        ratios = np.divide(xb, d, out=np.full(m, np.inf),
-                           where=d > lp._FEAS_TOL)
-        best = ratios.min()
-        if best == np.inf:
-            return lp.UNBOUNDED
-        ties = np.flatnonzero(ratios <= best + lp._FEAS_TOL)
-        leave = int(ties[np.argmin(basis[ties])])
-        lp._apply_pivot(binv, xb, basis, d, leave, enter)
-        it += 1
-        if it >= max_pivots:
-            return lp.TOLERANCE_FAILURE
 
 
 class TestIdentifyFullPricing:
@@ -280,7 +278,9 @@ class TestIdentifyFullPricing:
             return out.read_bytes()
 
         got = identify(tmp_path / "v.json")
-        monkeypatch.setattr(lp, "_pivot_loop", _full_pricing_loop)
+        monkeypatch.setattr(lp, "_pivot_loop",
+                            reference_simplex.full_pricing_loop)
+        monkeypatch.setattr(lp, "_apply_pivot", reference_simplex.apply_pivot)
         assert got == identify(tmp_path / "ref.json")
 
 
@@ -305,6 +305,13 @@ class TestSimulateCommand:
         raw = (tmp_path / "raw.csv").read_text().splitlines()
         assert raw[0] == "replication,estimator,psr,s_tpp,s_fdp"
         assert len(raw) == 3
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_2(self, tmp_path, workers):
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--config", self._config(tmp_path),
+                     "--out", str(out), "--workers", workers]) == 2
+        assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = self._config(tmp_path, bogus=1)

@@ -88,7 +88,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("kw", [dict(lam=0.0), dict(lam=-1.0),
                                     dict(n_dictionaries=0),
-                                    dict(tau=-0.5), dict(tau="bogus")])
+                                    dict(tau=-0.5), dict(tau="bogus"),
+                                    dict(lam=np.nan), dict(lam=np.inf),
+                                    dict(tau=np.nan), dict(tau=np.inf),
+                                    dict(tau=None)])
     def test_invalid_rejected(self, kw):
         with pytest.raises(InputError):
             RlzConfig(**kw)

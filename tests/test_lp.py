@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from rlasszero import BudgetExceededError, InputError, lp
+from rlasszero import BudgetExceededError, InputError, analysis, lp
 from rlasszero.core import RngStream
 from rlasszero.lp import (
     INFEASIBLE,
@@ -16,6 +16,8 @@ from rlasszero.lp import (
     solve_jp,
     solve_lp,
 )
+
+import reference_simplex
 
 
 def random_jp_instance(seed, n_max=6, p_max=8, augmented=False):
@@ -259,6 +261,148 @@ class TestCertification:
 
         monkeypatch.setattr(lp, "_refactor", perturbed)
         assert solve_lp(prob)[2] == TOLERANCE_FAILURE
+
+
+_PIVOT_LOOP, _APPLY_PIVOT = lp._pivot_loop, lp._apply_pivot
+_REF_LOOP = reference_simplex.pivot_loop
+_REF_APPLY = reference_simplex.apply_pivot
+
+
+def _pivot_path(monkeypatch, prob, loop, apply):
+    """solve_lp(prob) with ``loop`` and ``apply`` as the solver's pivot
+    loop and update; returns (x, objective, status, path). The path lists,
+    in order, "loop" where a pivot loop starts, the status where it ends,
+    and (leave, enter) for each pivot."""
+    path = []
+
+    def logged_apply(binv, xb, basis, d, leave, enter):
+        path.append((leave, enter))
+        apply(binv, xb, basis, d, leave, enter)
+
+    def logged_loop(*args):
+        path.append("loop")
+        path.append(loop(*args))
+        return path[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lp, "_pivot_loop", logged_loop)
+        mp.setattr(lp, "_apply_pivot", logged_apply)
+        mp.setattr(reference_simplex, "apply_pivot", logged_apply)
+        x, objective, status = solve_lp(prob)
+    return x, objective, status, path
+
+
+def _pivots(path):
+    return sum(isinstance(step, tuple) for step in path)
+
+
+def _qut_shaped(seed, n=50, p=100, rows=22):
+    """A dictionary program of a calibrated fit: a corruption block on
+    ``rows`` of the n rows, and an n x n dictionary."""
+    gen = RngStream(seed, (43,)).generator()
+    cols = np.sort(gen.choice(n, rows, replace=False))
+    return formulate_jp(gen.standard_normal((n, p)), gen.standard_normal(n),
+                        1.0, corruption_cols=cols,
+                        g=gen.standard_normal((n, n)))
+
+
+class TestPivotPath:
+    """The solver's loop against the reference loop of the tests, which
+    recomputes everything on every pivot: the same x, objective, status
+    and pivots, bit for bit."""
+
+    def _same_path(self, monkeypatch, prob):
+        got = _pivot_path(monkeypatch, prob, _PIVOT_LOOP, _APPLY_PIVOT)
+        ref = _pivot_path(monkeypatch, prob, _REF_LOOP, _REF_APPLY)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1], equal_nan=True)
+        assert got[2:] == ref[2:]
+        return got
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_qut_shaped_program(self, monkeypatch, seed):
+        prob = _qut_shaped(seed)
+        assert prob.basis is not None
+        _, _, status, path = self._same_path(monkeypatch, prob)
+        assert status == OPTIMAL and _pivots(path) > 0
+
+    # the (100, 200) program runs past a refactor of the basis inverse
+    @pytest.mark.parametrize("n, p, refactors", [(50, 100, False),
+                                                 (100, 200, True)])
+    def test_full_block_program(self, monkeypatch, n, p, refactors):
+        x, y, lam, cols, g = _program(5, n, p, "full", True)
+        prob = formulate_jp(x, y, lam, corruption_cols=cols, g=g)
+        _, _, status, path = self._same_path(monkeypatch, prob)
+        assert status == OPTIMAL
+        assert (_pivots(path) > lp._REFACTOR_EVERY) == refactors
+
+    def test_basis_pursuit_runs_phase_one(self, monkeypatch):
+        gen = RngStream(6, (43,)).generator()
+        prob = formulate_jp(gen.standard_normal((30, 60)),
+                            gen.standard_normal(30), 1.0, corruption_cols=[])
+        assert prob.basis is None
+        _, _, status, path = self._same_path(monkeypatch, prob)
+        assert status == OPTIMAL and path.count("loop") == 2
+
+    def test_drive_out_of_artificials(self, monkeypatch):
+        # row 0 has b = 0 and entries <= 0, so its artificial stays basic
+        # at zero through phase 1 and is pivoted out before phase 2
+        gen = RngStream(10, (43,)).generator()
+        a = np.abs(gen.standard_normal((20, 50)))
+        a[0] = -a[0] * (gen.random(50) < 0.3)
+        b = a @ (gen.random(50) * (a[0] == 0))
+        prob = LpProblem(a=a, b=b, c=np.abs(gen.standard_normal(50)))
+        _, _, status, path = self._same_path(monkeypatch, prob)
+        assert status == OPTIMAL
+        phase_1_end, phase_2_start = path.index(OPTIMAL), path.index("loop", 1)
+        assert phase_2_start > phase_1_end + 1
+
+    def test_certification_lp(self, monkeypatch):
+        gen = RngStream(7, (43,)).generator()
+        n, p = 30, 10
+        a_null = np.hstack([gen.standard_normal((n, p)),
+                            np.sqrt(n) * np.eye(n)])
+        h = np.zeros(n + p)
+        h[[0, 3, 7]] = gen.choice([-1.0, 1.0], 3)
+        h[p:p + 15] = 1.0
+        problems = []
+
+        def capture(prob):
+            problems.append(prob)
+            return solve_lp(prob)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(analysis, "solve_lp", capture)
+            analysis._max_inner_product_lp(a_null, h, (h == 0).astype(float))
+        assert problems[0].n_signed == 0
+        self._same_path(monkeypatch, problems[0])
+
+    def test_unbounded_program(self, monkeypatch):
+        # a negative cost on both halves of a pair: u = v = t stays
+        # feasible and lowers the cost without bound
+        prob = _qut_shaped(8, n=20, p=40, rows=8)
+        prob.c[[0, prob.n_signed]] = -1.0
+        _, _, status, path = self._same_path(monkeypatch, prob)
+        assert status == UNBOUNDED and _pivots(path) > 0
+
+    # Bland's rule from the first pivot, and Dantzig pricing throughout;
+    # the basis inverse and basic values must match too
+    @pytest.mark.parametrize("bland_after", [0, 10 ** 6])
+    def test_pivot_loop_called_directly(self, bland_after):
+        prob = _qut_shaped(9)
+        m, n = prob.a.shape
+        start = lp._checked_start(prob.a, prob.b, prob.basis)
+        runs = []
+        for loop in (_PIVOT_LOOP, _REF_LOOP):
+            basis, binv, xb = (v.copy() for v in start)
+            status = loop(prob.a, prob.b, prob.c, basis, binv, xb, n,
+                          prob.n_signed, 50 * (m + n), bland_after)
+            runs.append((status, basis, binv, xb))
+        (status, *arrays), (ref_status, *ref_arrays) = runs
+        assert status == ref_status == OPTIMAL
+        for got, ref in zip(arrays, ref_arrays):
+            assert np.array_equal(got, ref)
+        assert not np.array_equal(arrays[0], prob.basis)
 
 
 def _jp_residual(x, y, sol, cols=None, g=None):
