@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import RngStream
 from .errors import InputError, SolverFailure
-from .lp import OPTIMAL, solve_jp
+from .lp import OPTIMAL, check_response, solve_jp, solve_jp_many
 
 
 def hard_threshold(v: np.ndarray, tau: float) -> np.ndarray:
@@ -130,22 +130,28 @@ def _median_fit(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
     """Solve with M noise dictionaries, take medians and hard-threshold.
 
     Dictionary k (1-based) is drawn from the stream
-    (master_seed, (*rng_path, k)), so fits are deterministic and
-    dictionary solves could run in any order. Failed solves are dropped
+    (master_seed, (*rng_path, k)), so fits are deterministic. The M
+    programs share X, y and the corruption rows, and
+    :func:`rlasszero.lp.solve_jp_many` solves them together: in lock step
+    up to 64 rows, where that saves about a quarter of the solve time at
+    50 rows, and one at a time above, drawing each dictionary only when
+    its solve starts. Either way each result equals its own
+    :func:`rlasszero.lp.solve_jp`, bit for bit. Failed solves are dropped
     from the medians with a warning; the fit aborts only when more than
-    half of them fail.
+    half of them fail. A response that is not n finite values raises
+    InputError before any dictionary is drawn.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     n = x.shape[0]
+    y = check_response(y, n)
     base = RngStream(cfg.master_seed, cfg.rng_path)
     cols = np.arange(n) if corruption_cols is None \
         else np.asarray(corruption_cols, dtype=int)
 
+    dictionaries = (base.child(k).generator().standard_normal((n, n))
+                    for k in range(1, cfg.n_dictionaries + 1))
     betas, omegas, gammas, statuses = [], [], [], []
-    for k in range(1, cfg.n_dictionaries + 1):
-        g = base.child(k).generator().standard_normal((n, n))
-        sol = solve_jp(x, y, cfg.lam, cols, g)
+    for sol in solve_jp_many(x, y, cfg.lam, cols, dictionaries):
         statuses.append(sol.status)
         if sol.status != OPTIMAL:
             continue

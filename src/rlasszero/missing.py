@@ -20,6 +20,7 @@ from .calibration import QutResult, QutSpec, qut_threshold
 from .core import RngStream, standardize_columns
 from .errors import InputError
 from .estimators import RlzConfig, RlzFit, robust_lasso_zero
+from .lp import check_response
 
 # Gauss-Hermite nodes and weights for the expected missing rate, computed
 # once: the intercept bisection evaluates the expectation about 40 times
@@ -165,8 +166,10 @@ def rlz_with_missing(y: np.ndarray, inc: IncompleteMatrix, cfg: RlzConfig,
 
     The returned fit carries the rescaling factors and the corruption
     column indices, so coefficients can be mapped back to the original
-    column scale and row numbering.
+    column scale and row numbering. A response that is not n finite values
+    raises InputError before the calibration starts.
     """
+    y = check_response(y, inc.values.shape[0])
     x_std, scales = standardized_design(inc)
     cols = inc.incomplete_rows if restrict_corruption else None
     qut: Optional[QutResult] = None
@@ -182,7 +185,7 @@ def rlz_with_missing(y: np.ndarray, inc: IncompleteMatrix, cfg: RlzConfig,
                 f"M={qut_spec.n_dictionaries} but the fit uses "
                 f"lam={cfg.lam}, M={cfg.n_dictionaries}")
         qut = qut_threshold(x_std, qut_spec, corruption_cols=cols)
-    fit = robust_lasso_zero(x_std, np.asarray(y, float), cfg, qut=qut,
+    fit = robust_lasso_zero(x_std, y, cfg, qut=qut,
                             corruption_cols=cols)
     fit.column_scales = scales
     return fit

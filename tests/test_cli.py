@@ -143,7 +143,7 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("flags, nan_response", [
         (["--lambda", "nan"], False), (["--lambda", "inf"], False),
-        (["--tau", "nan"], False), (["--tau", "0.5"], True)])
+        (["--tau", "nan"], False), (["--tau", "0.5"], True), ([], True)])
     def test_non_finite_input_exit_2(self, instance, tmp_path, flags,
                                      nan_response):
         _, x_path, y_path, _ = instance

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlasszero import InputError
+from rlasszero import InputError, lp
 from rlasszero.core import RngStream, standardize_columns
 from rlasszero.estimators import (
     RlzConfig,
@@ -177,6 +177,79 @@ class TestRobustLassoZero:
         fit = robust_lasso_zero(x, y, RlzConfig(tau=0.1, n_dictionaries=3))
         np.testing.assert_array_equal(fit.corruption_cols, np.arange(25))
         np.testing.assert_array_equal(fit.omega_full(25), fit.omega_med)
+
+
+def _one_solve_per_dictionary(x, y, cfg, cols):
+    """The fields of the median fit, written out with one solve_jp per
+    dictionary."""
+    n = len(y)
+    sols = [lp.solve_jp(x, y, cfg.lam, cols,
+                        RngStream(cfg.master_seed, (*cfg.rng_path, k))
+                        .generator().standard_normal((n, n)))
+            for k in range(1, cfg.n_dictionaries + 1)]
+    kept = [sol for sol in sols if sol.status == lp.OPTIMAL]
+    beta_med = np.median([sol.beta for sol in kept], axis=0)
+    omega_med = np.median([sol.omega for sol in kept], axis=0)
+    return dict(beta_med=beta_med, omega_med=omega_med,
+                gamma_all=[sol.gamma for sol in kept],
+                beta_hat=hard_threshold(beta_med, cfg.tau),
+                omega_hat=hard_threshold(omega_med, cfg.tau),
+                tau_used=cfg.tau,
+                per_dictionary_status=[sol.status for sol in sols],
+                corruption_cols=cols)
+
+
+class TestSolvePath:
+    """64-row programs run in lock step and 65-row programs one at a time;
+    both give the fit of one solve_jp per dictionary, bit for bit."""
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_same_fit_as_one_solve_per_dictionary(self, monkeypatch, n):
+        gen = RngStream(3, (45,)).generator()
+        x = standardize_columns(gen.standard_normal((n, n + 20)))
+        y = x[:, :2] @ [3.0, -3.0] + 0.3 * gen.standard_normal(n)
+        cols = np.sort(gen.choice(n, n // 3, replace=False))
+        cfg = RlzConfig(tau=0.2, n_dictionaries=3, master_seed=4,
+                        rng_path=(2,))
+        expected = _one_solve_per_dictionary(x, y, cfg, cols)
+        # dictionaries drawn so far, at each call of solve_jp and of the
+        # lock-step loop
+        draws, at_solve, at_loop = [], [], []
+        generator, solve_jp, loop = \
+            RngStream.generator, lp.solve_jp, lp._lockstep_loop
+
+        def counted_solve(*args):
+            at_solve.append(len(draws))
+            return solve_jp(*args)
+
+        def counted_loop(*args):
+            at_loop.append(len(draws))
+            return loop(*args)
+
+        monkeypatch.setattr(RngStream, "generator",
+                            lambda self: draws.append(self) or generator(self))
+        monkeypatch.setattr(lp, "solve_jp", counted_solve)
+        monkeypatch.setattr(lp, "_lockstep_loop", counted_loop)
+        fit = robust_lasso_zero(x, y, cfg, corruption_cols=cols)
+        for name, value in expected.items():
+            got = getattr(fit, name)
+            if name == "gamma_all":
+                assert len(got) == len(value)
+                assert all(map(np.array_equal, got, value))
+            else:
+                assert np.array_equal(got, value), name
+        if n <= lp._LOCKSTEP_MAX_ROWS:
+            assert at_solve == [] and at_loop == [3]
+        else:
+            # one solve_jp per dictionary, each drawn when its solve starts
+            assert at_solve == [1, 2, 3] and at_loop == []
+
+    def test_response_checked_before_any_dictionary(self, monkeypatch):
+        x, y, _, _ = _small_instance()
+        monkeypatch.setattr(RngStream, "generator", None)
+        for bad in (np.r_[y[:-1], np.nan], y[:-1]):
+            with pytest.raises(InputError, match="finite values"):
+                robust_lasso_zero(x, bad, RlzConfig(tau=0.1))
 
 
 class TestLassoZero:

@@ -264,6 +264,7 @@ class TestCertification:
 
 
 _PIVOT_LOOP, _APPLY_PIVOT = lp._pivot_loop, lp._apply_pivot
+_LOCKSTEP_LOOP = lp._lockstep_loop
 _REF_LOOP = reference_simplex.pivot_loop
 _REF_APPLY = reference_simplex.apply_pivot
 
@@ -391,7 +392,7 @@ class TestPivotPath:
     def test_pivot_loop_called_directly(self, bland_after):
         prob = _qut_shaped(9)
         m, n = prob.a.shape
-        start = lp._checked_start(prob.a, prob.b, prob.basis)
+        start = (prob.basis, *lp._checked_start(prob.a[:, prob.basis], prob.b))
         runs = []
         for loop in (_PIVOT_LOOP, _REF_LOOP):
             basis, binv, xb = (v.copy() for v in start)
@@ -403,6 +404,138 @@ class TestPivotPath:
         for got, ref in zip(arrays, ref_arrays):
             assert np.array_equal(got, ref)
         assert not np.array_equal(arrays[0], prob.basis)
+
+
+def _fit_programs(seed, n, p, rows, count=10, tiny=0):
+    """x, y, corruption rows and ``count`` dictionaries of one median fit;
+    ``rows`` is a row count, "full" or "empty". The first ``tiny`` entries
+    of y are of order 1e-12, which with the full block starts from a
+    nearly degenerate basis: its ratio tests tie, and the chosen leaving
+    row can have a larger ratio than another tied row, which the update
+    then clamps at zero."""
+    gen = RngStream(seed, (47,)).generator()
+    x, y = gen.standard_normal((n, p)), gen.standard_normal(n)
+    y[:tiny] *= 1e-12
+    cols = {"full": None, "empty": []}.get(rows)
+    if cols is None and rows != "full":
+        cols = np.sort(gen.choice(n, rows, replace=False))
+    return x, y, cols, [gen.standard_normal((n, n)) for _ in range(count)]
+
+
+class TestLockstep:
+    """solve_jp_many against one solve_jp per dictionary: the same parts,
+    objective and status, bit for bit, after the same number of pivots."""
+
+    def _same_as_one_at_a_time(self, monkeypatch, x, y, cols, gs,
+                               batched=None):
+        """``batched`` lists the programs that run in lock step (default
+        all of them); returns their statuses and pivots."""
+        batches = []
+
+        def logged_loop(*args):
+            batches.append(_LOCKSTEP_LOOP(*args))
+            return batches[-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(lp, "_lockstep_loop", logged_loop)
+            many = lp.solve_jp_many(x, y, 1.0, cols, iter(gs))
+        assert len(batches) == 1
+        statuses, pivots = batches[0]
+        assert len(many) == len(gs)
+        single_pivots = []
+        for g, got in zip(gs, many):
+            path = []
+
+            def counted_apply(*args):
+                path.append(args[-2:])
+                _APPLY_PIVOT(*args)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(lp, "_apply_pivot", counted_apply)
+                ref = solve_jp(x, y, 1.0, cols, g)
+            single_pivots.append(len(path))
+            assert got.status == ref.status
+            assert np.array_equal(got.objective, ref.objective, equal_nan=True)
+            for part in ("beta", "omega", "gamma"):
+                assert np.array_equal(getattr(got, part), getattr(ref, part))
+        batched = range(len(gs)) if batched is None else batched
+        assert [single_pivots[i] for i in batched] == pivots
+        return statuses, pivots
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_qut_shaped_batch(self, monkeypatch, seed):
+        x, y, cols, gs = _fit_programs(seed, 50, 100, 22)
+        statuses, pivots = self._same_as_one_at_a_time(monkeypatch, x, y,
+                                                       cols, gs)
+        assert set(statuses) == {OPTIMAL}
+        # programs end at different pivot counts, and some pass a refactor
+        assert len(set(pivots)) > 1 and max(pivots) > lp._REFACTOR_EVERY
+
+    @pytest.mark.parametrize("rows", ["full", "empty"])
+    def test_full_and_empty_block(self, monkeypatch, rows):
+        x, y, cols, gs = _fit_programs(2, 50, 100, rows)
+        statuses, pivots = self._same_as_one_at_a_time(monkeypatch, x, y,
+                                                       cols, gs)
+        assert set(statuses) == {OPTIMAL} and len(set(pivots)) > 1
+
+    def test_nearly_degenerate_batch(self, monkeypatch):
+        x, y, cols, gs = _fit_programs(7, 30, 60, "full", count=6, tiny=12)
+        statuses, _ = self._same_as_one_at_a_time(monkeypatch, x, y, cols, gs)
+        assert set(statuses) == {OPTIMAL}
+
+    def test_pivot_budget_ends_some_programs(self, monkeypatch):
+        # 0.3 (m + N) = 69 pivots for the 30 x 60 programs, which need
+        # about 60 to 85
+        monkeypatch.setattr(lp, "_PIVOTS_PER_COLUMN", 0.3)
+        x, y, cols, gs = _fit_programs(4, 30, 60, 10)
+        statuses, _ = self._same_as_one_at_a_time(monkeypatch, x, y, cols, gs)
+        assert set(statuses) == {OPTIMAL, TOLERANCE_FAILURE}
+
+    def test_program_without_block_start_runs_phase_one(self, monkeypatch):
+        # a zero dictionary makes the block basis singular
+        x, y, cols, gs = _fit_programs(5, 20, 40, 6, count=4)
+        gs[1] = np.zeros((20, 20))
+        assert formulate_jp(x, y, 1.0, cols, gs[1]).basis is None
+        self._same_as_one_at_a_time(monkeypatch, x, y, cols, gs,
+                                    batched=[0, 2, 3])
+
+    # Bland's rule from the first pivot, and Dantzig pricing throughout;
+    # the bases, basis inverses and basic values must match too
+    @pytest.mark.parametrize("bland_after", [0, 10 ** 6])
+    @pytest.mark.parametrize("rows, tiny", [(10, 0), ("full", 12)])
+    def test_loop_called_directly(self, bland_after, rows, tiny):
+        x, y, cols, gs = _fit_programs(9, 30, 60, rows, count=4, tiny=tiny)
+        probs = [formulate_jp(x, y, 1.0, cols, g) for g in gs]
+        k, c = probs[0].n_signed, probs[0].c
+        flip = y < 0
+        b = np.where(flip, -y, y)
+        splits = [np.where(flip[:, None], -prob.a, prob.a) for prob in probs]
+        starts = [(prob.basis, *lp._checked_start(a[:, prob.basis], b))
+                  for prob, a in zip(probs, splits)]
+        max_pivots = 50 * (30 + 2 * k)
+        stacked = [np.stack(v) for v in zip(*starts)]
+        statuses, pivots = _LOCKSTEP_LOOP(
+            np.stack([a[:, :k] for a in splits]), b, c, *stacked,
+            max_pivots, bland_after)
+        for i, (a, start) in enumerate(zip(splits, starts)):
+            basis, binv, xb = (v.copy() for v in start)
+            assert _PIVOT_LOOP(a, b, c, basis, binv, xb, 2 * k, k,
+                               max_pivots, bland_after) == statuses[i]
+            for got, ref in zip(stacked, (basis, binv, xb)):
+                assert np.array_equal(got[i], ref)
+        assert set(statuses) == {OPTIMAL} and min(pivots) > 0
+
+    @pytest.mark.parametrize("args", [
+        dict(lam=0.0), dict(lam=np.nan), dict(y=np.zeros(7)),
+        dict(y=np.r_[np.nan, np.zeros(11)]), dict(gs=[np.ones((11, 12))])])
+    def test_input_errors(self, args):
+        x, y, cols, gs = _fit_programs(6, 12, 20, 4, count=2)
+        call = {"lam": 1.0, "y": y, "gs": gs} | args
+        with pytest.raises(InputError) as single:
+            formulate_jp(x, call["y"], call["lam"], cols, call["gs"][0])
+        with pytest.raises(InputError) as many:
+            lp.solve_jp_many(x, call["y"], call["lam"], cols, call["gs"])
+        assert str(many.value) == str(single.value)
 
 
 def _jp_residual(x, y, sol, cols=None, g=None):

@@ -270,6 +270,22 @@ class TestPipeline:
                              qut_spec=spec)
         assert calls == []
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "short"])
+    def test_bad_response_rejected_before_calibration(self, monkeypatch, bad):
+        # the calibration never reads y, so it must not run for a response
+        # the data fit would reject
+        def never(*args, **kwargs):
+            raise AssertionError("qut_threshold called")
+
+        monkeypatch.setattr(missing, "qut_threshold", never)
+        x = RngStream(26, (0,)).generator().standard_normal((15, 6))
+        inc = generate_missingness(x, MissingnessSpec.mcar(0.1),
+                                   RngStream(27, ()))
+        y = {"nan": np.r_[np.ones(14), np.nan],
+             "inf": np.r_[np.inf, np.ones(14)], "short": np.ones(14)}[bad]
+        with pytest.raises(InputError, match="finite values"):
+            rlz_with_missing(y, inc, RlzConfig(tau="qut", n_dictionaries=2))
+
     def test_matching_calibration_at_another_seed_accepted(self):
         gen = RngStream(24, (0,)).generator()
         x = gen.standard_normal((15, 6))
