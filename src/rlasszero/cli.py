@@ -5,13 +5,14 @@ Subcommands:
 * ``fit``      — fit the median-aggregated estimator to a CSV design/response
 * ``simulate`` — run the replication harness from a JSON spec
 * ``qut``      — calibrate the null-quantile threshold on the standardized
-  design that ``fit`` uses
+  design and the corruption rows that ``fit`` uses
 * ``identify`` — certify identifiability of a sign pattern
 
 Design CSVs carry a header row of column names; missing entries are the
 literal token ``NA``. ``fit`` and ``qut`` solve on one OpenBLAS thread,
-so their output does not depend on the caller's thread setting. Exit
-codes: 0 success, 2 input error, 3 solver failure, 4 budget exceeded.
+so their output does not depend on the caller's thread setting; the
+calibration draws run on one process per usable core. Exit codes: 0
+success, 2 input error, 3 solver failure, 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -161,14 +162,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_qut(args) -> int:
-    x_raw, _ = read_design_csv(args.x)
-    if np.isnan(x_raw).any():
-        raise InputError("design for qut must be complete (no NA entries)")
+    inc = IncompleteMatrix(read_design_csv(args.x)[0])
     spec = QutSpec(alpha=args.alpha, n_mc=args.mc, lam=args.lam,
                    n_dictionaries=args.dictionaries, master_seed=args.seed)
-    x_std, _ = standardized_design(IncompleteMatrix(x_raw))
-    with single_blas_thread():
-        result = qut_threshold(x_std, spec)
+    x_std, _ = standardized_design(inc)
+    cols = inc.incomplete_rows if args.restrict_corruption_rows else None
+    result = qut_threshold(x_std, spec, corruption_cols=cols)
     _write_json(args.out, {
         "pivot_quantile": result.pivot_quantile,
         "alpha": args.alpha,
@@ -235,6 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     qut.add_argument("--mc", type=int, default=500)
     qut.add_argument("--lambda", dest="lam", type=float, default=1.0)
     qut.add_argument("--dictionaries", type=int, default=20, metavar="M")
+    qut.add_argument("--restrict-corruption-rows", action="store_true",
+                     help="calibrate for rlz fit --restrict-corruption-rows")
     qut.add_argument("--seed", type=int, default=0)
     qut.add_argument("--out", required=True)
     qut.set_defaults(func=_cmd_qut)

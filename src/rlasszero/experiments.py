@@ -13,14 +13,13 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .calibration import QutSpec, qut_threshold
-from .core import RngStream, sample_design, set_blas_threads, \
+from .core import RngStream, process_pool, sample_design, \
     single_blas_thread, standardize_columns, toeplitz_sigma
 from .errors import InputError, SolverFailure
 from .estimators import RlzConfig, hard_threshold, lasso_zero
@@ -257,8 +256,9 @@ def run_experiment(spec: SimulationSpec, workers: int = 1):
     dropped with a warning, and the per-estimator replication counts
     reflect that.
 
-    Every replication runs on one BLAS thread: a pool worker is set to one
-    when it starts, and at ``workers=1`` the replications run inside
+    Every replication runs on one BLAS thread: at ``workers > 1`` on a
+    :func:`~rlasszero.core.process_pool`, whose workers are set to one
+    when they start, and at ``workers=1`` inside
     :func:`~rlasszero.core.single_blas_thread`, which gives the caller's
     thread count back when the run returns or raises. ``workers`` below
     1 raises InputError.
@@ -267,11 +267,7 @@ def run_experiment(spec: SimulationSpec, workers: int = 1):
         raise InputError(f"workers must be >= 1, got {workers}")
     reps = range(1, spec.replications + 1)
     if workers > 1:
-        # one BLAS thread per worker, or the workers' thread pools contend
-        # for the same cores
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=set_blas_threads,
-                                 initargs=(1,)) as pool:
+        with process_pool(workers) as pool:
             futures = {r: pool.submit(_replication_metrics, spec, r)
                        for r in reps}
             results = _surviving((r, futures[r].result) for r in reps)

@@ -542,7 +542,7 @@ def solve_jp_many(x: np.ndarray, y: np.ndarray, lam: float,
         return [solve_jp(x, y, lam, corruption_cols, g) for g in gs]
 
     sols: list[Optional[JpSolution]] = [None] * len(gs)
-    batch, stack = [], []
+    batch = []
     for i, g in enumerate(gs):
         y, a_signed, costs, cols = _signed_block(x, y, lam, corruption_cols, g)
         hint = _block_basis(a_signed, y, p, cols)
@@ -555,22 +555,20 @@ def solve_jp_many(x: np.ndarray, y: np.ndarray, lam: float,
         if start is None:
             sols[i] = solve_jp(x, y, lam, corruption_cols, g)
         else:
-            batch.append(i)
-            stack.append((a_signed, hint, *start))
+            batch.append((i, a_signed, hint, *start))
     if batch:
-        a, basis, binv, xb = (np.stack(v) for v in zip(*stack))
-        del stack
+        # the loop packs the stacked copy of the blocks in place, and each
+        # program is certified from its own block
+        a, basis, binv, xb = (np.stack(v) for v in list(zip(*batch))[1:])
         c = np.concatenate([costs, costs])
         size = n + c.size  # rows plus columns of each split program
         statuses, _ = _lockstep_loop(a, b, c, basis, binv, xb,
                                      _PIVOTS_PER_COLUMN * size, 10 * size)
-        del a  # packed by the loop; each program's block is built again
-        for j, i in enumerate(batch):
-            a_signed = _signed_block(x, y, lam, corruption_cols, gs[i])[1]
-            a_signed[flip] *= -1.0
+        del a
+        for (i, a_signed, *_), end, status in zip(batch, basis, statuses):
             split = np.hstack([a_signed, -a_signed])
             sols[i] = _jp_solution(
-                *_finish(split, b, c, basis[j], statuses[j], c.size), p, gs[i])
+                *_finish(split, b, c, end, status, c.size), p, gs[i])
     return sols
 
 

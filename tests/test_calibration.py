@@ -1,7 +1,11 @@
+import multiprocessing
+import warnings
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
-from rlasszero import InputError
+from rlasszero import InputError, calibration, core
 from rlasszero.calibration import (
     QutSpec,
     pivot_scale_from_gammas,
@@ -104,6 +108,95 @@ class TestQutThreshold:
                            master_seed=2)
             qs.append(qut_threshold(design, spec).pivot_quantile)
         assert qs[0] >= qs[1] >= qs[2] >= 0.0
+
+
+def _calibrate(x, spec):
+    return qut_threshold(x, spec).mc_statistics
+
+
+class TestQutPool:
+    @pytest.fixture(scope="class")
+    def wide_design(self):
+        gen = RngStream(12, (93,)).generator()
+        return standardize_columns(gen.standard_normal((50, 100)))
+
+    @pytest.mark.parametrize("cols", [np.arange(1, 45, 2), None],
+                             ids=["restricted", "full"])
+    def test_pooled_equals_serial(self, wide_design, monkeypatch, cols):
+        spec = QutSpec(n_mc=50, n_dictionaries=4, master_seed=3)
+        pools = []
+
+        def recording_pool(workers):
+            pools.append(workers)
+            return core.process_pool(workers)
+
+        monkeypatch.setattr(calibration, "process_pool", recording_pool)
+        monkeypatch.setattr(calibration, "usable_cores", lambda: 2)
+        pooled = qut_threshold(wide_design, spec, corruption_cols=cols)
+        monkeypatch.setattr(calibration, "usable_cores", lambda: 1)
+        serial = qut_threshold(wide_design, spec, corruption_cols=cols)
+        assert pools == [2]
+        assert pooled.mc_statistics.tobytes() == serial.mc_statistics.tobytes()
+        assert pooled.pivot_quantile == serial.pivot_quantile
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_no_process_outlives_the_call(self, design, monkeypatch, raises):
+        fit = calibration.robust_lasso_zero
+
+        def breaking_fit(x, y, cfg, corruption_cols=None):
+            if raises and cfg.rng_path == (0, 7):
+                raise RuntimeError("draw 7 broke")
+            return fit(x, y, cfg, corruption_cols=corruption_cols)
+
+        monkeypatch.setattr(calibration, "usable_cores", lambda: 2)
+        monkeypatch.setattr(calibration, "robust_lasso_zero", breaking_fit)
+        spec = QutSpec(n_mc=50, n_dictionaries=3)
+        if raises:
+            with pytest.raises(RuntimeError, match="draw 7 broke"):
+                qut_threshold(design, spec)
+        else:
+            qut_threshold(design, spec)
+        assert multiprocessing.active_children() == []
+
+    def test_serial_inside_a_pool_worker(self, design, monkeypatch):
+        def no_pool(workers):
+            raise AssertionError("a pool started inside a pool worker")
+
+        monkeypatch.setattr(calibration, "usable_cores", lambda: 2)
+        monkeypatch.setattr(calibration, "process_pool", no_pool)
+        spec = QutSpec(n_mc=50, n_dictionaries=3)
+        # forked, so the worker sees the patches above
+        with ProcessPoolExecutor(
+                max_workers=1,
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            inside = pool.submit(_calibrate, design, spec).result(timeout=120)
+        monkeypatch.setattr(calibration, "usable_cores", lambda: 1)
+        assert inside.tobytes() == _calibrate(design, spec).tobytes()
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_draw_warnings_reach_the_caller_in_order(self, design,
+                                                     monkeypatch, cores):
+        caller = core.blas_threads()
+        fit = calibration.robust_lasso_zero
+
+        def warning_fit(x, y, cfg, corruption_cols=None):
+            warnings.warn(f"draw {cfg.rng_path[1]} on "
+                          f"{core.blas_threads()} BLAS threads")
+            return fit(x, y, cfg, corruption_cols=corruption_cols)
+
+        monkeypatch.setattr(calibration, "usable_cores", lambda: cores)
+        monkeypatch.setattr(calibration, "robust_lasso_zero", warning_fit)
+        if caller is not None:
+            core.set_blas_threads(2)
+        try:
+            with pytest.warns(UserWarning, match="draw") as record:
+                qut_threshold(design, QutSpec(n_mc=50, n_dictionaries=3))
+        finally:
+            if caller is not None:
+                core.set_blas_threads(caller)
+        threads = None if caller is None else 1
+        assert [str(w.message) for w in record] == \
+            [f"draw {j} on {threads} BLAS threads" for j in range(1, 51)]
 
 
 class TestPivotUnderSignal:

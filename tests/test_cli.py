@@ -12,6 +12,7 @@ from rlasszero import BudgetExceededError, SolverFailure, lp
 from rlasszero.calibration import QutSpec, qut_threshold
 from rlasszero.cli import main, read_design_csv, read_vector_csv
 from rlasszero.core import RngStream, blas_threads, standardize_columns
+from rlasszero.missing import IncompleteMatrix, standardized_design
 
 import reference_simplex
 
@@ -171,10 +172,22 @@ class TestQutCommand:
         d = json.loads(out.read_text())
         assert d["pivot_quantile"] > 0 and d["mc_draws"] == 50
 
-    def test_na_rejected(self, instance, tmp_path):
+    def test_restricted_rows_of_an_incomplete_design(self, instance,
+                                                     tmp_path):
+        # the matrix and the corruption rows that
+        # rlz fit --restrict-corruption-rows fits
         _, x_path, _, _ = instance
-        code = main(["qut", "--x", x_path, "--out", str(tmp_path / "q.json")])
-        assert code == 2
+        out = tmp_path / "q.json"
+        assert main(["qut", "--x", x_path, "--mc", "50", "--dictionaries",
+                     "3", "--restrict-corruption-rows",
+                     "--out", str(out)]) == 0
+        inc = IncompleteMatrix(read_design_csv(x_path)[0])
+        assert inc.incomplete_rows.tolist() == [1, 5]
+        want = qut_threshold(standardized_design(inc)[0],
+                             QutSpec(n_mc=50, n_dictionaries=3),
+                             corruption_cols=inc.incomplete_rows)
+        assert json.loads(out.read_text())["pivot_quantile"] == \
+            want.pivot_quantile
 
     def test_calibrates_the_standardized_design(self, tmp_path):
         # the matrix rlz fit calibrates, not the raw CSV values

@@ -172,7 +172,7 @@ class TestRunExperiment:
                 seen.append(super().submit(core.blas_threads).result(60))
                 return super().submit(fn, *args)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(core, "ProcessPoolExecutor", RecordingPool)
         run_experiment(_tiny_spec(replications=2, estimators=("tjp",)),
                        workers=2)
         assert seen == [1, 1]
@@ -244,17 +244,20 @@ class TestRunExperiment:
 
     def test_calibration_streams_disjoint_from_replication_streams(
             self, monkeypatch):
+        # one usable core keeps the draws, and so their streams, in this
+        # process, where the recording generator sees them
         inside, outside = set(), set()
         generator = RngStream.generator
-        qut_code = calibration.qut_threshold.__code__
+        draw_code = calibration._qut_draw.__code__
 
         def recording_generator(stream):
             frame = sys._getframe(1)
-            while frame is not None and frame.f_code is not qut_code:
+            while frame is not None and frame.f_code is not draw_code:
                 frame = frame.f_back
             (outside if frame is None else inside).add(stream.path)
             return generator(stream)
 
+        monkeypatch.setattr(calibration, "usable_cores", lambda: 1)
         monkeypatch.setattr(RngStream, "generator", recording_generator)
         run_experiment(_auto_spec(replications=1))
         assert inside and outside
