@@ -10,7 +10,6 @@ from .core import RngStream, sample_design, standardize_columns, toeplitz_sigma
 from .lp import (
     JpSolution,
     LpProblem,
-    enumerate_vertex_optima,
     formulate_jp,
     solve_jp,
     solve_lp,

@@ -9,16 +9,15 @@ with the data, so the quantile computed at unit noise applies at any
 sigma.
 
 The Monte Carlo draws are independent fits, each with its own RNG
-streams, so :func:`qut_threshold` runs them on one process per usable
-core, each on one OpenBLAS thread, and gathers their statistics in order
-of the draw. The result is the same, byte for byte, as on one core.
-Inside a pool worker (``run_experiment`` with ``workers > 1``, or a
+streams, so :func:`qut_threshold` maps them with
+:func:`rlasszero.core.run_tasks` on one process per usable core, each on
+one OpenBLAS thread. The result is the same, byte for byte, as on one
+core. Inside a pool worker (``run_experiment`` with ``workers > 1``, or a
 caller's own pool) the draws run serially in that worker.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -26,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import RngStream, process_pool, single_blas_thread, usable_cores
+from .core import RngStream, run_tasks, usable_cores
 from .errors import InputError, SolverFailure
 from .estimators import RlzConfig, pivot_scale_from_gammas, \
     robust_lasso_zero
@@ -69,42 +68,18 @@ def qut_threshold(x: np.ndarray, spec: QutSpec,
     be the exact matrix and corruption rows the subsequent fit will use,
     as :func:`rlasszero.missing.rlz_with_missing` passes them.
 
-    The draws run on a pool of one forked process per usable core
-    (:func:`rlasszero.core.usable_cores`), which is started and closed
-    within the call. They run in the calling process instead when it has
-    one usable core or is itself a multiprocessing child, such as a
-    worker of ``run_experiment``, so pools never nest. Either way each
-    draw runs on one OpenBLAS thread, so ``mc_statistics`` is the same,
-    byte for byte, whatever the core count or the caller's BLAS thread
-    setting. Warnings raised in a draw are raised again here, in order
-    of j.
+    The draws run through :func:`rlasszero.core.run_tasks` on one worker
+    per usable core (:func:`rlasszero.core.usable_cores`), each on one
+    OpenBLAS thread, so ``mc_statistics`` is the same, byte for byte,
+    whatever the core count or the caller's BLAS thread setting.
 
     The returned ``pivot_quantile`` multiplies the pivot scale of the data
     fit to give the data-dependent threshold.
     """
     draw = partial(_qut_draw, np.asarray(x, dtype=float), spec,
                    corruption_cols)
-    draws = range(1, spec.n_mc + 1)
-    workers = usable_cores()
-    if workers == 1 or multiprocessing.parent_process() is not None:
-        with single_blas_thread():
-            results = [draw(j) for j in draws]
-    else:
-        with process_pool(workers) as pool:
-            try:
-                # contiguous chunks, four per worker, so that the last
-                # chunks leave the other workers little to wait for
-                results = list(pool.map(
-                    draw, draws, chunksize=-(-len(draws) // (4 * workers))))
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
-    stats = []
-    for stat, caught in results:
-        for message in caught:
-            warnings.warn(message, stacklevel=2)
-        if stat is not None:
-            stats.append(stat)
+    results = run_tasks(draw, range(1, spec.n_mc + 1), usable_cores())
+    stats = [r for r in results if not isinstance(r, Exception)]
     failed = spec.n_mc - len(stats)
     if failed > 0.1 * spec.n_mc:
         raise SolverFailure(f"{failed}/{spec.n_mc} calibration draws failed")
@@ -116,24 +91,14 @@ def qut_threshold(x: np.ndarray, spec: QutSpec,
 
 
 def _qut_draw(x: np.ndarray, spec: QutSpec,
-              corruption_cols: Optional[np.ndarray], j: int):
-    """(statistic of calibration draw j, or None when its fit fails,
-    the warnings the draw raised), a function of its arguments alone."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        path = (_QUT_STREAM_TAG, j)
-        eps = RngStream(spec.master_seed, path + (0,)).generator() \
-            .standard_normal(x.shape[0])
-        cfg = RlzConfig(lam=spec.lam, tau=0.0,
-                        n_dictionaries=spec.n_dictionaries,
-                        master_seed=spec.master_seed, rng_path=path)
-        try:
-            fit = robust_lasso_zero(x, eps, cfg,
-                                    corruption_cols=corruption_cols)
-            scale = pivot_scale_from_gammas(fit.gamma_all)
-        except (SolverFailure, InputError):
-            stat = None
-        else:
-            stat = float(np.abs(fit.beta_med).max()) / scale
-    return stat, [w.message for w in caught]
-
+              corruption_cols: Optional[np.ndarray], j: int) -> float:
+    """Statistic of calibration draw j, a function of its arguments alone."""
+    path = (_QUT_STREAM_TAG, j)
+    eps = RngStream(spec.master_seed, path + (0,)).generator() \
+        .standard_normal(x.shape[0])
+    cfg = RlzConfig(lam=spec.lam, tau=0.0,
+                    n_dictionaries=spec.n_dictionaries,
+                    master_seed=spec.master_seed, rng_path=path)
+    fit = robust_lasso_zero(x, eps, cfg, corruption_cols=corruption_cols)
+    scale = pivot_scale_from_gammas(fit.gamma_all)
+    return float(np.abs(fit.beta_med).max()) / scale

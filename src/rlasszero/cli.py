@@ -12,7 +12,7 @@ Design CSVs carry a header row of column names; missing entries are the
 literal token ``NA``. ``fit`` and ``qut`` solve on one OpenBLAS thread,
 so their output does not depend on the caller's thread setting; the
 calibration draws run on one process per usable core. Exit codes: 0
-success, 2 input error, 3 solver failure, 4 budget exceeded.
+success, 2 input error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .analysis import check_identifiability
 from .calibration import QutSpec, qut_threshold
 from .core import single_blas_thread
-from .errors import BudgetExceededError, InputError, SolverFailure
+from .errors import InputError, SolverFailure
 from .estimators import RlzConfig
 from .experiments import SimulationSpec, metrics_to_csv, raw_to_csv, \
     run_experiment
@@ -263,9 +263,6 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Dense design-matrix primitives, deterministic RNG stream derivation,
-the BLAS thread setting and the process pool of the parallel loops.
+the BLAS thread setting and :func:`run_tasks`, the one task map that runs
+the calibration draws and the simulation replications, serially or on a
+pool, with the same results, warnings and failures at any worker count.
 
 All randomness in the package flows through :class:`RngStream`, a
 (master_seed, path) pair mapped to an independent counter-based generator.
@@ -16,13 +18,14 @@ import ctypes
 import glob
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import warnings
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, SolverFailure
 
 
 @dataclass(frozen=True)
@@ -156,15 +159,58 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def process_pool(workers: int) -> ProcessPoolExecutor:
-    """A pool of ``workers`` forked processes, each on one OpenBLAS thread.
+def run_tasks(fn: Callable, items: Sequence, workers: int) -> list:
+    """``[fn(item) for item in items]`` on ``workers`` processes, with the
+    same results, warnings and failures at any ``workers``.
 
-    One BLAS thread, because the workers already fill the cores, and
-    each worker's own BLAS threads would only contend for them. Forked,
-    because a worker then starts with the caller's imports: a spawned one
-    imports numpy, scipy and the package afresh, about 1 s of CPU on a
-    2-core x86 machine, the cost of some 20 calibration draws at 50 x 100.
+    A call that raises InputError or SolverFailure gets the exception as
+    its result; any other exception is raised, and cancels the calls no
+    worker has started. Each call's warnings are raised again here, in
+    order of the items, once every call has returned.
+
+    The calls run here, inside :func:`single_blas_thread`, when
+    ``workers`` is 1 or this process is a multiprocessing child, so pools
+    never nest. Otherwise they run in contiguous chunks, four per worker
+    so that the last ones leave little to wait for, on a pool of forked
+    processes that the call starts and closes, each on one OpenBLAS
+    thread, since the workers already fill the cores. Forked, because a
+    spawned worker imports numpy, scipy and the package afresh: about 1 s
+    of CPU on a 2-core x86 machine, some 20 calibration draws at 50 x 100.
     """
-    return ProcessPoolExecutor(max_workers=workers,
-                               mp_context=multiprocessing.get_context("fork"),
-                               initializer=set_blas_threads, initargs=(1,))
+    items = list(items)
+    if workers == 1 or multiprocessing.parent_process() is not None:
+        with single_blas_thread():
+            outcomes = _run_chunk(fn, items)
+    else:
+        size = -(-len(items) // (4 * workers))
+        with ProcessPoolExecutor(
+                max_workers=min(workers, len(items)),
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=set_blas_threads, initargs=(1,)) as pool:
+            chunks = [pool.submit(_run_chunk, fn, items[i:i + size])
+                      for i in range(0, len(items), size)]
+            try:
+                for chunk in as_completed(chunks):
+                    chunk.result()
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+        outcomes = [outcome for chunk in chunks for outcome in chunk.result()]
+    for _, caught in outcomes:
+        for message in caught:
+            warnings.warn(message, stacklevel=3)
+    return [result for result, _ in outcomes]
+
+
+def _run_chunk(fn: Callable, items: list) -> list:
+    """(result or InputError/SolverFailure, warnings raised) of each item."""
+    outcomes = []
+    for item in items:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = fn(item)
+            except (InputError, SolverFailure) as exc:
+                result = exc
+        outcomes.append((result, [w.message for w in caught]))
+    return outcomes

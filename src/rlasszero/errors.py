@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: InputError -> 2, SolverFailure -> 3,
-BudgetExceededError -> 4.
+The CLI maps InputError to exit code 2 and SolverFailure to 3.
+BudgetExceededError comes only from library calls no subcommand makes.
 """
 
 

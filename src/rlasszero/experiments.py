@@ -5,7 +5,8 @@ design, +-1 coefficients on a random support, logistic missingness,
 mean imputation, and per-replication metrics (exact sign recovery, signed
 true-positive and false-discovery proportions) aggregated with standard
 errors. Every replication owns its RNG streams, which no calibration
-draw reuses, so results do not depend on execution order or worker count.
+draw reuses, and they run through :func:`rlasszero.core.run_tasks`, so
+results, warnings and failures do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from functools import partial
 import numpy as np
 
 from .calibration import QutSpec, qut_threshold
-from .core import RngStream, process_pool, sample_design, \
-    single_blas_thread, standardize_columns, toeplitz_sigma
+from .core import RngStream, run_tasks, sample_design, \
+    standardize_columns, toeplitz_sigma
 from .errors import InputError, SolverFailure
 from .estimators import RlzConfig, hard_threshold, lasso_zero
 from .lp import solve_jp
@@ -232,21 +233,6 @@ def _run_estimator(name: str, spec: SimulationSpec, x_std, y,
     return fit.beta_hat
 
 
-def _surviving(calls) -> list:
-    """Results of the (replication, call) pairs whose call succeeded; each
-    failure is dropped with a warning, and the first is raised if all fail."""
-    results, first = [], None
-    for r, call in calls:
-        try:
-            results.append(call())
-        except (InputError, SolverFailure) as exc:
-            warnings.warn(f"replication {r} dropped: {exc}")
-            first = first or exc
-    if not results:
-        raise type(first)(f"every replication failed; the first: {first}")
-    return results
-
-
 def run_experiment(spec: SimulationSpec, workers: int = 1):
     """Run all replications and aggregate; returns (records, raw_rows).
 
@@ -254,27 +240,26 @@ def run_experiment(spec: SimulationSpec, workers: int = 1):
     per-replication output. A replication that raises InputError (say a
     column left fully missing or constant by the mask) or SolverFailure is
     dropped with a warning, and the per-estimator replication counts
-    reflect that.
+    reflect that; if every replication fails, the first failure is raised.
+    ``workers`` below 1 raises InputError.
 
-    Every replication runs on one BLAS thread: at ``workers > 1`` on a
-    :func:`~rlasszero.core.process_pool`, whose workers are set to one
-    when they start, and at ``workers=1`` inside
-    :func:`~rlasszero.core.single_blas_thread`, which gives the caller's
-    thread count back when the run returns or raises. ``workers`` below
-    1 raises InputError.
+    :func:`rlasszero.core.run_tasks` runs the replications on ``workers``
+    processes, each on one OpenBLAS thread, and raises their warnings
+    again once every replication has run, in order of the replications.
     """
     if workers < 1:
         raise InputError(f"workers must be >= 1, got {workers}")
     reps = range(1, spec.replications + 1)
-    if workers > 1:
-        with process_pool(workers) as pool:
-            futures = {r: pool.submit(_replication_metrics, spec, r)
-                       for r in reps}
-            results = _surviving((r, futures[r].result) for r in reps)
-    else:
-        with single_blas_thread():
-            results = _surviving((r, partial(_replication_metrics, spec, r))
-                                 for r in reps)
+    results, first = [], None
+    for r, result in zip(reps, run_tasks(partial(_replication_metrics, spec),
+                                         reps, workers)):
+        if isinstance(result, Exception):
+            warnings.warn(f"replication {r} dropped: {result}")
+            first = first or result
+        else:
+            results.append(result)
+    if not results:
+        raise type(first)(f"every replication failed; the first: {first}")
 
     records = []
     raw_rows = []

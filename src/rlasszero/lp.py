@@ -36,28 +36,21 @@ operations program by program. At 50 rows this takes 0.64-0.80 of the
 one-at-a-time CPU time; at 100 rows the stacked blocks outgrow the cache
 and lock step takes 1.09-1.26 of it, so larger programs are solved one at
 a time.
-
-A brute-force vertex enumeration oracle is provided for tiny instances;
-it is the independent cross-check used by the test suite.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, InputError, SolverFailure
+from .errors import InputError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 TOLERANCE_FAILURE = "tolerance_failure"
-
-_ENUM_CHUNK = 20000  # column subsets per batched solve in the vertex oracle
 
 # feasibility tolerance of the ratio test and the starting basis, and
 # optimality tolerance of the reduced costs (relative to 1 + ||c||_inf)
@@ -570,82 +563,3 @@ def solve_jp_many(x: np.ndarray, y: np.ndarray, lam: float,
             sols[i] = _jp_solution(
                 *_finish(split, b, c, end, status, c.size), p, gs[i])
     return sols
-
-
-# ---------------------------------------------------------------------------
-# Vertex enumeration oracle
-# ---------------------------------------------------------------------------
-
-def _distinct(vectors) -> list[np.ndarray]:
-    """The vectors, without any that lies within 1e-6 (max norm) of an
-    earlier kept one."""
-    kept: list[np.ndarray] = []
-    for v in vectors:
-        if not any(np.abs(v - seen).max() <= 1e-6 for seen in kept):
-            kept.append(v)
-    return kept
-
-
-def enumerate_vertex_optima(prob: LpProblem,
-                            budget: int = 10 ** 6) -> list[np.ndarray]:
-    """All basic feasible solutions attaining the optimal objective.
-
-    Brute force over column subsets; intended as a test oracle on tiny
-    instances. Raises BudgetExceededError when C(N, m) exceeds ``budget``.
-    """
-    tol = 1e-8  # feasibility of a basis, and optimality gap to the best
-    a = np.asarray(prob.a, dtype=float)
-    b = np.asarray(prob.b, dtype=float)
-    c = np.asarray(prob.c, dtype=float)
-    m, n = a.shape
-    total = comb(n, m)
-    if total > budget:
-        raise BudgetExceededError(
-            f"C({n},{m}) = {total} exceeds enumeration budget {budget}")
-    b_scale = 1.0 + np.abs(b).max()
-    best = np.inf
-    optima: list[tuple[float, np.ndarray]] = []
-    combos_iter = itertools.combinations(range(n), m)
-    while True:
-        block = list(itertools.islice(combos_iter, _ENUM_CHUNK))
-        if not block:
-            break
-        idx = np.array(block)                       # (k, m)
-        bases = a[:, idx].transpose(1, 0, 2)        # (k, m, m)
-        dets = np.linalg.det(bases)
-        ok = np.abs(dets) > 1e-12
-        if not ok.any():
-            continue
-        idx = idx[ok]
-        rhs = np.broadcast_to(b[:, None], (int(ok.sum()), m, 1)).copy()
-        sols = np.linalg.solve(bases[ok], rhs)[..., 0]
-        resid = np.abs(np.einsum("kij,kj->ki", bases[ok], sols) - b).max(axis=1)
-        feas = (sols.min(axis=1) >= -tol) & (resid <= 1e-7 * b_scale)
-        if not feas.any():
-            continue
-        idx = idx[feas]
-        sols = sols[feas]
-        objs = np.einsum("kj,kj->k", c[idx], sols)
-        for combo, sol, obj in zip(idx, sols, objs):
-            if obj < best - tol:
-                best = obj
-                optima = []
-            if obj <= best + tol:
-                x = np.zeros(n)
-                x[combo] = np.clip(sol, 0.0, None)
-                optima.append((obj, x))
-    # re-filter against the final best and deduplicate solutions
-    return _distinct(x for obj, x in optima if obj <= best + tol)
-
-
-def certify_unique_jp(x: np.ndarray, y: np.ndarray, lam: float):
-    """Enumerate optima of the corruption-aware problem at (x, y, lam).
-
-    Returns (unique: bool, optima in recomposed (beta, omega) form).
-    """
-    prob = formulate_jp(np.asarray(x, float), np.asarray(y, float), lam)
-    vertices = enumerate_vertex_optima(prob)
-    if not vertices:
-        raise SolverFailure("vertex oracle found no feasible basis")
-    distinct = _distinct(prob.recompose(v) for v in vertices)
-    return len(distinct) == 1, distinct

@@ -21,13 +21,13 @@ from rlasszero.experiments import (
 )
 from rlasszero.lp import (
     OPTIMAL,
-    certify_unique_jp,
-    enumerate_vertex_optima,
     formulate_jp,
     solve_jp,
     solve_lp,
 )
 from rlasszero.missing import MissingnessSpec, generate_missingness
+
+from vertex_oracle import certify_unique_jp, enumerate_vertex_optima
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -8,7 +8,9 @@ from rlasszero.analysis import (
     covariance_diagnostics,
 )
 from rlasszero.core import RngStream, toeplitz_sigma
-from rlasszero.lp import certify_unique_jp, solve_jp
+from rlasszero.lp import solve_jp
+
+from vertex_oracle import certify_unique_jp
 
 
 class TestCheckIdentifiability:

@@ -126,11 +126,12 @@ class TestQutPool:
         spec = QutSpec(n_mc=50, n_dictionaries=4, master_seed=3)
         pools = []
 
-        def recording_pool(workers):
-            pools.append(workers)
-            return core.process_pool(workers)
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kw):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kw)
 
-        monkeypatch.setattr(calibration, "process_pool", recording_pool)
+        monkeypatch.setattr(core, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(calibration, "usable_cores", lambda: 2)
         pooled = qut_threshold(wide_design, spec, corruption_cols=cols)
         monkeypatch.setattr(calibration, "usable_cores", lambda: 1)
@@ -159,11 +160,11 @@ class TestQutPool:
         assert multiprocessing.active_children() == []
 
     def test_serial_inside_a_pool_worker(self, design, monkeypatch):
-        def no_pool(workers):
+        def no_pool(*args, **kw):
             raise AssertionError("a pool started inside a pool worker")
 
         monkeypatch.setattr(calibration, "usable_cores", lambda: 2)
-        monkeypatch.setattr(calibration, "process_pool", no_pool)
+        monkeypatch.setattr(core, "ProcessPoolExecutor", no_pool)
         spec = QutSpec(n_mc=50, n_dictionaries=3)
         # forked, so the worker sees the patches above
         with ProcessPoolExecutor(

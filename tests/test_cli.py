@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rlasszero import BudgetExceededError, SolverFailure, lp
+from rlasszero import SolverFailure, lp
 from rlasszero.calibration import QutSpec, qut_threshold
 from rlasszero.cli import main, read_design_csv, read_vector_csv
 from rlasszero.core import RngStream, blas_threads, standardize_columns
@@ -357,15 +357,3 @@ class TestExitCodes:
         monkeypatch.setattr(parser.__class__, "parse_args",
                             lambda self, argv=None: args)
         assert cli.main(["qut", "--x", "x.csv", "--out", "o.json"]) == 3
-
-    def test_budget_exceeded_maps_to_4(self, monkeypatch):
-        import rlasszero.cli as cli
-
-        def boom(args):
-            raise BudgetExceededError("synthetic")
-        args = cli.build_parser().parse_args(
-            ["qut", "--x", "x.csv", "--out", "o.json"])
-        args.func = boom
-        monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_args",
-                            lambda self, argv=None: args)
-        assert cli.main([]) == 4

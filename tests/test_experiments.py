@@ -1,4 +1,8 @@
+import functools
+import multiprocessing
 import sys
+import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -139,6 +143,24 @@ def _auto_spec(**kw):
     return SimulationSpec(**base)
 
 
+def _patch_replication(monkeypatch, body):
+    """Replace ``experiments._replication_metrics`` with ``body(original,
+    spec, r)``. The replacement carries the original's name, as the
+    benchmark's tracing wrappers do, so a pool worker can unpickle it."""
+    original = experiments._replication_metrics
+
+    @functools.wraps(original)
+    def patched(spec, r):
+        return body(original, spec, r)
+
+    monkeypatch.setattr(experiments, "_replication_metrics", patched)
+
+
+def _simulate(spec, workers):
+    records, raw = run_experiment(spec, workers=workers)
+    return metrics_to_csv(records), raw_to_csv(raw)
+
+
 class TestRunExperiment:
     def test_record_per_estimator_and_bounds(self):
         records, raw = run_experiment(_tiny_spec())
@@ -204,6 +226,67 @@ class TestRunExperiment:
         finally:
             core.set_blas_threads(caller)
         assert seen == ([1] if fails else [1, 1, 1])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_replication_hook_called_once_per_replication(
+            self, monkeypatch, tmp_path, workers):
+        # the benchmark's tracer patches this attribute for one span per
+        # replication; pool workers append to a file the parent can read
+        log = tmp_path / "calls"
+
+        def logging_replication(original, spec, r):
+            with open(log, "a") as fh:
+                fh.write(f"{r}\n")
+            return original(spec, r)
+
+        _patch_replication(monkeypatch, logging_replication)
+        run_experiment(_tiny_spec(replications=5, estimators=("tjp",)),
+                       workers=workers)
+        assert sorted(map(int, log.read_text().split())) == [1, 2, 3, 4, 5]
+
+    def test_replication_warnings_same_at_any_worker_count(self):
+        spec = SimulationSpec(n=10, p=30, s=15, replications=4,
+                              estimators=("tjp",))
+        caught = {}
+        for workers in (1, 2):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                run_experiment(spec, workers=workers)
+            caught[workers] = [str(w.message) for w in record]
+        assert len(caught[1]) == 4
+        assert all("nonzero magnitudes" in m for m in caught[1])
+        assert caught[2] == caught[1]
+
+    def test_unexpected_error_cancels_pending_replications(
+            self, monkeypatch, tmp_path):
+        replications = 16
+
+        def slow_or_broken(original, spec, r):
+            if r == 1:
+                raise RuntimeError("replication 1 broke")
+            time.sleep(0.5)
+            (tmp_path / str(r)).touch()
+            return original(spec, r)
+
+        _patch_replication(monkeypatch, slow_or_broken)
+        spec = _tiny_spec(replications=replications, estimators=("tjp",))
+        with pytest.raises(RuntimeError, match="replication 1 broke"):
+            run_experiment(spec, workers=2)
+        assert len(list(tmp_path.iterdir())) < replications - 1
+        assert multiprocessing.active_children() == []
+
+    def test_serial_inside_a_pool_worker(self, monkeypatch):
+        def no_pool(*args, **kw):
+            raise AssertionError("a pool started inside a pool worker")
+
+        monkeypatch.setattr(core, "ProcessPoolExecutor", no_pool)
+        spec = _tiny_spec(estimators=("tjp",))
+        # forked, so the worker sees the patch above
+        with ProcessPoolExecutor(
+                max_workers=1,
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            inside = pool.submit(_simulate, spec, 2).result(timeout=120)
+        assert inside == _simulate(spec, 1)
 
     def test_easy_regime_perfect_recovery(self):
         spec = _tiny_spec(sigma_noise=0.0, pi=0.01, estimators=("tjp",),

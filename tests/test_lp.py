@@ -10,14 +10,13 @@ from rlasszero.lp import (
     TOLERANCE_FAILURE,
     UNBOUNDED,
     LpProblem,
-    certify_unique_jp,
-    enumerate_vertex_optima,
     formulate_jp,
     solve_jp,
     solve_lp,
 )
 
 import reference_simplex
+from vertex_oracle import certify_unique_jp, enumerate_vertex_optima
 
 
 def random_jp_instance(seed, n_max=6, p_max=8, augmented=False):
