@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import RngStream, run_tasks, usable_cores
+from .core import RngStream, check_count, run_tasks, usable_cores
 from .errors import InputError, SolverFailure
 from .estimators import RlzConfig, pivot_scale_from_gammas, \
     robust_lasso_zero
@@ -47,8 +47,10 @@ class QutSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise InputError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.n_mc < 50:
-            raise InputError(f"n_mc must be >= 50, got {self.n_mc}")
+        check_count("n_mc", self.n_mc, 50)
+        # the settings of the fit that every draw runs, checked by its rules
+        RlzConfig(lam=self.lam, tau=0.0, n_dictionaries=self.n_dictionaries,
+                  master_seed=self.master_seed)
 
 
 @dataclass

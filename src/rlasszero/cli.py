@@ -109,7 +109,11 @@ def _cmd_fit(args) -> int:
     y = read_vector_csv(args.y)
     if y.size != x_raw.shape[0]:
         raise InputError(f"y has {y.size} entries, X has {x_raw.shape[0]} rows")
-    tau = "qut" if args.tau == "qut" else float(args.tau)
+    try:
+        tau = "qut" if args.tau == "qut" else float(args.tau)
+    except ValueError:
+        raise InputError(f"--tau must be a number or 'qut', "
+                         f"got {args.tau!r}") from None
     cfg = RlzConfig(lam=args.lam, tau=tau, n_dictionaries=args.dictionaries,
                     master_seed=args.seed)
     qut_spec = QutSpec(alpha=args.alpha, lam=args.lam,
@@ -207,18 +211,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "missing covariates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser("fit", help="fit the median-aggregated estimator")
-    fit.add_argument("--x", required=True, help="design CSV (header, NA for missing)")
+    # the flags fit and qut share, declared once so that their defaults
+    # cannot drift apart and qut calibrates what fit fits
+    fit_qut = argparse.ArgumentParser(add_help=False)
+    fit_qut.add_argument("--x", required=True,
+                         help="design CSV (header, NA for missing)")
+    fit_qut.add_argument("--alpha", type=float, default=0.05)
+    fit_qut.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    fit_qut.add_argument("--dictionaries", type=int, default=20, metavar="M")
+    fit_qut.add_argument("--restrict-corruption-rows", action="store_true",
+                         help="model corruption only on rows with missing "
+                              "entries")
+    fit_qut.add_argument("--seed", type=int, default=0)
+    fit_qut.add_argument("--out", required=True)
+
+    fit = sub.add_parser("fit", parents=[fit_qut],
+                         help="fit the median-aggregated estimator")
     fit.add_argument("--y", required=True, help="response CSV, one value per line")
-    fit.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    fit.add_argument("--alpha", type=float, default=0.05)
-    fit.add_argument("--dictionaries", type=int, default=20, metavar="M")
     fit.add_argument("--tau", default="qut",
                      help="numeric threshold, or 'qut' for automatic calibration")
-    fit.add_argument("--restrict-corruption-rows", action="store_true",
-                     help="model corruption only on rows with missing entries")
-    fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--out", required=True)
     fit.set_defaults(func=_cmd_fit)
 
     sim = sub.add_parser("simulate", help="run the replication harness")
@@ -228,16 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--workers", type=int, default=1)
     sim.set_defaults(func=_cmd_simulate)
 
-    qut = sub.add_parser("qut", help="calibrate the null-quantile threshold")
-    qut.add_argument("--x", required=True)
-    qut.add_argument("--alpha", type=float, default=0.05)
+    qut = sub.add_parser("qut", parents=[fit_qut],
+                         help="calibrate the null-quantile threshold")
     qut.add_argument("--mc", type=int, default=500)
-    qut.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    qut.add_argument("--dictionaries", type=int, default=20, metavar="M")
-    qut.add_argument("--restrict-corruption-rows", action="store_true",
-                     help="calibrate for rlz fit --restrict-corruption-rows")
-    qut.add_argument("--seed", type=int, default=0)
-    qut.add_argument("--out", required=True)
     qut.set_defaults(func=_cmd_qut)
 
     ident = sub.add_parser("identify",

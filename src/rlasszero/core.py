@@ -17,6 +17,7 @@ import contextlib
 import ctypes
 import glob
 import multiprocessing
+import numbers
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -46,6 +47,14 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(seq))
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """InputError unless ``value`` is an integer (a numpy integer passes,
+    a float or a string does not) of at least ``minimum``."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise InputError(f"{name} must be an integer >= {minimum}, "
+                         f"got {value!r}")
 
 
 def toeplitz_sigma(p: int, rho: float) -> np.ndarray:

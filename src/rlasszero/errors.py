@@ -15,5 +15,5 @@ class SolverFailure(RuntimeError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A combinatorial budget (vertex enumeration, sign-pattern search) was
-    exceeded before a certified answer could be produced."""
+    """A combinatorial search would exceed its budget: in the package, the
+    sign-pattern search of :func:`rlasszero.analysis.check_stable_nsp`."""

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, check_count
 from .errors import InputError, SolverFailure
 from .lp import OPTIMAL, check_response, solve_jp, solve_jp_many
 
@@ -63,8 +63,8 @@ class RlzConfig:
     def __post_init__(self):
         if not 0 < self.lam < np.inf:
             raise InputError(f"lambda must be finite and > 0, got {self.lam}")
-        if self.n_dictionaries < 1:
-            raise InputError("need at least one dictionary")
+        check_count("n_dictionaries", self.n_dictionaries, 1)
+        check_count("master_seed", self.master_seed, 0)
         if isinstance(self.tau, str):
             if self.tau != "qut":
                 raise InputError(f"tau must be numeric or 'qut', got {self.tau!r}")

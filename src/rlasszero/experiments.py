@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .calibration import QutSpec, qut_threshold
-from .core import RngStream, run_tasks, sample_design, \
+from .core import RngStream, check_count, run_tasks, sample_design, \
     standardize_columns, toeplitz_sigma
 from .errors import InputError, SolverFailure
 from .estimators import RlzConfig, hard_threshold, lasso_zero
@@ -131,12 +131,14 @@ class SimulationSpec:
     qut_mc: int = 500             # calibration draws under automatic tuning
 
     def __post_init__(self):
-        if not 1 <= self.s <= self.p:
+        for name, minimum in (("n", 1), ("p", 1), ("s", 1),
+                              ("replications", 1), ("n_dictionaries", 1),
+                              ("qut_mc", 1), ("master_seed", 0)):
+            check_count(name, getattr(self, name), minimum)
+        if self.s > self.p:
             raise InputError("need 1 <= s <= p")
         if not 0.0 < self.pi < 1.0:
             raise InputError("pi must be in (0,1)")
-        if self.replications < 1:
-            raise InputError("replications must be >= 1")
         if self.mechanism not in _MECHANISMS:
             raise InputError(f"mechanism must be one of {_MECHANISMS}")
         if self.tuning not in _TUNINGS:

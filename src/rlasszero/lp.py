@@ -15,16 +15,18 @@ splitting each signed variable into a nonnegative pair, and builds a
 feasible starting basis from the program's own blocks: the corruption
 column of every row that has one, and dictionary columns for the other
 rows. The split program's columns are [A | -A], and ``LpProblem.n_signed``
-declares those pairs so that the solver prices both columns of a pair
-with one product. The solver is a revised simplex with Dantzig pricing and
-an automatic Bland fallback, which terminates on degenerate problems and
-returns exact basic feasible solutions -- needed downstream for uniqueness
-and sign-pattern certification, where first-order solvers are too loose. It
-starts from the program's basis when one is known and runs a phase 1 on
-artificial variables only when there is none (basis pursuit, Justice
-Pursuit with a restricted block, or a hand-built :class:`LpProblem`).
-Before it reports "optimal" it checks the residual and the reduced costs
-at a freshly inverted final basis.
+declares those pairs so that the solver prices both columns of a pair with
+one product. Both pivot loops below start a program through ``_start``: it
+negates the rows with b < 0 and checks the hinted basis. The solver is a
+revised simplex with Dantzig pricing and an automatic Bland fallback,
+which terminates on degenerate problems and returns exact basic feasible
+solutions -- needed downstream for uniqueness and sign-pattern
+certification, where first-order solvers are too loose. It starts from the
+program's basis when one is known and runs a phase 1 on artificial
+variables only when there is none (basis pursuit, Justice Pursuit with a
+restricted block, or a hand-built :class:`LpProblem`). Before it reports
+"optimal" it checks the residual and the reduced costs at a freshly
+inverted final basis.
 
 A median fit solves M programs that differ only in their dictionary.
 :func:`solve_jp_many` returns what :func:`solve_jp` returns for each of
@@ -33,9 +35,11 @@ phase 2 in lock step on (B, m, K) arrays of the signed blocks, one row of
 the stack per program, so each numpy call of a pivot serves all B
 programs; the products and the pivot update are the single loop's float
 operations program by program. At 50 rows this takes 0.64-0.80 of the
-one-at-a-time CPU time; at 100 rows the stacked blocks outgrow the cache
-and lock step takes 1.09-1.26 of it, so larger programs are solved one at
-a time.
+one-at-a-time CPU time; at 100 rows lock step takes 1.09-1.26 of it, so
+larger programs are solved one at a time. The loss is not the cache:
+batches of 2 or 3 programs at 100 rows fit a 2 MiB L2 and still lose,
+because there the arithmetic of each pivot outweighs the per-call overhead
+that lock step shares.
 """
 
 from __future__ import annotations
@@ -110,12 +114,26 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
     side of its split pair that makes it nonnegative. It is None when the
     dictionary has too few columns for those rows or the block is singular.
     """
-    y, a_signed, costs, cols = _signed_block(x, y, lam, corruption_cols, g)
+    x = np.asarray(x, dtype=float)
+    if not 0 < lam < np.inf:
+        raise InputError(f"lambda must be finite and > 0, got {lam}")
+    n, p = x.shape
+    y = check_response(y, n)
+    cols = np.arange(n) if corruption_cols is None \
+        else np.asarray(corruption_cols, dtype=int)
+    eye_block = np.zeros((n, cols.size))
+    eye_block[cols, np.arange(cols.size)] = np.sqrt(n)
+    g = np.zeros((n, 0)) if g is None else np.asarray(g, dtype=float)
+    if g.ndim != 2 or g.shape[0] != n:
+        raise InputError(f"dictionary must have {n} rows, got shape {g.shape}")
+    a_signed = np.hstack([x, eye_block, g])
+    costs = np.concatenate([np.ones(p), np.full(cols.size, lam),
+                            np.ones(g.shape[1])])
     # split each signed variable into a nonnegative pair: [u block, v block]
     return LpProblem(a=np.hstack([a_signed, -a_signed]), b=y.copy(),
                      c=np.concatenate([costs, costs]),
                      n_signed=a_signed.shape[1],
-                     basis=_block_basis(a_signed, y, np.shape(x)[1], cols))
+                     basis=_block_basis(a_signed, y, p, cols))
 
 
 def check_response(y: np.ndarray, n: int) -> np.ndarray:
@@ -124,29 +142,6 @@ def check_response(y: np.ndarray, n: int) -> np.ndarray:
     if y.shape != (n,) or not np.isfinite(y).all():
         raise InputError(f"y must be {n} finite values, got shape {y.shape}")
     return y
-
-
-def _signed_block(x, y, lam, corruption_cols, g):
-    """The checked inputs of :func:`formulate_jp` as (y, a_signed, costs,
-    cols): the signed matrix [X | sqrt(n) E | G], the cost of each of its
-    columns and the rows with a corruption column."""
-    x = np.asarray(x, dtype=float)
-    if not 0 < lam < np.inf:
-        raise InputError(f"lambda must be finite and > 0, got {lam}")
-    n, p = x.shape
-    y = check_response(y, n)
-    if corruption_cols is None:
-        cols = np.arange(n)
-    else:
-        cols = np.asarray(corruption_cols, dtype=int)
-    eye_block = np.zeros((n, cols.size))
-    eye_block[cols, np.arange(cols.size)] = np.sqrt(n)
-    g = np.zeros((n, 0)) if g is None else np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != n:
-        raise InputError(f"dictionary must have {n} rows, got shape {g.shape}")
-    costs = np.concatenate([np.ones(p), np.full(cols.size, lam),
-                            np.ones(g.shape[1])])
-    return y, np.hstack([x, eye_block, g]), costs, cols
 
 
 def _block_basis(a_signed, y, p, cols):
@@ -174,12 +169,15 @@ _REFACTOR_EVERY = 120
 # Measured on 10 programs (p = 2n, full or 0.44 n-row corruption block,
 # one BLAS thread, 2-core x86 machine, 6 seeds each), lock-step CPU time
 # over one-at-a-time CPU time: 0.64-0.80 at 50 rows, 0.70-1.03 at 64 and
-# 1.09-1.26 at 100, where the stacked blocks outgrow the cache.
+# 1.09-1.26 at 100, where the arithmetic of a pivot outweighs the call
+# overhead that lock step shares.
 _LOCKSTEP_MAX_ROWS = 64
 
 
-def _refactor(a, b, basis):
-    binv = np.linalg.inv(a[:, basis])
+def _refactor(a_basis, b):
+    """(binv, xb) at the basis matrix ``a_basis``, or at each matrix of a
+    stack of them, with the basic values clipped at zero."""
+    binv = np.linalg.inv(a_basis)
     xb = binv @ b
     np.clip(xb, 0.0, None, out=xb)
     return binv, xb
@@ -220,7 +218,7 @@ def _pivot_loop(a, b, c, basis, binv, xb, n_price, n_signed,
     it = 0
     while True:
         if it and it % _REFACTOR_EVERY == 0:
-            binv[:, :], xb[:] = _refactor(a, b, basis)
+            binv[:, :], xb[:] = _refactor(a[:, basis], b)
         y = cb @ binv
         if k:
             np.matmul(y, a_pair, out=w)
@@ -256,18 +254,40 @@ def _residual_ok(a_basis, b, xb):
     return np.abs(a_basis @ xb - b).max() <= 1e-9 * (1.0 + np.abs(b).max())
 
 
-def _checked_start(a_basis, b):
-    """(binv, xb) when the basis matrix ``a_basis`` gives a feasible basic
-    solution of a x = b, else None."""
+def _start(prob: LpProblem):
+    """(a, b, c, start) of ``prob`` before pivoting: copies of a and b with
+    the rows of b < 0 negated, the costs, and (basis, binv, xb) at
+    ``prob.basis`` when that is a feasible basis of the flipped system,
+    else None. InputError when the ``n_signed`` pairs are not exact
+    negatives or the hint does not list m column indices.
+    """
+    a = np.asarray(prob.a, dtype=float).copy()
+    b = np.asarray(prob.b, dtype=float).copy()
+    c = np.asarray(prob.c, dtype=float)
+    m, n = a.shape
+    k = prob.n_signed
+    if not 0 <= 2 * k <= n or not np.array_equal(a[:, k:2 * k], -a[:, :k]):
+        raise InputError(f"n_signed = {k}: columns {k}..{2 * k - 1} must be "
+                         f"exactly minus columns 0..{k - 1}")
+    flip = b < 0
+    a[flip] *= -1.0
+    b[flip] *= -1.0
+    if prob.basis is None:
+        return a, b, c, None
+    basis = np.array(prob.basis, dtype=int)
+    if basis.shape != (m,) or basis.min(initial=0) < 0 \
+            or basis.max(initial=0) >= n:
+        raise InputError(f"basis must list {m} column indices below {n}")
+    a_basis = a[:, basis]
     try:
         binv = np.linalg.inv(a_basis)
     except np.linalg.LinAlgError:
-        return None
+        return a, b, c, None
     xb = binv @ b
     if xb.min() < -_FEAS_TOL or not _residual_ok(a_basis, b, xb):
-        return None
+        return a, b, c, None
     np.clip(xb, 0.0, None, out=xb)
-    return binv, xb
+    return a, b, c, (basis, binv, xb)
 
 
 def _finish(a, b, c, basis, status, n):
@@ -280,10 +300,11 @@ def _finish(a, b, c, basis, status, n):
     """
     if status == TOLERANCE_FAILURE:
         return np.zeros(n), np.nan, TOLERANCE_FAILURE
-    binv, xb = _refactor(a, b, basis)
+    a_basis = a[:, basis]
+    binv, xb = _refactor(a_basis, b)
     if status == OPTIMAL:
         reduced = c[:n] - (c[basis] @ binv) @ a[:, :n]
-        if not _residual_ok(a[:, basis], b, xb) \
+        if not _residual_ok(a_basis, b, xb) \
                 or reduced.min() < -_OPT_TOL * (1.0 + np.abs(c).max()):
             return np.zeros(n), np.nan, TOLERANCE_FAILURE
     x = np.zeros(n)
@@ -305,34 +326,13 @@ def solve_lp(prob: LpProblem):
     that runs out of pivots gives "tolerance_failure". A problem whose
     ``n_signed`` pairs are not exact negatives raises InputError.
     """
-    a = np.asarray(prob.a, dtype=float)
-    b = np.asarray(prob.b, dtype=float)
-    c = np.asarray(prob.c, dtype=float)
+    a, b, c, start = _start(prob)
     m, n = a.shape
     k = prob.n_signed
-    if not 0 <= 2 * k <= n or not np.array_equal(a[:, k:2 * k], -a[:, :k]):
-        raise InputError(f"n_signed = {k}: columns {k}..{2 * k - 1} must be "
-                         f"exactly minus columns 0..{k - 1}")
     max_pivots = _PIVOTS_PER_COLUMN * (m + n)
     bland_after = 10 * (m + n)
-
-    # ensure b >= 0 so the artificial identity basis is feasible
-    flip = b < 0
-    a = a.copy()
-    b = b.copy()
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-
-    start = None
-    if prob.basis is not None:
-        hint = np.asarray(prob.basis, dtype=int)
-        if hint.shape != (m,) or hint.min(initial=0) < 0 \
-                or hint.max(initial=0) >= n:
-            raise InputError(f"basis must list {m} column indices below {n}")
-        start = _checked_start(a[:, hint], b)
     if start is not None:
-        basis = hint.copy()
-        binv, xb = start
+        basis, binv, xb = start
     else:
         # phase 1: artificial variables
         a1 = np.hstack([a, np.eye(m)])
@@ -374,9 +374,9 @@ def solve_lp(prob: LpProblem):
 # ---------------------------------------------------------------------------
 
 def _basis_columns(a_signed, basis):
-    """The columns ``basis`` of the split matrix [a_signed | -a_signed],
-    for one program or a stack of them: column K + j is built as the
-    exact negation of column j."""
+    """The columns ``basis`` of the split matrices [a_signed | -a_signed]
+    of a stack of programs: column K + j is built as the exact negation
+    of column j."""
     k = a_signed.shape[-1]
     cols = np.take_along_axis(a_signed, basis[..., None, :] % k, axis=-1)
     np.negative(cols, out=cols, where=basis[..., None, :] >= k)
@@ -432,10 +432,7 @@ def _lockstep_loop(a, b, c, basis, binv, xb, max_pivots: int,
 
     while True:
         if it and it % _REFACTOR_EVERY == 0:
-            fresh = np.linalg.inv(_basis_columns(a_l, basis_l))
-            xb_fresh = fresh @ b
-            np.clip(xb_fresh, 0.0, None, out=xb_fresh)
-            binv_l[:], xb_l[:] = fresh, xb_fresh
+            binv_l[:], xb_l[:] = _refactor(_basis_columns(a_l, basis_l), b)
         w = np.matmul(np.matmul(cb[:, None, :], binv_l), a_l)[:, 0]
         reduced = reduced_buf[:live.size]
         np.subtract(c_u, w, out=reduced[:, :k])
@@ -523,43 +520,34 @@ def solve_jp_many(x: np.ndarray, y: np.ndarray, lam: float,
     share one shape run their phase 2 in lock step
     (:func:`_lockstep_loop`), each from its block basis, and are then
     certified one by one as :func:`solve_lp` certifies. A program without
-    a feasible block start goes through :func:`solve_jp` and its phase 1.
+    a feasible block start goes through :func:`solve_lp` and its phase 1.
     Larger programs are solved one at a time, and ``dictionaries`` is then
     read one item per solve, so a generator keeps one dictionary alive.
     """
     n, p = np.shape(x)
-    if n > _LOCKSTEP_MAX_ROWS:
-        return [solve_jp(x, y, lam, corruption_cols, g) for g in dictionaries]
-    gs = list(dictionaries)
-    if len({np.shape(g) for g in gs}) != 1:
+    gs = dictionaries if n > _LOCKSTEP_MAX_ROWS else list(dictionaries)
+    if n > _LOCKSTEP_MAX_ROWS or len({np.shape(g) for g in gs}) != 1:
         return [solve_jp(x, y, lam, corruption_cols, g) for g in gs]
 
     sols: list[Optional[JpSolution]] = [None] * len(gs)
     batch = []
     for i, g in enumerate(gs):
-        y, a_signed, costs, cols = _signed_block(x, y, lam, corruption_cols, g)
-        hint = _block_basis(a_signed, y, p, cols)
-        # the row flip of solve_lp, which makes b >= 0
-        flip = y < 0
-        b = np.where(flip, -y, y)
-        a_signed[flip] *= -1.0
-        start = None if hint is None else \
-            _checked_start(_basis_columns(a_signed, hint), b)
+        prob = formulate_jp(x, y, lam, corruption_cols, g)
+        a, b, c, start = _start(prob)
         if start is None:
-            sols[i] = solve_jp(x, y, lam, corruption_cols, g)
+            sols[i] = _jp_solution(*solve_lp(prob), p, g)
         else:
-            batch.append((i, a_signed, hint, *start))
+            batch.append((i, a, *start))
     if batch:
-        # the loop packs the stacked copy of the blocks in place, and each
-        # program is certified from its own block
-        a, basis, binv, xb = (np.stack(v) for v in list(zip(*batch))[1:])
-        c = np.concatenate([costs, costs])
+        # the programs share b, c and k; the loop packs a stacked copy of
+        # their pair blocks in place, and each is certified on its own a
+        k = prob.n_signed
+        basis, binv, xb = (np.stack(v) for v in list(zip(*batch))[2:])
         size = n + c.size  # rows plus columns of each split program
-        statuses, _ = _lockstep_loop(a, b, c, basis, binv, xb,
-                                     _PIVOTS_PER_COLUMN * size, 10 * size)
-        del a
-        for (i, a_signed, *_), end, status in zip(batch, basis, statuses):
-            split = np.hstack([a_signed, -a_signed])
+        statuses, _ = _lockstep_loop(
+            np.stack([a[:, :k] for _, a, *_ in batch]), b, c, basis, binv, xb,
+            _PIVOTS_PER_COLUMN * size, 10 * size)
+        for (i, a, *_), end, status in zip(batch, basis, statuses):
             sols[i] = _jp_solution(
-                *_finish(split, b, c, end, status, c.size), p, gs[i])
+                *_finish(a, b, c, end, status, c.size), p, gs[i])
     return sols

@@ -3,6 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from rlasszero.experiments import (
     metrics_to_csv,
     oracle_s_threshold,
     psr_indicator,
+    raw_to_csv,
     run_experiment,
     s_fdp,
     s_tpp,
@@ -308,3 +311,16 @@ def test_criterion_10_determinism_across_workers():
     csv1, csv2 = metrics_to_csv(r1), metrics_to_csv(r2)
     _report(10, csv1.encode() == csv2.encode(),
             "metrics CSV byte-identical for 1 and 2 workers")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fig1_outputs_pinned(workers):
+    """The fig1 run of criteria 7 and 10 gives the pinned metrics and raw
+    CSVs, byte for byte: a change of any pivot or RNG stream shows here."""
+    records, raw_rows = _fig1_run(workers)
+    for text, sha256 in (
+            (metrics_to_csv(records), "106f2b77fd73fb842061d7a5fb4f495f"
+                                      "cdcf9f992689c7ede1307c76428e68fa"),
+            (raw_to_csv(raw_rows), "df0028fd36288940210c8a95be31ed56"
+                                   "691a154632b8b8e9ec1f84ea6f3ccd9c")):
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256

@@ -22,11 +22,23 @@ class TestQutSpec:
         spec = QutSpec()
         assert spec.alpha == 0.05 and spec.n_mc == 500 and spec.lam == 1.0
 
+    # lambda and M by the rules of the fit that every draw runs
     @pytest.mark.parametrize("kw", [dict(alpha=0.0), dict(alpha=1.0),
-                                    dict(n_mc=10)])
+                                    dict(n_mc=10), dict(lam=np.nan),
+                                    dict(lam=-1.0), dict(lam=0.0),
+                                    dict(n_dictionaries=0)])
     def test_invalid_rejected(self, kw):
         with pytest.raises(InputError):
             QutSpec(**kw)
+
+    @pytest.mark.parametrize("kw", [dict(n_mc=50.5), dict(n_mc="50"),
+                                    dict(n_dictionaries=2.5),
+                                    dict(master_seed=1.5),
+                                    dict(master_seed=-1)])
+    def test_counts_and_seed_must_be_integers(self, kw):
+        with pytest.raises(InputError):
+            QutSpec(**kw)
+        QutSpec(**{name: np.int64(60) for name in kw})
 
 
 class TestPivotScale:

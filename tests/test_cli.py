@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rlasszero import SolverFailure, lp
+from rlasszero import SolverFailure, calibration, core, lp
 from rlasszero.calibration import QutSpec, qut_threshold
-from rlasszero.cli import main, read_design_csv, read_vector_csv
+from rlasszero.cli import build_parser, main, read_design_csv, \
+    read_vector_csv
 from rlasszero.core import RngStream, blas_threads, standardize_columns
 from rlasszero.missing import IncompleteMatrix, standardized_design
 
@@ -202,6 +203,37 @@ class TestQutCommand:
         assert json.loads(out.read_text())["pivot_quantile"] == want
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--lambda", "nan"], ["--lambda", "-1"], ["--lambda", "0"],
+        ["--dictionaries", "0"]])
+    def test_bad_setting_exit_2_before_any_draw(self, monkeypatch, tmp_path,
+                                                flags):
+        def no_pool(*args, **kw):
+            raise AssertionError("a calibration pool was started")
+
+        monkeypatch.setattr(calibration, "usable_cores", lambda: 2)
+        monkeypatch.setattr(core, "ProcessPoolExecutor", no_pool)
+        x_path = tmp_path / "X.csv"
+        write_design(x_path, RngStream(3, (203,)).generator()
+                     .standard_normal((12, 5)))
+        out = tmp_path / "q.json"
+        assert main(["qut", "--x", str(x_path), "--mc", "50", *flags,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+class TestSharedFlags:
+    def test_fit_and_qut_parse_the_same_defaults(self):
+        parser = build_parser()
+        fit = vars(parser.parse_args(["fit", "--x", "X.csv", "--y", "y.csv",
+                                      "--out", "o.json"]))
+        qut = vars(parser.parse_args(["qut", "--x", "X.csv",
+                                      "--out", "o.json"]))
+        shared = ("x", "alpha", "lam", "dictionaries",
+                  "restrict_corruption_rows", "seed", "out")
+        assert {k: fit[k] for k in shared} == {k: qut[k] for k in shared}
+
+
 class TestIdentifyCommand:
     def test_identifiable_instance(self, tmp_path):
         gen = RngStream(2, (205,)).generator()
@@ -337,6 +369,13 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "m.csv")]) == 2
 
+    def test_non_integer_count_exit_2(self, tmp_path):
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--config",
+                     self._config(tmp_path, replications=2.5),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text("{not json")
@@ -357,3 +396,11 @@ class TestExitCodes:
         monkeypatch.setattr(parser.__class__, "parse_args",
                             lambda self, argv=None: args)
         assert cli.main(["qut", "--x", "x.csv", "--out", "o.json"]) == 3
+
+    @pytest.mark.parametrize("tau", ["abc", ""])
+    def test_unparsable_tau_maps_to_2(self, instance, tmp_path, tau):
+        _, x_path, y_path, _ = instance
+        out = tmp_path / "o.json"
+        assert main(["fit", "--x", x_path, "--y", y_path, "--tau", tau,
+                     "--out", str(out)]) == 2
+        assert not out.exists()

@@ -96,6 +96,15 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             RlzConfig(**kw)
 
+    @pytest.mark.parametrize("kw", [dict(n_dictionaries=2.5),
+                                    dict(n_dictionaries="3"),
+                                    dict(master_seed=0.5),
+                                    dict(master_seed=-1)])
+    def test_counts_and_seed_must_be_integers(self, kw):
+        with pytest.raises(InputError):
+            RlzConfig(**kw)
+        RlzConfig(**{name: np.int64(3) for name in kw})
+
 
 def _small_instance(seed=0, n=25, p=12, s=2, k=2, sigma=0.0):
     gen = RngStream(seed, (41,)).generator()

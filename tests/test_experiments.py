@@ -118,6 +118,16 @@ class TestSimulationSpec:
         with pytest.raises(InputError):
             SimulationSpec(**kw)
 
+    @pytest.mark.parametrize("kw", [dict(replications=2.5), dict(s=1.5),
+                                    dict(n_dictionaries=2.5), dict(n="20"),
+                                    dict(p=200.0), dict(qut_mc=50.5),
+                                    dict(master_seed=1.5),
+                                    dict(master_seed=-1)])
+    def test_counts_and_seed_must_be_integers(self, kw):
+        with pytest.raises(InputError):
+            SimulationSpec(**kw)
+        SimulationSpec(**{name: np.int64(3) for name in kw})
+
     def test_mcar_forces_a_zero(self):
         spec = SimulationSpec(mechanism="mcar", a=5.0)
         assert spec.missingness().a == 0.0

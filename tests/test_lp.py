@@ -254,8 +254,8 @@ class TestCertification:
         assert solve_lp(prob)[2] == OPTIMAL
         refactor = lp._refactor
 
-        def perturbed(a, b, basis):
-            binv, xb = refactor(a, b, basis)
+        def perturbed(a_basis, b):
+            binv, xb = refactor(a_basis, b)
             return binv, xb + 1e-6
 
         monkeypatch.setattr(lp, "_refactor", perturbed)
@@ -390,12 +390,12 @@ class TestPivotPath:
     @pytest.mark.parametrize("bland_after", [0, 10 ** 6])
     def test_pivot_loop_called_directly(self, bland_after):
         prob = _qut_shaped(9)
-        m, n = prob.a.shape
-        start = (prob.basis, *lp._checked_start(prob.a[:, prob.basis], prob.b))
+        a, b, c, start = lp._start(prob)
+        m, n = a.shape
         runs = []
         for loop in (_PIVOT_LOOP, _REF_LOOP):
             basis, binv, xb = (v.copy() for v in start)
-            status = loop(prob.a, prob.b, prob.c, basis, binv, xb, n,
+            status = loop(a, b, c, basis, binv, xb, n,
                           prob.n_signed, 50 * (m + n), bland_after)
             runs.append((status, basis, binv, xb))
         (status, *arrays), (ref_status, *ref_arrays) = runs
@@ -505,12 +505,9 @@ class TestLockstep:
     def test_loop_called_directly(self, bland_after, rows, tiny):
         x, y, cols, gs = _fit_programs(9, 30, 60, rows, count=4, tiny=tiny)
         probs = [formulate_jp(x, y, 1.0, cols, g) for g in gs]
-        k, c = probs[0].n_signed, probs[0].c
-        flip = y < 0
-        b = np.where(flip, -y, y)
-        splits = [np.where(flip[:, None], -prob.a, prob.a) for prob in probs]
-        starts = [(prob.basis, *lp._checked_start(a[:, prob.basis], b))
-                  for prob, a in zip(probs, splits)]
+        k = probs[0].n_signed
+        splits, bs, cs, starts = zip(*map(lp._start, probs))
+        b, c = bs[0], cs[0]
         max_pivots = 50 * (30 + 2 * k)
         stacked = [np.stack(v) for v in zip(*starts)]
         statuses, pivots = _LOCKSTEP_LOOP(
