@@ -12,7 +12,8 @@ Design CSVs carry a header row of column names; missing entries are the
 literal token ``NA``. ``fit`` and ``qut`` solve on one OpenBLAS thread,
 so their output does not depend on the caller's thread setting; the
 calibration draws run on one process per usable core. Exit codes: 0
-success, 2 input error, 3 solver failure.
+success, 2 input error (an unwritable ``--out`` or ``--raw`` among them,
+caught before any work), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
+import os
 import sys
 
 import numpy as np
@@ -40,10 +43,14 @@ def _parse_cell(token: str, path: str, row: int, col: str) -> float:
     if token == "NA":
         return np.nan
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise InputError(f"{path}: row {row}, column {col!r}: "
                          f"cannot parse {token!r}") from None
+    if not math.isfinite(value):
+        raise InputError(f"{path}: row {row}, column {col!r}: {token!r} is "
+                         f"not finite; write NA for a missing entry")
+    return value
 
 
 def read_design_csv(path: str):
@@ -98,10 +105,28 @@ def read_vector_csv(path: str) -> np.ndarray:
     return np.array(vals)
 
 
+def _check_writable(path: str) -> None:
+    """InputError unless ``path`` names a file that can be written, so that
+    a bad output path fails before the work rather than after it."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise InputError(f"cannot write {path}: no directory {folder}")
+    if os.path.isdir(path):
+        raise InputError(f"cannot write {path}: it is a directory")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise InputError(f"cannot write {path}: permission denied")
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _cmd_fit(args) -> int:
@@ -157,11 +182,9 @@ def _cmd_simulate(args) -> int:
     except TypeError as exc:
         raise InputError(str(exc)) from None
     records, raw_rows = run_experiment(spec, workers=args.workers)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(metrics_to_csv(records))
+    _write_text(args.out, metrics_to_csv(records))
     if args.raw:
-        with open(args.raw, "w", encoding="utf-8", newline="") as fh:
-            fh.write(raw_to_csv(raw_rows))
+        _write_text(args.raw, raw_to_csv(raw_rows))
     return 0
 
 
@@ -260,6 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for path in (args.out, getattr(args, "raw", None)):
+            if path:
+                _check_writable(path)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -183,8 +183,8 @@ def run_tasks(fn: Callable, items: Sequence, workers: int) -> list:
     so that the last ones leave little to wait for, on a pool of forked
     processes that the call starts and closes, each on one OpenBLAS
     thread, since the workers already fill the cores. Forked, because a
-    spawned worker imports numpy, scipy and the package afresh: about 1 s
-    of CPU on a 2-core x86 machine, some 20 calibration draws at 50 x 100.
+    spawned worker imports numpy and the package afresh: about 0.5 s of
+    CPU on a 2-core x86 machine, some 10 calibration draws at 50 x 100.
     """
     items = list(items)
     if workers == 1 or multiprocessing.parent_process() is not None:

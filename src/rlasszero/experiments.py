@@ -16,6 +16,7 @@ import io
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from typing import Optional
 
 import numpy as np
 
@@ -131,12 +132,20 @@ class SimulationSpec:
     qut_mc: int = 500             # calibration draws under automatic tuning
 
     def __post_init__(self):
-        for name, minimum in (("n", 1), ("p", 1), ("s", 1),
+        # a column of one row is constant and cannot be standardized
+        for name, minimum in (("n", 2), ("p", 1), ("s", 1),
                               ("replications", 1), ("n_dictionaries", 1),
                               ("qut_mc", 1), ("master_seed", 0)):
             check_count(name, getattr(self, name), minimum)
         if self.s > self.p:
             raise InputError("need 1 <= s <= p")
+        if not 0.0 < self.beta_magnitude < np.inf:
+            raise InputError(f"beta_magnitude must be finite and > 0, "
+                             f"got {self.beta_magnitude}")
+        if not 0.0 <= self.sigma_noise < np.inf:
+            raise InputError(f"sigma_noise must be finite and >= 0, "
+                             f"got {self.sigma_noise}")
+        toeplitz_sigma(self.p, self.rho)  # rejects a rho outside [0, 1)
         if not 0.0 < self.pi < 1.0:
             raise InputError("pi must be in (0,1)")
         if self.mechanism not in _MECHANISMS:
@@ -147,14 +156,35 @@ class SimulationSpec:
         unknown = set(self.estimators) - set(_ESTIMATORS)
         if unknown:
             raise InputError(f"unknown estimators {sorted(unknown)}")
+        if not self.estimators:
+            raise InputError("need at least one estimator")
         if self.tuning == "automatic" and "tjp" in self.estimators:
             raise InputError("automatic tuning is undefined for tjp "
                              "(no noise dictionaries to pivotize with)")
+        # what every replication builds, so a bad setting fails here once
+        # instead of dropping each replication in turn
         self.missingness()  # rejects an (a, pi) that no intercept reaches
+        self.fit_config(0)
+        self.qut_spec()
 
     def missingness(self) -> MissingnessSpec:
         a = 0.0 if self.mechanism == "mcar" else self.a
         return MissingnessSpec(a=a, pi=self.pi)
+
+    def fit_config(self, r: int) -> RlzConfig:
+        """Settings of the rlass0 and lass0 fits of replication r."""
+        return RlzConfig(lam=self.lam,
+                         tau="qut" if self.tuning == "automatic" else 0.0,
+                         n_dictionaries=self.n_dictionaries,
+                         master_seed=self.master_seed, rng_path=(r, 4))
+
+    def qut_spec(self) -> Optional[QutSpec]:
+        """The calibration of automatic tuning; None under oracle_s."""
+        if self.tuning != "automatic":
+            return None
+        return QutSpec(alpha=self.alpha, n_mc=self.qut_mc, lam=self.lam,
+                       n_dictionaries=self.n_dictionaries,
+                       master_seed=self.master_seed)
 
 
 @dataclass
@@ -208,15 +238,8 @@ def _run_estimator(name: str, spec: SimulationSpec, x_std, y,
         tau = oracle_s_threshold(sol.beta, spec.s)
         return hard_threshold(sol.beta, tau)
 
-    cfg = RlzConfig(lam=spec.lam, tau=0.0,
-                    n_dictionaries=spec.n_dictionaries,
-                    master_seed=spec.master_seed, rng_path=(r, 4))
-    qut_spec = None
-    if spec.tuning == "automatic":
-        cfg.tau = "qut"
-        qut_spec = QutSpec(alpha=spec.alpha, n_mc=spec.qut_mc, lam=spec.lam,
-                           n_dictionaries=spec.n_dictionaries,
-                           master_seed=spec.master_seed)
+    cfg = spec.fit_config(r)
+    qut_spec = spec.qut_spec()
 
     if name == "rlass0":
         fit = rlz_with_missing(y, inc, cfg, qut_spec=qut_spec)

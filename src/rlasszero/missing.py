@@ -10,11 +10,11 @@ values more likely to be missing (MNAR).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .calibration import QutResult, QutSpec, qut_threshold
 from .core import RngStream, standardize_columns
@@ -28,6 +28,12 @@ _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(96)
 _BISECTION_TOL = 1e-10  # width at which the intercept bisection stops
 
 
+def _expit(z):
+    """Logistic function 1 / (1 + exp(-z)); 0 where exp(-z) overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 @dataclass
 class IncompleteMatrix:
     """Observed matrix with NaN at missing positions; the boolean mask is
@@ -39,6 +45,11 @@ class IncompleteMatrix:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         self.mask = np.isnan(self.values)
+        infinite = np.argwhere(np.isinf(self.values))
+        if infinite.size:
+            pos = tuple(int(k) for k in infinite[0])
+            raise InputError(f"entry {pos} is {self.values[pos]}; "
+                             f"only NaN marks a missing entry")
 
     @property
     def incomplete_rows(self) -> np.ndarray:
@@ -50,12 +61,12 @@ def logistic_missing_prob(x, a: float, b: float):
     """P(entry missing | value x) = 1 / (1 + exp(-a|x| - b))."""
     if a < 0:
         raise InputError(f"a must be >= 0, got {a}")
-    return expit(a * np.abs(x) + b)
+    return _expit(a * np.abs(x) + b)
 
 
 def _gh_expectation(a: float, b: float) -> float:
     """E[logistic_missing_prob(Z, a, b)] for Z ~ N(0,1), by Gauss-Hermite."""
-    vals = expit(a * np.abs(np.sqrt(2.0) * _GH_NODES) + b)
+    vals = _expit(a * np.abs(np.sqrt(2.0) * _GH_NODES) + b)
     return float((_GH_WEIGHTS * vals).sum() / np.sqrt(np.pi))
 
 
@@ -70,7 +81,7 @@ def solve_b_for_pi(a: float, pi: float) -> float:
     if a < 0:
         raise InputError(f"a must be >= 0, got {a}")
     if a == 0:
-        return float(logit(pi))
+        return math.log(pi / (1.0 - pi))
     lo, hi = -50.0, 50.0
     if not _gh_expectation(a, lo) < pi < _gh_expectation(a, hi):
         raise InputError(f"no intercept b in [{lo:g}, {hi:g}] gives a missing "

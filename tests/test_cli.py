@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,15 @@ class TestCsvReaders:
         p.write_text("a\n1.0\noops\n")
         from rlasszero import InputError
         with pytest.raises(InputError, match="row 2"):
+            read_design_csv(str(p))
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "nan"])
+    def test_non_finite_token_rejected(self, tmp_path, token):
+        # only the NA token marks a missing entry
+        p = tmp_path / "m.csv"
+        p.write_text(f"a,b\n1.0,2.0\n3.0,{token}\n")
+        from rlasszero import InputError
+        with pytest.raises(InputError, match="row 2, column 'b'"):
             read_design_csv(str(p))
 
     def test_ragged_row_rejected(self, tmp_path):
@@ -376,6 +386,22 @@ class TestSimulateCommand:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("kw", [
+        dict(lam=0), dict(rho=1.5), dict(tuning="automatic", qut_mc=10,
+                                         estimators=["rlass0"]),
+        dict(tuning="automatic", alpha=2, estimators=["rlass0"]),
+        dict(beta_magnitude=0), dict(estimators=[]), dict(sigma_noise=-1)])
+    def test_setting_every_replication_rejects_exit_2(self, tmp_path, kw):
+        # rejected once, up front: no replication runs and is dropped
+        out = tmp_path / "m.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "--config",
+                         self._config(tmp_path, replications=3, **kw),
+                         "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert not [w for w in caught if "dropped" in str(w.message)]
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text("{not json")
@@ -404,3 +430,76 @@ class TestExitCodes:
         assert main(["fit", "--x", x_path, "--y", y_path, "--tau", tau,
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("fit", "--out"), ("qut", "--out"), ("simulate", "--out"),
+        ("simulate", "--raw"), ("identify", "--out")])
+    def test_unwritable_output_exit_2_before_the_work(
+            self, monkeypatch, instance, tmp_path, capsys, command, flag):
+        import rlasszero.cli as cli
+
+        def no_work(*args, **kw):
+            raise AssertionError("the work started")
+
+        for name in ("rlz_with_missing", "qut_threshold", "run_experiment",
+                     "check_identifiability"):
+            monkeypatch.setattr(cli, name, no_work)
+        _, x_path, y_path, _ = instance
+        write_vector(tmp_path / "theta.csv", np.zeros(8))
+        write_vector(tmp_path / "tt.csv", np.zeros(25))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(n=25, p=15, s=2, replications=2,
+                                        estimators=["tjp"])))
+        inputs = {"fit": ["--x", x_path, "--y", y_path],
+                  "qut": ["--x", x_path],
+                  "simulate": ["--config", str(spec)],
+                  "identify": ["--x", x_path, "--theta",
+                               str(tmp_path / "theta.csv"), "--theta-tilde",
+                               str(tmp_path / "tt.csv")]}[command]
+        bad = str(tmp_path / "no_such_dir" / "o")
+        argv = [command, *inputs, "--out",
+                bad if flag == "--out" else str(tmp_path / "m.csv")]
+        if flag == "--raw":
+            argv += ["--raw", bad]
+        assert main(argv) == 2
+        assert "no_such_dir" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_write_failure_maps_to_2(self, monkeypatch, tmp_path, capsys):
+        import rlasszero.cli as cli
+
+        # an output that passes the check and still cannot be written
+        monkeypatch.setattr(cli, "_check_writable", lambda path: None)
+        n, p = 10, 4
+        write_design(tmp_path / "X.csv",
+                     RngStream(2, (205,)).generator().standard_normal((n, p)))
+        write_vector(tmp_path / "theta.csv", np.array([1.0, 0, 0, 0]))
+        write_vector(tmp_path / "tt.csv", np.zeros(n))
+        code = main(["identify", "--x", str(tmp_path / "X.csv"),
+                     "--theta", str(tmp_path / "theta.csv"),
+                     "--theta-tilde", str(tmp_path / "tt.csv"),
+                     "--out", str(tmp_path / "gone" / "v.json")])
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "qut", "identify"])
+    def test_infinite_design_cell_exit_2(self, tmp_path, capsys, command):
+        gen = RngStream(6, (211,)).generator()
+        n, p = 20, 8
+        x = gen.standard_normal((n, p))
+        x[4, 2] = np.inf
+        write_design(tmp_path / "X.csv", x)
+        write_vector(tmp_path / "y.csv", gen.standard_normal(n))
+        write_vector(tmp_path / "theta.csv", np.zeros(p))
+        write_vector(tmp_path / "tt.csv", np.zeros(n))
+        inputs = {"fit": ["--y", str(tmp_path / "y.csv"), "--tau", "0.5"],
+                  "qut": ["--mc", "50"],
+                  "identify": ["--theta", str(tmp_path / "theta.csv"),
+                               "--theta-tilde", str(tmp_path / "tt.csv")]}
+        out = tmp_path / "o.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--x", str(tmp_path / "X.csv"),
+                         *inputs[command], "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert "row 5, column 'v2'" in capsys.readouterr().err

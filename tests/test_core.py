@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -122,14 +123,25 @@ class TestStandardizeColumns:
         assert np.abs(standardize_columns(once) - once).max() < 1e-12
 
 
-def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg loads scipy's own OpenBLAS next to numpy's: more memory,
-    # and a second thread pool that the BLAS thread setting does not reach
+def test_import_loads_numpy_alone():
+    # scipy brings its own OpenBLAS next to numpy's: more start-up time and
+    # memory, and a second thread pool that the BLAS thread setting does
+    # not reach
     src = str(Path(__file__).resolve().parents[1] / "src")
     paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    code = ("import sys, rlasszero, rlasszero.cli; "
-            "print('scipy.linalg' in sys.modules)")
+    code = ("import json, os, sys, rlasszero, rlasszero.cli\n"
+            "maps = set()\n"
+            "if os.path.exists('/proc/self/maps'):\n"
+            "    with open('/proc/self/maps') as fh:\n"
+            "        maps = {line.split()[-1] for line in fh\n"
+            "                if 'openblas' in os.path.basename(line.split()[-1])}\n"
+            "print(json.dumps({'scipy': sorted(m for m in sys.modules\n"
+            "                                  if m.split('.')[0] == 'scipy'),\n"
+            "                  'openblas': sorted(maps)}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    loaded = json.loads(out.stdout)
+    assert loaded["scipy"] == []
+    if sys.platform.startswith("linux"):
+        assert len(loaded["openblas"]) == 1, loaded["openblas"]

@@ -128,6 +128,25 @@ class TestSimulationSpec:
             SimulationSpec(**kw)
         SimulationSpec(**{name: np.int64(3) for name in kw})
 
+    # settings that every replication would reject, one by one, if the
+    # spec let them through
+    @pytest.mark.parametrize("kw", [
+        dict(n=1), dict(lam=0), dict(lam=float("nan")), dict(rho=1.5),
+        dict(rho=-0.1), dict(n_dictionaries=2, tuning="automatic", qut_mc=10),
+        dict(tuning="automatic", alpha=2), dict(beta_magnitude=0),
+        dict(beta_magnitude=float("inf")), dict(sigma_noise=-1),
+        dict(sigma_noise=float("nan")), dict(estimators=())])
+    def test_setting_every_replication_rejects(self, kw):
+        with pytest.raises(InputError):
+            SimulationSpec(**kw)
+
+    @pytest.mark.parametrize("kw", [dict(sigma_noise=0.0), dict(alpha=2),
+                                    dict(qut_mc=10)])
+    def test_settings_unused_by_the_fits_accepted(self, kw):
+        # noiseless data is a valid design; oracle_s tuning runs no
+        # calibration, so its alpha and qut_mc are never read
+        SimulationSpec(**kw)
+
     def test_mcar_forces_a_zero(self):
         spec = SimulationSpec(mechanism="mcar", a=5.0)
         assert spec.missingness().a == 0.0

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import expit
 
 import inspect
+import warnings
 
 import rlasszero.calibration as calibration
 import rlasszero.missing as missing
@@ -40,6 +41,12 @@ class TestIncompleteMatrix:
         inc = IncompleteMatrix(vals)
         np.testing.assert_array_equal(inc.incomplete_rows, [1, 2])
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_entry_rejected(self, value):
+        # NaN marks a missing entry; an infinite one is an input error
+        with pytest.raises(InputError, match=r"\(1, 0\)"):
+            IncompleteMatrix(np.array([[1.0, NA], [value, 4.0]]))
+
 
 class TestLogisticProb:
     def test_symmetric_center(self):
@@ -47,6 +54,21 @@ class TestLogisticProb:
 
     def test_large_negative_b_limit(self):
         assert logistic_missing_prob(0.0, 0.0, -100.0) < 1e-40
+
+    def test_overflowing_b_gives_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = logistic_missing_prob(np.array([0.0, 2.0]), 1.0, -1000.0)
+        np.testing.assert_array_equal(probs, [0.0, 0.0])
+
+    def test_within_two_ulps_of_scipy_expit(self):
+        # numpy's exp is not the C library's: the two expits part in the
+        # last bits, never further
+        z = np.linspace(-40.0, 40.0, 20001)
+        for a, b in ((1.0, -40.0), (1.0, 0.0), (5.0, -2.0)):
+            np.testing.assert_array_max_ulp(logistic_missing_prob(z, a, b),
+                                            expit(a * np.abs(z) + b),
+                                            maxulp=2)
 
     def test_mnar_value(self):
         assert logistic_missing_prob(1.0, 5.0, 0.0) == pytest.approx(
