@@ -21,6 +21,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
+import io
 import json
 import math
 import os
@@ -38,6 +40,22 @@ from .experiments import SimulationSpec, metrics_to_csv, raw_to_csv, \
 from .missing import IncompleteMatrix, rlz_with_missing, standardized_design
 
 
+# the bytes a data row of plain decimal numbers and NA is made of
+_NUMBER_BYTES = b"0123456789.+-eENA, \t\r\n"
+
+
+def _open_text(path: str) -> io.StringIO:
+    """The decoded text of ``path``; a leading UTF-8 byte order mark is
+    dropped and line endings are kept, as ``csv`` wants them."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return io.StringIO(fh.read(), newline="")
+    except OSError as exc:
+        raise InputError(f"cannot open {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
+
+
 def _parse_cell(token: str, path: str, row: int, col: str) -> float:
     token = token.strip()
     if token == "NA":
@@ -53,54 +71,89 @@ def _parse_cell(token: str, path: str, row: int, col: str) -> float:
     return value
 
 
-def read_design_csv(path: str):
-    """Read a design matrix CSV; returns (matrix with NaN for NA, names)."""
+def _numeric_rows(data: str, n_cols: int):
+    """The data rows in one numpy pass, or None when a cell needs
+    :func:`_parse_cell`.
+
+    Only plain decimal numbers and ``NA`` take this path: any other letter,
+    a quote, ``_`` or ``#`` sends the file to the per-cell reader, as does a
+    cell numpy rejects, a row of the wrong width or an infinite value.
+    ``NA`` becomes ``+nan``, so a cell is NaN only if it was ``NA`` alone:
+    a stray ``N``, ``A`` or sign next to it leaves a cell numpy rejects.
+    numpy and ``float`` both convert with CPython's correctly rounded
+    string-to-double, so the two paths return the same bytes.
+    """
+    if not data.isascii() or \
+            data.encode("ascii").translate(None, _NUMBER_BYTES):
+        return None
+    if "NA" in data:
+        data = data.replace("NA", "+nan")
+    lines = data.splitlines()
+    n_rows = len(lines) - lines.count("")
+    if not n_rows:
+        return None
     try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot open {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            names = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        names = [c.strip() for c in names]
-        rows = []
-        for i, rec in enumerate(reader, start=1):
-            if not rec:
-                continue
-            if len(rec) != len(names):
-                raise InputError(f"{path}: row {i} has {len(rec)} fields, "
-                                 f"expected {len(names)}")
-            rows.append([_parse_cell(tok, path, i, names[j])
-                         for j, tok in enumerate(rec)])
+        x = np.loadtxt(lines, delimiter=",", comments=None, dtype=float,
+                       ndmin=2)
+    except ValueError:
+        return None
+    if x.shape != (n_rows, n_cols) or np.isinf(x).any():
+        return None
+    return x
+
+
+def read_design_csv(path: str):
+    """Read a design matrix CSV; returns (matrix with NaN for NA, names).
+
+    A file of plain decimal numbers and ``NA`` is converted in one numpy
+    pass; any other file is read cell by cell, which names the row and
+    column of the first bad cell.
+    """
+    text = _open_text(path)
+    reader = csv.reader(text)
+    try:
+        names = next(reader)
+    except StopIteration:
+        raise InputError(f"{path}: empty file") from None
+    names = [c.strip() for c in names]
+    data = text.read()
+    x = _numeric_rows(data, len(names))
+    if x is not None:
+        return x, names
+    rows = []
+    for i, rec in enumerate(csv.reader(io.StringIO(data, newline="")),
+                            start=1):
+        if not rec:
+            continue
+        if len(rec) != len(names):
+            raise InputError(f"{path}: row {i} has {len(rec)} fields, "
+                             f"expected {len(names)}")
+        rows.append([_parse_cell(tok, path, i, names[j])
+                     for j, tok in enumerate(rec)])
     if not rows:
         raise InputError(f"{path}: no data rows")
     return np.array(rows, dtype=float), names
 
 
 def read_vector_csv(path: str) -> np.ndarray:
-    """One value per line; a single non-numeric first line is skipped."""
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot open {path}: {exc}") from None
-    with fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    """One value per line; a single non-numeric first line is skipped. A
+    line with more than one comma-separated field is an input error.
+    Errors give the line number in the file, blank lines counted."""
+    lines = [(i, ln.strip()) for i, ln in enumerate(_open_text(path), start=1)
+             if ln.strip()]
     if not lines:
         raise InputError(f"{path}: empty file")
-    start = 0
-    try:
-        float(lines[0].split(",")[0])
-    except ValueError:
-        start = 1
     vals = []
-    for i, ln in enumerate(lines[start:], start=start + 1):
-        tok = ln.split(",")[0].strip()
+    for k, (i, tok) in enumerate(lines):
+        if "," in tok:
+            raise InputError(f"{path}: line {i} has "
+                             f"{tok.count(',') + 1} fields; expected one "
+                             f"value per line")
         try:
             vals.append(float(tok))
         except ValueError:
+            if k == 0:  # a header
+                continue
             raise InputError(f"{path}: line {i}: cannot parse {tok!r}") from None
     return np.array(vals)
 
@@ -153,6 +206,7 @@ def _cmd_fit(args) -> int:
     _write_json(args.out, {
         "beta_hat": fit.beta_hat.tolist(),
         "beta_med": fit.beta_med.tolist(),
+        "column_scales": fit.column_scales.tolist(),
         "omega_med": None if omega_full is None else omega_full.tolist(),
         "tau_used": fit.tau_used,
         "lambda": args.lam,
@@ -280,8 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: parsing leaves it as it was, so a
+    process that calls :func:`main` many times builds it once."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         for path in (args.out, getattr(args, "raw", None)):
             if path:

@@ -1,15 +1,18 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rlasszero import SolverFailure, calibration, core, lp
+from rlasszero import InputError, SolverFailure, calibration, cli, core, lp
 from rlasszero.calibration import QutSpec, qut_threshold
 from rlasszero.cli import build_parser, main, read_design_csv, \
     read_vector_csv
@@ -95,6 +98,192 @@ class TestCsvReaders:
         np.testing.assert_array_equal(read_vector_csv(str(p)), [1.0, -2.0])
 
 
+def cell_by_cell_read(path):
+    """The design reader as it was before the one-pass conversion: every
+    cell through ``float``, the file opened as plain UTF-8. The tests hold
+    ``read_design_csv`` to its results and error messages."""
+    def parse(token, row, col):
+        token = token.strip()
+        if token == "NA":
+            return np.nan
+        try:
+            value = float(token)
+        except ValueError:
+            raise InputError(f"{path}: row {row}, column {col!r}: "
+                             f"cannot parse {token!r}") from None
+        if not math.isfinite(value):
+            raise InputError(f"{path}: row {row}, column {col!r}: {token!r} "
+                             f"is not finite; write NA for a missing entry")
+        return value
+
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot open {path}: {exc}") from None
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            names = next(reader)
+        except StopIteration:
+            raise InputError(f"{path}: empty file") from None
+        names = [c.strip() for c in names]
+        rows = []
+        for i, rec in enumerate(reader, start=1):
+            if not rec:
+                continue
+            if len(rec) != len(names):
+                raise InputError(f"{path}: row {i} has {len(rec)} fields, "
+                                 f"expected {len(names)}")
+            rows.append([parse(tok, i, names[j]) for j, tok in enumerate(rec)])
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    return np.array(rows, dtype=float), names
+
+
+def _repr_rows(x):
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in x)
+
+
+_DOUBLES = RngStream(0, (215,)).generator().standard_normal((6, 5)) \
+    * np.logspace(-8, 8, 5)
+
+# name -> (file bytes, whether the one numpy pass reads it)
+READER_CORPUS = {
+    "repr_doubles": ("a,b,c,d,e\n" + _repr_rows(_DOUBLES), True),
+    "number_forms": ("a,b,c,d\n0.1,.5,5.,+3\n-0,1E+05,5e-324,1e-310\n",
+                     True),
+    "na_cells": ("a,b,c\n1.5,NA,NA\n NA ,2,NA\n3,\tNA\t,NA\n", True),
+    "na_glued_to_a_sign": ("a,b\n1,-NA\n", False),
+    "na_plus_sign": ("a,b\n+NA,1\n", False),
+    "na_twice_in_a_cell": ("a,b\n1,NA NA\n", False),
+    "na_letters_around": ("a,b\n1,NAN\n2,ANA\n", False),
+    "quoted_cells": ('a,b\n"1.5","2"\n3," 4 "\n', False),
+    "quoted_header_with_commas": ('"x, first","y,second"\n1,2\n3,4\n',
+                                  True),
+    "crlf": ("a,b\r\n1.25,2\r\n3,NA\r\n", True),
+    "bare_cr": ("a,b\r1.25,2\r3,4\r", True),
+    "blank_lines_between_rows": ("a,b\n\n1,2\n\n\n3,4\n\n", True),
+    "blank_lines_before_a_bad_cell": ("a,b\n\n1,2\n\n3,x\n", False),
+    "whitespace_line": ("a,b\n1,2\n   \n3,4\n", False),
+    "whitespace_line_one_column": ("a\n1\n \t\n2\n", False),
+    "trailing_comma": ("a,b\n1,2,\n", False),
+    "ragged_row": ("a,b,c\n1,2,3\n4,5\n", False),
+    "every_row_short": ("a,b,c\n1,2\n4,5\n", False),
+    "empty_cell": ("a,b\n1,\n", False),
+    "nan_cell": ("a,b\n1,nan\n", False),
+    "inf_cell": ("a,b\ninf,1\n", False),
+    "minus_infinity_cell": ("a,b\n1,2\n-Infinity,3\n", False),
+    "overflowing_cell": ("a,b\n1,2\n3,1e999\n", False),
+    "comment_line": ("a,b\n# a note\n1,2\n", False),
+    "underscore_digits": ("a,b\n1_000,2\n", False),
+    "header_only": ("a,b\n", False),
+    "header_and_blank_lines": ("a,b\n\n\n", False),
+    "empty_file": ("", False),
+    "single_row": ("a,b,c\n1,-2.5,NA\n", True),
+    "single_column": ("a\n1\nNA\n-3e-5\n", True),
+    "single_cell": ("a\n7\n", True),
+    "lone_sign_and_dot": ("a,b,c\n+,.,e\n", False),
+    "non_ascii_digit": ("a,b\n1,\u0663\n", False),
+    "byte_order_mark": ("\ufeffx0,x1\n1.5,NA\n2.5,3\n", True),
+}
+
+
+class TestDesignReaderCorpus:
+    @pytest.mark.parametrize("name", READER_CORPUS)
+    def test_same_result_as_the_cell_by_cell_reader(self, monkeypatch,
+                                                    tmp_path, name):
+        text, one_pass = READER_CORPUS[name]
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        calls, parse_cell = [], cli._parse_cell
+
+        def counted(*args):
+            calls.append(args)
+            return parse_cell(*args)
+
+        monkeypatch.setattr(cli, "_parse_cell", counted)
+        try:
+            want = cell_by_cell_read(str(path))
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                read_design_csv(str(path))
+            assert str(got.value) == str(exc)
+            return
+        x, names = read_design_csv(str(path))
+        if name == "byte_order_mark":
+            # the one intended difference: the mark is not part of a name
+            assert want[1][0] == "\ufeffx0"
+            want[1][0] = "x0"
+        assert names == want[1]
+        assert x.dtype == want[0].dtype and x.shape == want[0].shape
+        assert x.tobytes() == want[0].tobytes()
+        assert (not calls) == one_pass
+
+    def test_undecodable_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"a,b\n1,\xff\n")
+        with pytest.raises(InputError, match="not UTF-8"):
+            read_design_csv(str(path))
+        assert main(["identify", "--x", str(path), "--theta", str(path),
+                     "--theta-tilde", str(path),
+                     "--out", str(tmp_path / "o.json")]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda p: st.lists(
+        st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.just(None)), min_size=p, max_size=p),
+        min_size=1, max_size=8)))
+    def test_random_repr_doubles(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("doubles") / "m.csv"
+        p = len(rows[0])
+        path.write_text(",".join(f"v{j}" for j in range(p)) + "\n" + "".join(
+            ",".join("NA" if v is None else repr(v) for v in row) + "\n"
+            for row in rows))
+        want = np.array([[np.nan if v is None else v for v in row]
+                         for row in rows])
+        with mock.patch.object(cli, "_parse_cell",
+                               side_effect=AssertionError("cell by cell")):
+            x, _ = read_design_csv(str(path))
+        assert x.tobytes() == want.tobytes()
+        assert x.tobytes() == cell_by_cell_read(str(path))[0].tobytes()
+
+
+class TestVectorReader:
+    def test_two_columns_rejected(self, tmp_path):
+        path = tmp_path / "y.csv"
+        path.write_text("id,y\n1,2.5\n2,-3.1\n3,0.7\n")
+        with pytest.raises(InputError, match=r"y\.csv: line 1 has 2 fields"):
+            read_vector_csv(str(path))
+        path.write_text("y\n2.5\n\n-3.1,7\n")
+        with pytest.raises(InputError, match=r"y\.csv: line 4 has 2 fields"):
+            read_vector_csv(str(path))
+
+    def test_error_names_the_line_of_the_file(self, tmp_path):
+        path = tmp_path / "y.csv"
+        path.write_text("y\n\n1\nx\n")
+        with pytest.raises(InputError, match=r"line 4: cannot parse 'x'"):
+            read_vector_csv(str(path))
+
+    def test_two_column_response_exit_2(self, instance, tmp_path, capsys):
+        _, x_path, _, _ = instance
+        y_path = tmp_path / "y2.csv"
+        y_path.write_text("".join(f"{i},{0.1 * i}\n" for i in range(25)))
+        out = tmp_path / "o.json"
+        assert main(["fit", "--x", x_path, "--y", str(y_path), "--tau", "0.5",
+                     "--out", str(out)]) == 2
+        assert "line 1 has 2 fields" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        path = tmp_path / "y.csv"
+        path.write_bytes("\ufeff1.5\n2.5\n3.5\n".encode("utf-8"))
+        np.testing.assert_array_equal(read_vector_csv(str(path)),
+                                      [1.5, 2.5, 3.5])
+        path.write_bytes("\ufeffy\r\n1.5\r\n".encode("utf-8"))
+        np.testing.assert_array_equal(read_vector_csv(str(path)), [1.5])
+
+
 class TestFitCommand:
     def test_fit_json_fields(self, instance):
         tmp, x_path, y_path, beta0 = instance
@@ -104,8 +293,9 @@ class TestFitCommand:
                      "--seed", "3", "--out", str(out)])
         assert code == 0
         d = json.loads(out.read_text())
-        assert set(d) == {"beta_hat", "beta_med", "omega_med", "tau_used",
-                          "lambda", "M", "seed", "per_dictionary_status"}
+        assert set(d) == {"beta_hat", "beta_med", "column_scales",
+                          "omega_med", "tau_used", "lambda", "M", "seed",
+                          "per_dictionary_status"}
         assert len(d["beta_hat"]) == 8
         assert len(d["omega_med"]) == 25  # original row indexing
         assert d["M"] == 4 and d["seed"] == 3
@@ -139,6 +329,27 @@ class TestFitCommand:
                            env=env, check=True)
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_column_scales_map_back_to_the_csv_columns(self, instance,
+                                                       tmp_path):
+        # a column ten times larger has a ten times larger scale and the
+        # same standardized coefficient
+        _, x_path, y_path, _ = instance
+        x, _ = read_design_csv(x_path)
+        x[:, 0] *= 10
+        write_design(tmp_path / "X10.csv", x, np.isnan(x))
+        fits = []
+        for design in (x_path, tmp_path / "X10.csv"):
+            out = tmp_path / "fit.json"
+            assert main(["fit", "--x", str(design), "--y", y_path,
+                         "--tau", "0.5", "--dictionaries", "5",
+                         "--out", str(out)]) == 0
+            fits.append(json.loads(out.read_text()))
+        before, after = (np.array(f["column_scales"]) for f in fits)
+        np.testing.assert_allclose(after[0], 10 * before[0], rtol=1e-12)
+        np.testing.assert_allclose(after[1:], before[1:], rtol=1e-12)
+        np.testing.assert_allclose(fits[1]["beta_hat"], fits[0]["beta_hat"],
+                                   rtol=1e-9, atol=1e-12)
 
     def test_missing_file_exit_2(self, tmp_path):
         code = main(["fit", "--x", "nope.csv", "--y", "nope.csv",
@@ -242,6 +453,25 @@ class TestSharedFlags:
         shared = ("x", "alpha", "lam", "dictionaries",
                   "restrict_corruption_rows", "seed", "out")
         assert {k: fit[k] for k in shared} == {k: qut[k] for k in shared}
+
+
+class TestParserReuse:
+    def test_two_calls_build_the_parser_once(self, monkeypatch, tmp_path):
+        built = []
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert main(["qut", "--x", str(tmp_path / "none.csv"),
+                             "--out", str(tmp_path / "o.json")]) == 2
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
 
 
 class TestIdentifyCommand:
