@@ -1,21 +1,26 @@
 """Exact identifiability and null-space-property certification.
 
+Both certificates work on one null space, that of A = [X, sqrt(n)/lambda I]
+with unit weights. It is the null space of the paper's [X, sqrt(n) I] with
+weights (1, lambda), after the exact rescaling omega' = lambda * omega.
+
 A sign pair (theta for the coefficients, theta_tilde for the corruption)
 is identifiable when the corruption-aware l1 problem has that signed pair
 as its unique solution at noiseless data. The certificate used here is
 the classical null-space characterization: for every nonzero (beta, omega)
-with X beta + sqrt(n)/lambda * omega = 0,
+with A (beta, omega) = 0,
 
     |theta' beta + theta_tilde' omega| < ||beta_off||_1 + ||omega_off||_1,
 
-where "off" is the complement of the sign supports. Since omega is a
-linear function of beta on that null set, the worst case is found exactly
-by linear programming over the slice ||nu_off||_1 <= 1, after checking
-that the on-support columns are linearly independent.
+where "off" is the complement of the sign supports. The worst case is
+found exactly by linear programming over the slice ||nu_off||_1 <= 1,
+after checking that the on-support columns are linearly independent.
+The stable null-space property solves it once per sign pattern.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,28 +48,46 @@ def _check_signs(v: np.ndarray, name: str) -> np.ndarray:
     return v.astype(float)
 
 
-def _max_inner_product_lp(a_null: np.ndarray, h: np.ndarray,
-                          off_weights: np.ndarray):
-    """Solve max h'nu s.t. a_null nu = 0, sum_off w_j |nu_j| <= 1.
+def _null_space_matrix(x: np.ndarray, lam: float) -> np.ndarray:
+    """[X, sqrt(n)/lam I], for a finite 2-D design and a finite lam > 0."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or not np.isfinite(x).all():
+        raise InputError("the design must be a 2-D array of finite numbers")
+    if not 0 < lam < np.inf:
+        raise InputError(f"lambda must be finite and > 0, got {lam}")
+    return np.hstack([x, (np.sqrt(len(x)) / lam) * np.eye(len(x))])
 
-    ``off_weights`` is zero on the support (entries excluded from the
-    budget) and the weight w_j > 0 off support. Returns (value, nu) or
-    (inf, None) when unbounded.
+
+def _support_mask(indices, size: int, name: str) -> np.ndarray:
+    """Boolean mask of ``indices``, each an integer in [0, size)."""
+    mask = np.zeros(size, dtype=bool)
+    for i in indices:
+        if not isinstance(i, numbers.Integral) or not 0 <= i < size:
+            raise InputError(f"{name} index {i!r} is not in range({size})")
+        mask[i] = True
+    return mask
+
+
+def _max_inner_product_lp(a_null: np.ndarray, h: np.ndarray,
+                          on: np.ndarray):
+    """Solve max h'nu s.t. a_null nu = 0, ||nu_off||_1 <= 1.
+
+    ``on`` masks the support, whose entries are left out of the budget.
+    Returns (value, nu) or (inf, None) when unbounded.
     """
     m, k = a_null.shape
     # split nu = u - v, slack t for the budget row
     a = np.zeros((m + 1, 2 * k + 1))
     a[:m, :k] = a_null
     a[:m, k:2 * k] = -a_null
-    a[m, :k] = off_weights
-    a[m, k:2 * k] = off_weights
+    a[m, :2 * k] = np.tile(~on, 2)
     a[m, 2 * k] = 1.0
     b = np.zeros(m + 1)
     b[m] = 1.0
     c = np.zeros(2 * k + 1)
     c[:k] = -h
     c[k:2 * k] = h
-    # the budget row puts +w_j under both halves, so column k + j is not
+    # the budget row puts +1 under both halves, so column k + j is not
     # minus column j: the pairs are not declared and every column is priced
     x, obj, status = solve_lp(LpProblem(a=a, b=b, c=c))
     if status == "unbounded":
@@ -80,49 +103,39 @@ def check_identifiability(x: np.ndarray, theta: np.ndarray,
     """Certify whether the sign pair is identifiable for the given design.
 
     The verdict is exact up to a 1e-9 dead band: a worst-case value inside
-    the band is reported as inconclusive rather than guessed.
+    the band is reported as inconclusive rather than guessed. A design
+    that is not finite and 2-D, a lambda that is not finite and > 0, and
+    sign vectors of other entries or lengths raise InputError.
     """
-    x = np.asarray(x, dtype=float)
-    n, p = x.shape
+    a_null = _null_space_matrix(x, lam)
+    n, k = a_null.shape
+    p = k - n
     theta = _check_signs(theta, "theta")
     theta_tilde = _check_signs(theta_tilde, "theta_tilde")
     if theta.shape != (p,) or theta_tilde.shape != (n,):
         raise InputError("sign vector lengths must match the design shape")
-    if not 0 < lam < np.inf:
-        raise InputError(f"lambda must be finite and > 0, got {lam}")
-
-    a_null = np.hstack([x, (np.sqrt(n) / lam) * np.eye(n)])
     h = np.concatenate([theta, theta_tilde])
     support = h != 0.0
 
     # on-support columns must be independent, otherwise a null vector
-    # supported inside (S, T) kills uniqueness outright
+    # supported inside (S, T) kills uniqueness outright: the value is +inf
     a_on = a_null[:, support]
-    if a_on.shape[1]:
-        _, sing, vt = np.linalg.svd(a_on)
-        rank_tol = max(a_on.shape) * (sing[0] if sing.size else 0.0) * 1e-12
-        if a_on.shape[1] > (sing > rank_tol).sum():
-            nu = np.zeros(p + n)
-            nu[support] = vt[-1]
-            return IdentifiabilityVerdict(
-                identifiable=False, witness=(nu[:p], nu[p:]),
-                method="sign_pattern_lp", margin=-np.inf)
-
-    off_weights = (~support).astype(float)
-    value, nu = _max_inner_product_lp(a_null, h, off_weights)
+    _, sing, vt = np.linalg.svd(a_on)
+    rank_tol = max(a_on.shape) * sing.max(initial=0.0) * 1e-12
+    if a_on.shape[1] > (sing > rank_tol).sum():
+        value, nu = np.inf, np.zeros(k)
+        nu[support] = vt[-1]
+    else:
+        value, nu = _max_inner_product_lp(a_null, h, support)
     margin = 1.0 - value
-    if margin > _STRICTNESS:
-        return IdentifiabilityVerdict(identifiable=True, witness=None,
-                                      method="sign_pattern_lp", margin=margin)
-    witness = None if nu is None else (nu[:p], nu[p:])
-    if margin < -_STRICTNESS or not np.isfinite(margin):
-        return IdentifiabilityVerdict(identifiable=False, witness=witness,
-                                      method="sign_pattern_lp", margin=margin)
+    identifiable = bool(margin > _STRICTNESS)
     # dead band: uniqueness cannot be certified, so the conservative
     # verdict is non-identifiable, flagged inconclusive
-    return IdentifiabilityVerdict(identifiable=False, witness=witness,
-                                  method="sign_pattern_lp", margin=margin,
-                                  inconclusive=True)
+    return IdentifiabilityVerdict(
+        identifiable=identifiable,
+        witness=None if identifiable or nu is None else (nu[:p], nu[p:]),
+        method="sign_pattern_lp", margin=margin,
+        inconclusive=bool(not identifiable and margin >= -_STRICTNESS))
 
 
 def check_stable_nsp(x: np.ndarray, s0, t0, lam: float = 1.0,
@@ -133,47 +146,32 @@ def check_stable_nsp(x: np.ndarray, s0, t0, lam: float = 1.0,
         ||beta_S||_1 + lam ||omega_T||_1
             <= rho_nsp (||beta_off||_1 + lam ||omega_off||_1)
 
-    for every (beta, omega) with X beta + sqrt(n) omega = 0. One LP is
-    solved per sign pattern on the (S, T) support, so the budget is
-    2^(|S|+|T|) patterns.
+    for every (beta, omega) with X beta + sqrt(n) omega = 0: the module's
+    program with h = +-1 on the (S, T) support, one LP per sign pattern.
+    h and -h give the same value, so ``budget`` counts the 2^(|S|+|T|-1)
+    LPs whose first sign is +1. Bad x or lam (as in check_identifiability),
+    S or T entries that are not indices, or a rho_nsp that is not finite
+    and >= 0 raise InputError.
     """
-    x = np.asarray(x, dtype=float)
-    n, p = x.shape
-    s0 = np.asarray(sorted(set(map(int, s0))), dtype=int)
-    t0 = np.asarray(sorted(set(map(int, t0))), dtype=int)
-    if s0.size and (s0.min() < 0 or s0.max() >= p):
-        raise InputError("S indices out of range")
-    if t0.size and (t0.min() < 0 or t0.max() >= n):
-        raise InputError("T indices out of range")
-    if rho_nsp < 0:
-        raise InputError(f"rho_nsp must be >= 0, got {rho_nsp}")
-    n_on = s0.size + t0.size
-    if n_on == 0:
-        return True
-    if 2 ** n_on > budget:
+    a_null = _null_space_matrix(x, lam)
+    n, k = a_null.shape
+    on = np.concatenate([_support_mask(s0, k - n, "S"),
+                         _support_mask(t0, n, "T")])
+    if not 0 <= rho_nsp < np.inf:
+        raise InputError(f"rho_nsp must be finite and >= 0, got {rho_nsp}")
+    on_idx = np.flatnonzero(on)
+    n_lps = 2 ** on_idx.size // 2  # none for an empty support
+    if n_lps > budget:
         raise BudgetExceededError(
-            f"2^{n_on} sign patterns exceed budget {budget}")
-
-    a_null = np.hstack([x, np.sqrt(n) * np.eye(n)])
-    weights = np.concatenate([np.ones(p), np.full(n, lam)])
-    on_idx = np.concatenate([s0, p + t0])
-    on_mask = np.zeros(p + n, dtype=bool)
-    on_mask[on_idx] = True
-    off_weights = np.where(on_mask, 0.0, weights)
-
-    worst = 0.0
-    for bits in range(2 ** n_on):
-        h = np.zeros(p + n)
-        signs = np.array([1.0 if bits >> i & 1 else -1.0
-                          for i in range(n_on)])
-        h[on_idx] = signs * weights[on_idx]
-        value, _ = _max_inner_product_lp(a_null, h, off_weights)
-        if not np.isfinite(value):
+            f"{n_lps} sign patterns exceed budget {budget}")
+    # bit i set gives entry i the sign -1: even patterns start with +1
+    for bits in range(0, 2 * n_lps, 2):
+        h = np.zeros(k)
+        h[on_idx] = 1.0 - 2.0 * (bits >> np.arange(on_idx.size) & 1)
+        value, _ = _max_inner_product_lp(a_null, h, on)
+        if value > rho_nsp + _STRICTNESS:
             return False
-        worst = max(worst, value)
-        if worst > rho_nsp + _STRICTNESS:
-            return False
-    return worst <= rho_nsp + _STRICTNESS
+    return True
 
 
 @dataclass

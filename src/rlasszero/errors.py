@@ -16,4 +16,6 @@ class SolverFailure(RuntimeError):
 
 class BudgetExceededError(RuntimeError):
     """A combinatorial search would exceed its budget: in the package, the
-    sign-pattern search of :func:`rlasszero.analysis.check_stable_nsp`."""
+    sign-pattern search of :func:`rlasszero.analysis.check_stable_nsp`,
+    whose budget counts the 2^(|S|+|T|-1) LPs it would solve. It is raised
+    before any LP is solved."""

@@ -266,14 +266,13 @@ def run_experiment(spec: SimulationSpec, workers: int = 1):
     column left fully missing or constant by the mask) or SolverFailure is
     dropped with a warning, and the per-estimator replication counts
     reflect that; if every replication fails, the first failure is raised.
-    ``workers`` below 1 raises InputError.
+    A ``workers`` that is not an integer >= 1 raises InputError.
 
     :func:`rlasszero.core.run_tasks` runs the replications on ``workers``
     processes, each on one OpenBLAS thread, and raises their warnings
     again once every replication has run, in order of the replications.
     """
-    if workers < 1:
-        raise InputError(f"workers must be >= 1, got {workers}")
+    check_count("workers", workers, 1)
     reps = range(1, spec.replications + 1)
     results, first = [], None
     for r, result in zip(reps, run_tasks(partial(_replication_metrics, spec),

@@ -82,12 +82,6 @@ class LpProblem:
     n_signed: int = 0
     basis: Optional[np.ndarray] = None
 
-    def recompose(self, x: np.ndarray) -> np.ndarray:
-        """Map a split-variable solution back to the signed variables."""
-        k = self.n_signed
-        x = np.asarray(x, dtype=float)
-        return x[:k] - x[k:2 * k]
-
 
 @dataclass
 class JpSolution:

@@ -30,7 +30,7 @@ from rlasszero.lp import (
 )
 from rlasszero.missing import MissingnessSpec, generate_missingness
 
-from vertex_oracle import certify_unique_jp, enumerate_vertex_optima
+from vertex_oracle import certify_unique_jp, enumerate_vertex_optima, recompose
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -67,8 +67,8 @@ def test_criterion_1_lp_oracle_equivalence():
         assert all(min(v[i], v[k + i]) <= 1e-9 for i in range(k))
         optima = enumerate_vertex_optima(prob)
         best = min(float(prob.c @ np.concatenate(
-            [np.maximum(prob.recompose(w), 0.0),
-             np.maximum(-prob.recompose(w), 0.0)])) for w in optima)
+            [np.maximum(recompose(prob, w), 0.0),
+             np.maximum(-recompose(prob, w), 0.0)])) for w in optima)
         gap = abs(obj - best)
         worst = max(worst, gap)
         mismatches += gap > 1e-8

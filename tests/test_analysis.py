@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from rlasszero import BudgetExceededError, InputError
+from rlasszero import BudgetExceededError, InputError, analysis
 from rlasszero.analysis import (
     check_identifiability,
     check_stable_nsp,
@@ -41,6 +42,19 @@ class TestCheckIdentifiability:
         with pytest.raises(InputError):
             check_identifiability(np.eye(2), np.zeros(3), np.zeros(2))
 
+    @pytest.mark.parametrize("x, lam", [
+        ([[1.0, np.nan], [0.0, 1.0]], 1.0),
+        ([[1.0, np.inf], [0.0, 1.0]], 1.0),
+        (np.eye(2)[0], 1.0),
+        (np.eye(2), 0.0),
+        (np.eye(2), -1.0),
+        (np.eye(2), np.nan),
+        (np.eye(2), np.inf),
+    ])
+    def test_bad_design_or_lambda_rejected(self, x, lam):
+        with pytest.raises(InputError):
+            check_identifiability(x, np.array([1, 0]), np.zeros(2), lam=lam)
+
     @pytest.mark.parametrize("seed", range(25))
     def test_agrees_with_jp_uniqueness_oracle(self, seed):
         gen = RngStream(seed, (107,)).generator()
@@ -67,6 +81,31 @@ class TestCheckIdentifiability:
         assert verdict.identifiable == oracle
 
 
+def _highs_stable_nsp_value(x, s0, t0, lam):
+    """max over the signs h on (S, T) of max h'z s.t. [X, sqrt(n) I] z = 0,
+    sum_off w_j |z_j| <= 1, with h_j = +-w_j and w = (1, lam), by HiGHS."""
+    n, p = x.shape
+    a = np.hstack([x, np.sqrt(n) * np.eye(n)])
+    w = np.concatenate([np.ones(p), np.full(n, lam)])
+    on = np.zeros(p + n, dtype=bool)
+    on[list(s0)] = True
+    on[[p + t for t in t0]] = True
+    off = np.where(on, 0.0, w)
+    worst = -np.inf
+    for bits in range(2 ** int(on.sum())):
+        h = np.zeros(p + n)
+        h[on] = w[on] * (1.0 - 2.0 * (bits >> np.arange(on.sum()) & 1))
+        res = linprog(np.concatenate([-h, h]),
+                      A_ub=np.concatenate([off, off])[None, :], b_ub=[1.0],
+                      A_eq=np.hstack([a, -a]), b_eq=np.zeros(n),
+                      bounds=(0, None), method="highs")
+        if res.status == 3:
+            return np.inf
+        assert res.status == 0, res.message
+        worst = max(worst, -res.fun)
+    return worst
+
+
 class TestCheckStableNsp:
     def test_empty_supports_true(self):
         gen = RngStream(2, (109,)).generator()
@@ -83,6 +122,71 @@ class TestCheckStableNsp:
         with pytest.raises(BudgetExceededError):
             check_stable_nsp(np.eye(6), list(range(4)), list(range(4)),
                              budget=100)
+
+    def test_budget_equal_to_lp_count_allowed(self):
+        # 8 support entries: 2^7 = 128 LPs, one of each pair h, -h
+        check_stable_nsp(np.eye(6), list(range(4)), list(range(4)),
+                         budget=128)
+        with pytest.raises(BudgetExceededError):
+            check_stable_nsp(np.eye(6), list(range(4)), list(range(4)),
+                             budget=127)
+
+    def test_solves_one_lp_per_sign_pair(self, monkeypatch):
+        calls = []
+        solve = analysis._max_inner_product_lp
+
+        def counted(a_null, h, on):
+            calls.append(h[on][0])
+            return solve(a_null, h, on)
+
+        monkeypatch.setattr(analysis, "_max_inner_product_lp", counted)
+        x = RngStream(3, (9,)).generator().standard_normal((40, 20))
+        assert check_stable_nsp(x, range(4), range(4), rho_nsp=50.0)
+        assert len(calls) == 2 ** 7 and set(calls) == {1.0}
+
+    @pytest.mark.parametrize("kwargs", [
+        {"x": [[1.0, np.nan], [0.0, 1.0]]},
+        {"x": np.eye(2)[0]},
+        {"lam": 0.0}, {"lam": -1.0}, {"lam": np.nan}, {"lam": np.inf},
+        {"rho_nsp": np.nan}, {"rho_nsp": -0.1}, {"rho_nsp": np.inf},
+        {"s0": [0.7]}, {"s0": [2]}, {"s0": [-1]}, {"s0": ["0"]},
+        {"t0": [2]}, {"t0": [1.0]},
+    ])
+    def test_bad_input_rejected(self, kwargs):
+        args = {"x": np.eye(2), "s0": [0], "t0": [1]} | kwargs
+        with pytest.raises(InputError):
+            check_stable_nsp(**args)
+
+    @pytest.mark.parametrize("s0, t0", [
+        ([0, 2], [1]), ((2, 0, 0), (1,)), (range(0, 3, 2), range(1, 2)),
+        ({0, 2}, {1}), (np.array([0, 2]), np.array([1], dtype=np.int32)),
+    ])
+    def test_index_containers_accepted(self, s0, t0):
+        x = RngStream(4, (117,)).generator().standard_normal((6, 4))
+        assert check_stable_nsp(x, s0, t0, rho_nsp=50.0)
+        assert not check_stable_nsp(x, s0, t0, rho_nsp=0.0)
+
+    def test_agrees_with_highs_enumeration(self):
+        # every one of the 2^(|S|+|T|) patterns, on [X, sqrt(n) I] with
+        # weights (1, lam) as the docstring states the condition
+        agree = decided = certified = 0
+        for seed in range(40):
+            gen = RngStream(seed, (119,)).generator()
+            n, p = int(gen.integers(4, 9)), int(gen.integers(4, 10))
+            x = gen.standard_normal((n, p))
+            s0 = gen.choice(p, int(gen.integers(1, 3)), replace=False)
+            t0 = gen.choice(n, int(gen.integers(0, 3)), replace=False)
+            lam = float(gen.uniform(0.5, 2.0))
+            rho = float(gen.uniform(0.2, 2.5))
+            worst = _highs_stable_nsp_value(x, s0, t0, lam)
+            if abs(worst - rho) <= 1e-7:
+                continue
+            decided += 1
+            certified += worst < rho
+            agree += check_stable_nsp(x, s0, t0, lam=lam,
+                                      rho_nsp=rho) == (worst < rho)
+        assert agree == decided >= 38
+        assert 10 <= certified <= decided - 10
 
     def test_stability_bound_when_certified(self):
         # when the null-space condition holds with rho = 1/3, l1 error of

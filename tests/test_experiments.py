@@ -213,6 +213,11 @@ class TestRunExperiment:
         assert metrics_to_csv(r1) == metrics_to_csv(r2)
         assert raw_to_csv(raw1) == raw_to_csv(raw2)
 
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", None])
+    def test_bad_workers_rejected(self, workers):
+        with pytest.raises(InputError, match="workers"):
+            run_experiment(_tiny_spec(), workers=workers)
+
     def test_pool_workers_use_one_blas_thread(self, monkeypatch):
         if core.blas_threads() is None:
             pytest.skip("numpy does not load OpenBLAS")

@@ -16,7 +16,7 @@ from rlasszero.lp import (
 )
 
 import reference_simplex
-from vertex_oracle import certify_unique_jp, enumerate_vertex_optima
+from vertex_oracle import certify_unique_jp, enumerate_vertex_optima, recompose
 
 
 def random_jp_instance(seed, n_max=6, p_max=8, augmented=False):
@@ -80,10 +80,6 @@ class TestFormulate:
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(InputError):
             formulate_jp(np.eye(2), np.zeros(2), 0.0)
-
-    def test_recompose_without_signed_pairs(self):
-        prob = LpProblem(a=np.ones((1, 2)), b=np.ones(1), c=np.ones(2))
-        assert prob.recompose(np.ones(2)).shape == (0,)
 
     def test_zero_rhs_optimum_zero(self):
         prob = formulate_jp(np.eye(3), np.zeros(3), 1.0)
@@ -373,7 +369,7 @@ class TestPivotPath:
 
         with monkeypatch.context() as mp:
             mp.setattr(analysis, "solve_lp", capture)
-            analysis._max_inner_product_lp(a_null, h, (h == 0).astype(float))
+            analysis._max_inner_product_lp(a_null, h, h != 0)
         assert problems[0].n_signed == 0
         self._same_path(monkeypatch, problems[0])
 
@@ -615,11 +611,15 @@ class TestBp:
         assert status == OPTIMAL
         prob = formulate_jp(a, y, 1.0, corruption_cols=[])
         optima = enumerate_vertex_optima(prob)
-        best = min(np.abs(prob.recompose(v)).sum() for v in optima)
+        best = min(np.abs(recompose(prob, v)).sum() for v in optima)
         assert np.abs(z).sum() == pytest.approx(best, abs=1e-8)
 
 
 class TestVertexOracle:
+    def test_recompose_without_signed_pairs(self):
+        prob = LpProblem(a=np.ones((1, 2)), b=np.ones(1), c=np.ones(2))
+        assert recompose(prob, np.ones(2)).shape == (0,)
+
     def test_tie_gives_two_optima(self):
         prob = LpProblem(a=np.array([[1.0, 1.0]]), b=np.array([1.0]),
                          c=np.array([1.0, 1.0]))
@@ -653,8 +653,8 @@ class TestOracleEquivalence:
         prob = formulate_jp(x, y, lam)
         optima = enumerate_vertex_optima(prob)
         best = min(float(prob.c @ np.concatenate(
-            [np.maximum(prob.recompose(v), 0), np.maximum(-prob.recompose(v), 0)]))
-            for v in optima)
+            [np.maximum(recompose(prob, v), 0),
+             np.maximum(-recompose(prob, v), 0)])) for v in optima)
         assert sol.objective == pytest.approx(best, abs=1e-8)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -667,9 +667,9 @@ class TestOracleEquivalence:
         sol = solve_jp(x, y, 1.3, g=g)
         prob = formulate_jp(x, y, 1.3, g=g)
         optima = enumerate_vertex_optima(prob)
-        best = min(np.abs(prob.recompose(v)[:p]).sum()
-                   + 1.3 * np.abs(prob.recompose(v)[p:p + n]).sum()
-                   + np.abs(prob.recompose(v)[p + n:]).sum() for v in optima)
+        best = min(np.abs(recompose(prob, v)[:p]).sum()
+                   + 1.3 * np.abs(recompose(prob, v)[p:p + n]).sum()
+                   + np.abs(recompose(prob, v)[p + n:]).sum() for v in optima)
         assert sol.objective == pytest.approx(best, abs=1e-8)
 
 

@@ -16,6 +16,14 @@ from rlasszero.lp import LpProblem, formulate_jp
 _ENUM_CHUNK = 20000  # column subsets per batched solve
 
 
+def recompose(prob: LpProblem, x: np.ndarray) -> np.ndarray:
+    """Map a split-variable solution of ``prob`` back to its signed
+    variables, ``x[:K] - x[K:2K]`` with K = ``prob.n_signed``."""
+    k = prob.n_signed
+    x = np.asarray(x, dtype=float)
+    return x[:k] - x[k:2 * k]
+
+
 def _distinct(vectors) -> list[np.ndarray]:
     """The vectors, without any that lies within 1e-6 (max norm) of an
     earlier kept one."""
@@ -87,5 +95,5 @@ def certify_unique_jp(x: np.ndarray, y: np.ndarray, lam: float):
     vertices = enumerate_vertex_optima(prob)
     if not vertices:
         raise SolverFailure("vertex oracle found no feasible basis")
-    distinct = _distinct(prob.recompose(v) for v in vertices)
+    distinct = _distinct(recompose(prob, v) for v in vertices)
     return len(distinct) == 1, distinct
