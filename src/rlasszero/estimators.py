@@ -2,12 +2,12 @@
 
 All estimators solve the one l1 program of :func:`rlasszero.lp.solve_jp`,
 which has an optional corruption block and an optional dictionary block.
-:func:`robust_lasso_zero` solves it M times with both blocks, each time
-with a fresh n x n standard-normal noise dictionary, takes componentwise
-medians of the estimates, and hard-thresholds. The rows that can be
-corrupted are a property of the data, so they are an argument of the
-fit; :class:`RlzConfig` holds only hyperparameters. :func:`lasso_zero`
-runs the same median loop without the corruption block, and :func:`tjp`
+:func:`robust_lasso_zero` is the one median loop: it solves the program
+M times, each time with a fresh n x n standard-normal noise dictionary,
+takes componentwise medians of the estimates, and hard-thresholds. The
+rows that can be corrupted are a property of the data, so they are an
+argument of the fit; :class:`RlzConfig` holds only hyperparameters.
+:func:`lasso_zero` is that fit with no corruption rows, and :func:`tjp`
 is a single thresholded solve without the dictionary block.
 """
 
@@ -22,12 +22,13 @@ import numpy as np
 
 from .core import RngStream, check_count
 from .errors import InputError, SolverFailure
-from .lp import OPTIMAL, check_response, solve_jp, solve_jp_many
+from .lp import OPTIMAL, check_corruption_rows, check_response, solve_jp, \
+    solve_jp_many
 
 
 def hard_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     """Keep entries with |v_j| strictly greater than tau, zero the rest."""
-    if tau < 0:
+    if not tau >= 0:  # also rejects NaN
         raise InputError(f"tau must be >= 0, got {tau}")
     v = np.asarray(v, dtype=float)
     return np.where(np.abs(v) > tau, v, 0.0)
@@ -125,9 +126,13 @@ def _resolve_tau(cfg: RlzConfig, gamma_all, qut):
     return float(qut.pivot_quantile * pivot_scale_from_gammas(gamma_all))
 
 
-def _median_fit(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
-                corruption_cols: Optional[np.ndarray], qut) -> RlzFit:
-    """Solve with M noise dictionaries, take medians and hard-threshold.
+def robust_lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
+                      qut=None, corruption_cols: Optional[np.ndarray] = None
+                      ) -> RlzFit:
+    """Noise-dictionary median estimator for the sparse corruption model,
+    with the corruption block on the rows ``corruption_cols`` (None = all
+    rows, empty = no corruption block): solve with M noise dictionaries,
+    take medians and hard-threshold.
 
     Dictionary k (1-based) is drawn from the stream
     (master_seed, (*rng_path, k)), so fits are deterministic. The M
@@ -138,15 +143,15 @@ def _median_fit(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
     its solve starts. Either way each result equals its own
     :func:`rlasszero.lp.solve_jp`, bit for bit. Failed solves are dropped
     from the medians with a warning; the fit aborts only when more than
-    half of them fail. A response that is not n finite values raises
-    InputError before any dictionary is drawn.
+    half of them fail. A response that is not n finite values, or rows
+    that are not integers in [0, n), raise InputError before any
+    dictionary is drawn.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     y = check_response(y, n)
+    cols = check_corruption_rows(corruption_cols, n)
     base = RngStream(cfg.master_seed, cfg.rng_path)
-    cols = np.arange(n) if corruption_cols is None \
-        else np.asarray(corruption_cols, dtype=int)
 
     dictionaries = (base.child(k).generator().standard_normal((n, n))
                     for k in range(1, cfg.n_dictionaries + 1))
@@ -177,20 +182,11 @@ def _median_fit(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
                   corruption_cols=cols)
 
 
-def robust_lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
-                      qut=None, corruption_cols: Optional[np.ndarray] = None
-                      ) -> RlzFit:
-    """Noise-dictionary median estimator for the sparse corruption model,
-    with the corruption block on the rows ``corruption_cols`` (None = all
-    rows, empty = no corruption block)."""
-    return _median_fit(x, y, cfg, corruption_cols, qut)
-
-
 def lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
                qut=None) -> RlzFit:
     """Baseline without a corruption block: repeated minimum-l1 solves on
     the dictionary-augmented matrix [X | G^(k)]."""
-    return _median_fit(x, y, cfg, np.array([], dtype=int), qut)
+    return robust_lasso_zero(x, y, cfg, qut, corruption_cols=())
 
 
 def tjp(x: np.ndarray, y: np.ndarray, lam: float, tau: float):

@@ -4,9 +4,13 @@ The harness reproduces the standard protocol: Toeplitz-correlated Gaussian
 design, +-1 coefficients on a random support, logistic missingness,
 mean imputation, and per-replication metrics (exact sign recovery, signed
 true-positive and false-discovery proportions) aggregated with standard
-errors. Every replication owns its RNG streams, which no calibration
-draw reuses, and they run through :func:`rlasszero.core.run_tasks`, so
-results, warnings and failures do not depend on the worker count.
+errors. Each replication standardizes its imputed design once, and every
+estimator fits that matrix: rlass0 and lass0 are one
+:func:`rlasszero.estimators.robust_lasso_zero` fit, with the incomplete
+rows or no rows as corruption rows. Every replication owns its RNG
+streams, which no calibration draw reuses, and they run through
+:func:`rlasszero.core.run_tasks`, so results, warnings and failures do
+not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from .calibration import QutSpec, qut_threshold
 from .core import RngStream, check_count, run_tasks, sample_design, \
     standardize_columns, toeplitz_sigma
 from .errors import InputError, SolverFailure
-from .estimators import RlzConfig, hard_threshold, lasso_zero
-from .lp import solve_jp
+from .estimators import RlzConfig, hard_threshold, robust_lasso_zero
+from .lp import OPTIMAL, solve_jp
 from .missing import IncompleteMatrix, MissingnessSpec, generate_missingness, \
-    rlz_with_missing, standardized_design
+    standardized_design
 
 
 # ---------------------------------------------------------------------------
@@ -40,12 +44,18 @@ def _correct_sign_count(beta_hat: np.ndarray, beta0: np.ndarray) -> int:
     return pos + neg
 
 
-def s_tpp(beta_hat: np.ndarray, beta0: np.ndarray) -> float:
-    """Proportion of true nonzero coefficients whose sign is recovered."""
+def _check_lengths(beta_hat: np.ndarray, beta0: np.ndarray):
+    """Both vectors as float arrays; InputError unless their shapes agree."""
     beta_hat = np.asarray(beta_hat, dtype=float)
     beta0 = np.asarray(beta0, dtype=float)
     if beta_hat.shape != beta0.shape:
         raise InputError("length mismatch")
+    return beta_hat, beta0
+
+
+def s_tpp(beta_hat: np.ndarray, beta0: np.ndarray) -> float:
+    """Proportion of true nonzero coefficients whose sign is recovered."""
+    beta_hat, beta0 = _check_lengths(beta_hat, beta0)
     support = int(np.count_nonzero(beta0))
     if support == 0:
         raise InputError("true coefficient vector is zero; the signed "
@@ -56,20 +66,14 @@ def s_tpp(beta_hat: np.ndarray, beta0: np.ndarray) -> float:
 
 def s_fdp(beta_hat: np.ndarray, beta0: np.ndarray) -> float:
     """Proportion of discoveries with an incorrect sign (0 when no discovery)."""
-    beta_hat = np.asarray(beta_hat, dtype=float)
-    beta0 = np.asarray(beta0, dtype=float)
-    if beta_hat.shape != beta0.shape:
-        raise InputError("length mismatch")
+    beta_hat, beta0 = _check_lengths(beta_hat, beta0)
     discoveries = int(np.count_nonzero(beta_hat))
     return (discoveries - _correct_sign_count(beta_hat, beta0)) / max(1, discoveries)
 
 
 def psr_indicator(beta_hat: np.ndarray, beta0: np.ndarray) -> int:
     """1 iff sign(beta_hat) equals sign(beta0) componentwise."""
-    beta_hat = np.asarray(beta_hat, dtype=float)
-    beta0 = np.asarray(beta0, dtype=float)
-    if beta_hat.shape != beta0.shape:
-        raise InputError("length mismatch")
+    beta_hat, beta0 = _check_lengths(beta_hat, beta0)
     return int(np.array_equal(np.sign(beta_hat), np.sign(beta0)))
 
 
@@ -152,12 +156,16 @@ class SimulationSpec:
             raise InputError(f"mechanism must be one of {_MECHANISMS}")
         if self.tuning not in _TUNINGS:
             raise InputError(f"tuning must be one of {_TUNINGS}")
+        if isinstance(self.estimators, str):
+            raise InputError(f"estimators must be a sequence of names, not "
+                             f"the string {self.estimators!r}")
         self.estimators = tuple(self.estimators)
         unknown = set(self.estimators) - set(_ESTIMATORS)
         if unknown:
             raise InputError(f"unknown estimators {sorted(unknown)}")
-        if not self.estimators:
-            raise InputError("need at least one estimator")
+        if not 0 < len(self.estimators) == len(set(self.estimators)):
+            raise InputError(f"need one or more distinct estimators, "
+                             f"got {self.estimators}")
         if self.tuning == "automatic" and "tjp" in self.estimators:
             raise InputError("automatic tuning is undefined for tjp "
                              "(no noise dictionaries to pivotize with)")
@@ -229,33 +237,25 @@ def _replication_metrics(spec: SimulationSpec, r: int) -> dict:
 
 def _run_estimator(name: str, spec: SimulationSpec, x_std, y,
                    inc: IncompleteMatrix, r: int) -> np.ndarray:
-    """Thresholded estimate of one estimator; ``x_std`` is the
-    :func:`standardized_design` of ``inc``."""
+    """Thresholded estimate of one estimator on ``x_std``, the
+    :func:`standardized_design` of ``inc``; automatic tuning calibrates
+    rlass0 and lass0 each on its own corruption rows."""
     if name == "tjp":
         sol = solve_jp(x_std, y, spec.lam)
-        if sol.status != "optimal":
+        if sol.status != OPTIMAL:
             raise SolverFailure(f"tjp solve failed in replication {r}")
-        tau = oracle_s_threshold(sol.beta, spec.s)
-        return hard_threshold(sol.beta, tau)
-
-    cfg = spec.fit_config(r)
-    qut_spec = spec.qut_spec()
-
-    if name == "rlass0":
-        fit = rlz_with_missing(y, inc, cfg, qut_spec=qut_spec)
-    elif name == "lass0":
-        qut = None
-        if qut_spec is not None:
-            qut = qut_threshold(x_std, qut_spec,
-                                corruption_cols=np.array([], dtype=int))
-        fit = lasso_zero(x_std, y, cfg, qut=qut)
+        beta = sol.beta
     else:
-        raise InputError(f"unknown estimator {name!r}")
-
-    if spec.tuning == "oracle_s":
-        tau = oracle_s_threshold(fit.beta_med, spec.s)
-        return hard_threshold(fit.beta_med, tau)
-    return fit.beta_hat
+        cols = inc.incomplete_rows if name == "rlass0" else ()
+        qut_spec = spec.qut_spec()
+        qut = None if qut_spec is None else \
+            qut_threshold(x_std, qut_spec, corruption_cols=cols)
+        fit = robust_lasso_zero(x_std, y, spec.fit_config(r), qut=qut,
+                                corruption_cols=cols)
+        if qut is not None:
+            return fit.beta_hat
+        beta = fit.beta_med
+    return hard_threshold(beta, oracle_s_threshold(beta, spec.s))
 
 
 def run_experiment(spec: SimulationSpec, workers: int = 1):

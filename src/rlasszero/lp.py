@@ -100,7 +100,8 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
 
     When ``corruption_cols`` is None the corruption block spans all n rows;
     otherwise only the listed rows get a corruption column, and an empty
-    list drops the block. Without ``g`` there is no dictionary block.
+    list drops the block (:func:`check_corruption_rows`). Without ``g``
+    there is no dictionary block.
     Variables are ordered [beta, omega, gamma].
 
     The starting basis takes the corruption column of each row that has
@@ -113,8 +114,7 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
         raise InputError(f"lambda must be finite and > 0, got {lam}")
     n, p = x.shape
     y = check_response(y, n)
-    cols = np.arange(n) if corruption_cols is None \
-        else np.asarray(corruption_cols, dtype=int)
+    cols = check_corruption_rows(corruption_cols, n)
     eye_block = np.zeros((n, cols.size))
     eye_block[cols, np.arange(cols.size)] = np.sqrt(n)
     g = np.zeros((n, 0)) if g is None else np.asarray(g, dtype=float)
@@ -136,6 +136,20 @@ def check_response(y: np.ndarray, n: int) -> np.ndarray:
     if y.shape != (n,) or not np.isfinite(y).all():
         raise InputError(f"y must be {n} finite values, got shape {y.shape}")
     return y
+
+
+def check_corruption_rows(rows, n: int) -> np.ndarray:
+    """The corruption rows as a 1-D integer array: every row for None,
+    else InputError unless ``rows`` lists integers in [0, n). An empty
+    list drops the corruption block, and a repeated row is allowed."""
+    if rows is None:
+        return np.arange(n)
+    idx = np.asarray(rows)
+    if idx.ndim != 1 or (idx.size and not (
+            idx.dtype.kind in "iu" and 0 <= idx.min() and idx.max() < n)):
+        raise InputError(f"corruption rows must be a list of integers in "
+                         f"range({n}), got {rows!r}")
+    return idx.astype(int, copy=False)
 
 
 def _block_basis(a_signed, y, p, cols):

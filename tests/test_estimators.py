@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlasszero import InputError, lp
+from rlasszero import InputError, calibration, lp
 from rlasszero.core import RngStream, standardize_columns
 from rlasszero.estimators import (
     RlzConfig,
@@ -29,8 +29,9 @@ class TestHardThreshold:
                                       np.zeros(4))
 
     def test_negative_tau_rejected(self):
-        with pytest.raises(InputError):
-            hard_threshold(np.ones(2), -1.0)
+        for tau in (-1.0, float("nan")):
+            with pytest.raises(InputError):
+                hard_threshold(np.ones(2), tau)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=10),
@@ -310,3 +311,38 @@ class TestTjp:
                 ok = True
                 break
         assert ok
+
+
+class TestCorruptionRows:
+    """Every entry point that takes corruption rows checks them with
+    :func:`rlasszero.lp.check_corruption_rows` before any draw."""
+
+    ENTRY_POINTS = {
+        "formulate_jp": lambda x, rows: lp.formulate_jp(
+            x, np.ones(len(x)), 1.0, corruption_cols=rows),
+        "robust_lasso_zero": lambda x, rows: robust_lasso_zero(
+            x, np.ones(len(x)), RlzConfig(tau=0.1, n_dictionaries=2),
+            corruption_cols=rows),
+        "qut_threshold": lambda x, rows: calibration.qut_threshold(
+            x, calibration.QutSpec(n_mc=50, n_dictionaries=2),
+            corruption_cols=rows),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("rows", [[0.7], ["0"], [-1], [[0, 1]], [12],
+                                      [0.7, 2.2], [True], [[]]])
+    def test_bad_rows_rejected_before_any_draw(self, monkeypatch, entry,
+                                               rows):
+        x = RngStream(3, (5,)).generator().standard_normal((12, 20))
+        monkeypatch.setattr(RngStream, "generator", None)
+        with pytest.raises(InputError, match="corruption rows"):
+            self.ENTRY_POINTS[entry](x, rows)
+
+    @pytest.mark.parametrize("rows, want", [
+        (None, np.arange(4)), ([], []), (np.array([], dtype=int), []),
+        ([3, 0], [3, 0]), ((1, 1), [1, 1]), (np.array([2], np.int32), [2]),
+        (np.array([0, 3], np.uint8), [0, 3])])
+    def test_valid_rows_accepted(self, rows, want):
+        cols = lp.check_corruption_rows(rows, 4)
+        assert cols.ndim == 1 and cols.dtype == int
+        np.testing.assert_array_equal(cols, want)

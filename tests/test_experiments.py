@@ -8,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from rlasszero import InputError, calibration, core, experiments
+from rlasszero import InputError, calibration, core, experiments, missing
 from rlasszero.core import RngStream
 from rlasszero.estimators import hard_threshold
 from rlasszero.experiments import (
@@ -113,7 +113,9 @@ class TestSimulationSpec:
                                     dict(mechanism="mar"),
                                     dict(tuning="cv"),
                                     dict(estimators=("lasso",)),
-                                    dict(mechanism="mnar", a=30.0, pi=0.001)])
+                                    dict(mechanism="mnar", a=30.0, pi=0.001),
+                                    dict(estimators="tjp"),
+                                    dict(estimators=("tjp", "tjp"))])
     def test_invalid_rejected(self, kw):
         with pytest.raises(InputError):
             SimulationSpec(**kw)
@@ -188,6 +190,43 @@ def _patch_replication(monkeypatch, body):
 def _simulate(spec, workers):
     records, raw = run_experiment(spec, workers=workers)
     return metrics_to_csv(records), raw_to_csv(raw)
+
+
+class TestHarnessMatchesLibrary:
+    @pytest.mark.parametrize("tuning", ["oracle_s", "automatic"])
+    def test_rlass0_is_the_rlz_with_missing_fit(self, monkeypatch, tuning):
+        # the harness fits rlass0 on the design it standardized once, and
+        # gets what the library's missing-data pipeline gets, bit for bit
+        spec = SimulationSpec(n=20, p=10, s=2, sigma_noise=0.2, pi=0.1,
+                              replications=1, estimators=("rlass0", "lass0"),
+                              tuning=tuning, n_dictionaries=2, qut_mc=50,
+                              master_seed=8)
+        monkeypatch.setattr(calibration, "usable_cores", lambda: 1)
+        standardized, runs = [], {}
+
+        def counting(inc):
+            standardized.append(inc)
+            return original_standardized(inc)
+
+        def recording(name, spec, x_std, y, inc, r):
+            runs[name] = (y, inc, original_run(name, spec, x_std, y, inc, r))
+            return runs[name][-1]
+
+        original_standardized = missing.standardized_design
+        original_run = experiments._run_estimator
+        for module in (experiments, missing):
+            monkeypatch.setattr(module, "standardized_design", counting)
+        monkeypatch.setattr(experiments, "_run_estimator", recording)
+        experiments._replication_metrics(spec, 1)
+        assert len(standardized) == 1
+        assert set(runs) == {"rlass0", "lass0"}
+
+        y, inc, beta_hat = runs["rlass0"]
+        fit = missing.rlz_with_missing(y, inc, spec.fit_config(1),
+                                       qut_spec=spec.qut_spec())
+        want = fit.beta_hat if tuning == "automatic" else hard_threshold(
+            fit.beta_med, oracle_s_threshold(fit.beta_med, spec.s))
+        np.testing.assert_array_equal(beta_hat, want)
 
 
 class TestRunExperiment:
