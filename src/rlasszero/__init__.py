@@ -32,6 +32,7 @@ from .calibration import (
 from .missing import (
     IncompleteMatrix,
     MissingnessSpec,
+    fit_standardized,
     generate_missingness,
     logistic_missing_prob,
     mean_impute,

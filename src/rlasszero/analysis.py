@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core import check_count
 from .errors import BudgetExceededError, InputError, SolverFailure
 from .lp import LpProblem, OPTIMAL, solve_lp
 
@@ -200,8 +201,19 @@ def covariance_diagnostics(sigma: np.ndarray, n: int, s: int, k: int,
     recovery under a correlated Gaussian design.
 
     The numerical constants are inputs: the theory only pins down
-    c_sample >= 144^2 and leaves the others unspecified.
+    c_sample >= 144^2 and leaves the others unspecified. InputError
+    unless n >= 1, s >= 1 and k >= 0 are integers, beta_min is finite,
+    sigma_noise is finite and >= 0 and lam is finite and > 0.
     """
+    for name, value, minimum in (("n", n, 1), ("s", s, 1), ("k", k, 0)):
+        check_count(name, value, minimum)
+    if not np.isfinite(beta_min):
+        raise InputError(f"beta_min must be finite, got {beta_min}")
+    if not 0.0 <= sigma_noise < np.inf:
+        raise InputError(f"sigma_noise must be finite and >= 0, "
+                         f"got {sigma_noise}")
+    if not 0.0 < lam < np.inf:
+        raise InputError(f"lam must be finite and > 0, got {lam}")
     sigma = np.asarray(sigma, dtype=float)
     p = sigma.shape[0]
     if sigma.shape != (p, p) or not np.allclose(sigma, sigma.T, atol=1e-10):

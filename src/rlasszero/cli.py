@@ -13,7 +13,8 @@ literal token ``NA``. ``fit`` and ``qut`` solve on one OpenBLAS thread,
 so their output does not depend on the caller's thread setting; the
 calibration draws run on one process per usable core. Exit codes: 0
 success, 2 input error (an unwritable ``--out`` or ``--raw`` among them,
-caught before any work), 3 solver failure.
+or a ``--raw`` that names the ``--out`` file, caught before any work), 3
+solver failure.
 """
 
 from __future__ import annotations
@@ -217,7 +218,17 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _same_file(a: str, b: str) -> bool:
+    """True when the paths ``a`` and ``b`` name one file, existing or not."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _cmd_simulate(args) -> int:
+    if args.raw and _same_file(args.out, args.raw):
+        raise InputError(f"--out {args.out} and --raw {args.raw} name the "
+                         f"same file")
     try:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)

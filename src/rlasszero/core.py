@@ -91,7 +91,8 @@ def standardize_columns(x: np.ndarray, return_stats: bool = False):
     """Center each column and rescale it to Euclidean norm sqrt(n).
 
     Uses the population (1/n) variance so the rescaled norm is exactly
-    sqrt(n). A constant column has no scale and is rejected.
+    sqrt(n). A constant column has no scale and is rejected, as is a
+    column holding NaN or an infinite value.
 
     With ``return_stats=True`` also returns the per-column (mean, scale)
     used, where ``out = (x - mean) / scale``.
@@ -100,6 +101,10 @@ def standardize_columns(x: np.ndarray, return_stats: bool = False):
     if x.ndim != 2:
         raise InputError("expected a 2-d array")
     n = x.shape[0]
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=0))
+    if bad.size:
+        raise InputError(f"column {bad[0]} holds NaN or an infinite value "
+                         f"and cannot be standardized")
     means = x.mean(axis=0)
     centered = x - means
     norms = np.linalg.norm(centered, axis=0)

@@ -196,5 +196,5 @@ def tjp(x: np.ndarray, y: np.ndarray, lam: float, tau: float):
     """
     sol = solve_jp(x, y, lam)
     if sol.status != OPTIMAL:
-        raise SolverFailure(f"solve ended with status {sol.status}")
+        raise SolverFailure(f"tjp solve ended with status {sol.status}")
     return hard_threshold(sol.beta, tau), hard_threshold(sol.omega, tau)

@@ -5,9 +5,10 @@ design, +-1 coefficients on a random support, logistic missingness,
 mean imputation, and per-replication metrics (exact sign recovery, signed
 true-positive and false-discovery proportions) aggregated with standard
 errors. Each replication standardizes its imputed design once, and every
-estimator fits that matrix: rlass0 and lass0 are one
-:func:`rlasszero.estimators.robust_lasso_zero` fit, with the incomplete
-rows or no rows as corruption rows. Every replication owns its RNG
+estimator fits that matrix through the library: rlass0 and lass0 are
+:func:`rlasszero.missing.fit_standardized` with the incomplete rows or no
+rows as corruption rows, tjp is :func:`rlasszero.estimators.tjp`, so the
+harness holds no estimator code. Every replication owns its RNG
 streams, which no calibration draw reuses, and they run through
 :func:`rlasszero.core.run_tasks`, so results, warnings and failures do
 not depend on the worker count.
@@ -24,14 +25,13 @@ from typing import Optional
 
 import numpy as np
 
-from .calibration import QutSpec, qut_threshold
+from .calibration import QutSpec
 from .core import RngStream, check_count, run_tasks, sample_design, \
     standardize_columns, toeplitz_sigma
-from .errors import InputError, SolverFailure
-from .estimators import RlzConfig, hard_threshold, robust_lasso_zero
-from .lp import OPTIMAL, solve_jp
-from .missing import IncompleteMatrix, MissingnessSpec, generate_missingness, \
-    standardized_design
+from .errors import InputError
+from .estimators import RlzConfig, hard_threshold, tjp
+from .missing import IncompleteMatrix, MissingnessSpec, fit_standardized, \
+    generate_missingness, standardized_design
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +138,7 @@ class SimulationSpec:
     def __post_init__(self):
         # a column of one row is constant and cannot be standardized
         for name, minimum in (("n", 2), ("p", 1), ("s", 1),
-                              ("replications", 1), ("n_dictionaries", 1),
-                              ("qut_mc", 1), ("master_seed", 0)):
+                              ("replications", 1), ("qut_mc", 1)):
             check_count(name, getattr(self, name), minimum)
         if self.s > self.p:
             raise InputError("need 1 <= s <= p")
@@ -150,8 +149,6 @@ class SimulationSpec:
             raise InputError(f"sigma_noise must be finite and >= 0, "
                              f"got {self.sigma_noise}")
         toeplitz_sigma(self.p, self.rho)  # rejects a rho outside [0, 1)
-        if not 0.0 < self.pi < 1.0:
-            raise InputError("pi must be in (0,1)")
         if self.mechanism not in _MECHANISMS:
             raise InputError(f"mechanism must be one of {_MECHANISMS}")
         if self.tuning not in _TUNINGS:
@@ -169,9 +166,9 @@ class SimulationSpec:
         if self.tuning == "automatic" and "tjp" in self.estimators:
             raise InputError("automatic tuning is undefined for tjp "
                              "(no noise dictionaries to pivotize with)")
-        # what every replication builds, so a bad setting fails here once
-        # instead of dropping each replication in turn
-        self.missingness()  # rejects an (a, pi) that no intercept reaches
+        # what every replication builds, so a bad setting (pi, a, lam, M,
+        # the seed) fails here once instead of dropping each replication
+        self.missingness()
         self.fit_config(0)
         self.qut_spec()
 
@@ -241,18 +238,12 @@ def _run_estimator(name: str, spec: SimulationSpec, x_std, y,
     :func:`standardized_design` of ``inc``; automatic tuning calibrates
     rlass0 and lass0 each on its own corruption rows."""
     if name == "tjp":
-        sol = solve_jp(x_std, y, spec.lam)
-        if sol.status != OPTIMAL:
-            raise SolverFailure(f"tjp solve failed in replication {r}")
-        beta = sol.beta
+        # a threshold of 0 only turns -0.0 into 0.0; the oracle cut follows
+        beta, _ = tjp(x_std, y, spec.lam, 0.0)
     else:
-        cols = inc.incomplete_rows if name == "rlass0" else ()
-        qut_spec = spec.qut_spec()
-        qut = None if qut_spec is None else \
-            qut_threshold(x_std, qut_spec, corruption_cols=cols)
-        fit = robust_lasso_zero(x_std, y, spec.fit_config(r), qut=qut,
-                                corruption_cols=cols)
-        if qut is not None:
+        fit = fit_standardized(x_std, y, spec.fit_config(r), spec.qut_spec(),
+                               inc.incomplete_rows if name == "rlass0" else ())
+        if spec.tuning == "automatic":
             return fit.beta_hat
         beta = fit.beta_med
     return hard_threshold(beta, oracle_s_threshold(beta, spec.s))

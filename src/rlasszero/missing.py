@@ -3,9 +3,11 @@
 Missing entries are reformulated as sparse row-wise corruptions: after
 imputing, the discrepancy (X - X_imputed) beta / sqrt(n) acts as a sparse
 corruption supported on the incomplete rows, so the median-aggregated
-corruption-aware estimator applies directly. Entries go missing through a
-logistic mechanism in |x|: slope a = 0 gives MCAR, a > 0 makes large
-values more likely to be missing (MNAR).
+corruption-aware estimator applies directly. :func:`fit_standardized`,
+the one calibrate-then-fit step, serves :func:`rlz_with_missing` and the
+simulation harness. Entries go missing through a logistic mechanism in
+|x|: slope a = 0 gives MCAR, a > 0 makes large values more likely to be
+missing (MNAR).
 """
 
 from __future__ import annotations
@@ -159,30 +161,24 @@ def implied_corruption(x_true: np.ndarray, x_imputed: np.ndarray,
     return (x_true - np.asarray(x_imputed, float)) @ np.asarray(beta, float) / np.sqrt(n)
 
 
-def rlz_with_missing(y: np.ndarray, inc: IncompleteMatrix, cfg: RlzConfig,
+def fit_standardized(x_std: np.ndarray, y: np.ndarray, cfg: RlzConfig,
                      qut_spec: Optional[QutSpec] = None,
-                     restrict_corruption: bool = True) -> RlzFit:
-    """End-to-end pipeline for an incomplete design matrix.
+                     corruption_cols: Optional[np.ndarray] = None) -> RlzFit:
+    """The median-aggregated fit on ``x_std``, a :func:`standardized_design`,
+    with the corruption block on the rows ``corruption_cols`` (None = all
+    rows, empty = none).
 
-    Fits the median-aggregated estimator on :func:`standardized_design`,
-    passing the incomplete rows (all rows when ``restrict_corruption`` is
-    False) to the fit as its corruption rows. With ``cfg.tau == "qut"``
-    the threshold is first calibrated by :func:`qut_threshold` on that
-    same matrix and the same rows, by a ``qut_spec`` that must have the
-    ``lam`` and ``n_dictionaries`` of ``cfg`` (InputError otherwise; its
-    ``master_seed`` may differ). Dictionary k of the fit comes from the stream
+    With ``cfg.tau == "qut"`` the threshold is first calibrated by
+    :func:`qut_threshold` on that same matrix and the same rows, by a
+    ``qut_spec`` with the ``lam`` and ``n_dictionaries`` of ``cfg``
+    (InputError otherwise; its ``master_seed`` may differ), by default the
+    spec of ``cfg``. Dictionary k of the fit comes from the stream
     (master_seed, (*cfg.rng_path, k)); the calibration draws use paths
     that start with 0, (0, j, 0) and (0, j, k), so with the default empty
-    ``rng_path`` the fit and its calibration share no stream.
-
-    The returned fit carries the rescaling factors and the corruption
-    column indices, so coefficients can be mapped back to the original
-    column scale and row numbering. A response that is not n finite values
-    raises InputError before the calibration starts.
+    ``rng_path`` the fit and its calibration share no stream. A response
+    that is not n finite values raises InputError before calibrating.
     """
-    y = check_response(y, inc.values.shape[0])
-    x_std, scales = standardized_design(inc)
-    cols = inc.incomplete_rows if restrict_corruption else None
+    y = check_response(y, x_std.shape[0])
     qut: Optional[QutResult] = None
     if isinstance(cfg.tau, str):
         if qut_spec is None:
@@ -195,8 +191,21 @@ def rlz_with_missing(y: np.ndarray, inc: IncompleteMatrix, cfg: RlzConfig,
                 f"qut_spec calibrates lam={qut_spec.lam}, "
                 f"M={qut_spec.n_dictionaries} but the fit uses "
                 f"lam={cfg.lam}, M={cfg.n_dictionaries}")
-        qut = qut_threshold(x_std, qut_spec, corruption_cols=cols)
-    fit = robust_lasso_zero(x_std, y, cfg, qut=qut,
-                            corruption_cols=cols)
+        qut = qut_threshold(x_std, qut_spec, corruption_cols=corruption_cols)
+    return robust_lasso_zero(x_std, y, cfg, qut=qut,
+                             corruption_cols=corruption_cols)
+
+
+def rlz_with_missing(y: np.ndarray, inc: IncompleteMatrix, cfg: RlzConfig,
+                     qut_spec: Optional[QutSpec] = None,
+                     restrict_corruption: bool = True) -> RlzFit:
+    """End-to-end pipeline for an incomplete design matrix:
+    :func:`fit_standardized` on its :func:`standardized_design`, with the
+    incomplete rows (all rows when ``restrict_corruption`` is False) as
+    corruption rows. The fit carries the rescaling factors, which map
+    coefficients back to the original column scale."""
+    x_std, scales = standardized_design(inc)
+    fit = fit_standardized(x_std, y, cfg, qut_spec, inc.incomplete_rows
+                           if restrict_corruption else None)
     fit.column_scales = scales
     return fit

@@ -247,6 +247,17 @@ class TestCovarianceDiagnostics:
                                      sigma_noise=0.1, lam=1.0)
         assert rep.corruption_lhs == np.inf and rep.corruption_ok
 
+    @pytest.mark.parametrize("kw", [
+        dict(n=0), dict(s=0), dict(s=-2, k=-1), dict(k=-1), dict(n=10.5),
+        dict(beta_min=np.nan), dict(beta_min=np.inf),
+        dict(sigma_noise=-0.5), dict(sigma_noise=np.inf),
+        dict(sigma_noise=np.nan), dict(lam=-1.0), dict(lam=0.0),
+        dict(lam=np.inf)])
+    def test_impossible_inputs_rejected(self, kw):
+        args = dict(n=10, s=1, k=1, beta_min=1.0, sigma_noise=0.1, lam=1.0)
+        with pytest.raises(InputError):
+            covariance_diagnostics(np.eye(3), **{**args, **kw})
+
     def test_non_pd_rejected(self):
         with pytest.raises(InputError):
             covariance_diagnostics(np.array([[1.0, 2.0], [2.0, 1.0]]),

@@ -632,6 +632,28 @@ class TestSimulateCommand:
         assert code == 2 and not out.exists()
         assert not [w for w in caught if "dropped" in str(w.message)]
 
+    @pytest.mark.parametrize("alias", ["same", "dotted", "symlink"])
+    def test_raw_naming_the_out_file_exit_2_before_the_work(
+            self, monkeypatch, tmp_path, capsys, alias):
+        # the raw rows would overwrite the metrics written just before
+        def no_work(*args, **kw):
+            raise AssertionError("the work started")
+
+        monkeypatch.setattr(cli, "run_experiment", no_work)
+        out = tmp_path / "m.csv"
+        raw = {"same": out, "dotted": tmp_path / "." / "m.csv",
+               "symlink": tmp_path / "link.csv"}[alias]
+        if alias == "symlink":
+            out.write_text("kept\n")
+            raw.symlink_to(out)
+        assert main(["simulate", "--config", self._config(tmp_path),
+                     "--out", str(out), "--raw", str(raw)]) == 2
+        assert "same file" in capsys.readouterr().err
+        if alias == "symlink":
+            assert out.read_text() == "kept\n"
+        else:
+            assert not out.exists()
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text("{not json")

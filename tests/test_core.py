@@ -108,6 +108,12 @@ class TestStandardizeColumns:
         with pytest.raises(InputError, match="1"):
             standardize_columns(x)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_names_index(self, bad):
+        x = np.array([[1.0, 2.0], [2.0, bad], [4.0, 3.0]])
+        with pytest.raises(InputError, match="column 1 holds NaN"):
+            standardize_columns(x)
+
     def test_return_stats_roundtrip(self):
         x = RngStream(2, ()).generator().standard_normal((9, 3)) * 3 + 1
         out, means, scales = standardize_columns(x, return_stats=True)

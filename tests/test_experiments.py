@@ -2,13 +2,15 @@ import functools
 import multiprocessing
 import sys
 import time
+import types
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from rlasszero import InputError, calibration, core, experiments, missing
+from rlasszero import InputError, SolverFailure, calibration, core, \
+    estimators, experiments, missing
 from rlasszero.core import RngStream
 from rlasszero.estimators import hard_threshold
 from rlasszero.experiments import (
@@ -390,6 +392,19 @@ class TestRunExperiment:
         with pytest.warns(UserWarning, match="dropped"):
             with pytest.raises(InputError, match="every replication failed"):
                 run_experiment(spec)
+
+    def test_failed_tjp_solve_drop_names_the_estimator(self, monkeypatch):
+        # tjp fits through estimators.tjp, whose failure names tjp
+        monkeypatch.setattr(estimators, "solve_jp",
+                            lambda *a: types.SimpleNamespace(status="limit"))
+        spec = _tiny_spec(estimators=("tjp",), replications=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SolverFailure, match="every replication"):
+                run_experiment(spec)
+        assert [str(w.message) for w in caught] == [
+            f"replication {r} dropped: tjp solve ended with status limit"
+            for r in (1, 2)]
 
     def test_automatic_csv_bytes_identical_across_workers(self):
         spec = _auto_spec()
