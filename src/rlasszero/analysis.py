@@ -1,21 +1,22 @@
 """Exact identifiability and null-space-property certification.
 
-Both certificates work on one null space, that of A = [X, sqrt(n)/lambda I]
-with unit weights. It is the null space of the paper's [X, sqrt(n) I] with
-weights (1, lambda), after the exact rescaling omega' = lambda * omega.
+Both certificates solve one LP over the null space of the noiseless
+program of :func:`rlasszero.lp.formulate_jp`, A = [X, sqrt(n) I] with
+costs w = (1, lambda), and start it from that program's block basis.
 
 A sign pair (theta for the coefficients, theta_tilde for the corruption)
 is identifiable when the corruption-aware l1 problem has that signed pair
 as its unique solution at noiseless data. The certificate used here is
-the classical null-space characterization: for every nonzero (beta, omega)
-with A (beta, omega) = 0,
+the classical null-space characterization: for every nonzero nu with
+A nu = 0, and h the sign pair,
 
-    |theta' beta + theta_tilde' omega| < ||beta_off||_1 + ||omega_off||_1,
+    |(w h)' nu| < sum_off w_j |nu_j|,
 
 where "off" is the complement of the sign supports. The worst case is
-found exactly by linear programming over the slice ||nu_off||_1 <= 1,
-after checking that the on-support columns are linearly independent.
-The stable null-space property solves it once per sign pattern.
+found exactly by linear programming over the slice sum_off w_j |nu_j| <= 1,
+after checking that the on-support columns are linearly independent. A
+witness is reported as w nu, a null vector of [X, sqrt(n)/lambda I].
+The stable null-space property solves the LP once per sign pattern.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .core import check_count
 from .errors import BudgetExceededError, InputError, SolverFailure
-from .lp import LpProblem, OPTIMAL, solve_lp
+from .lp import LpProblem, OPTIMAL, check_design, formulate_jp, solve_lp
 
 _STRICTNESS = 1e-9
 
@@ -49,16 +50,6 @@ def _check_signs(v: np.ndarray, name: str) -> np.ndarray:
     return v.astype(float)
 
 
-def _null_space_matrix(x: np.ndarray, lam: float) -> np.ndarray:
-    """[X, sqrt(n)/lam I], for a finite 2-D design and a finite lam > 0."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or not np.isfinite(x).all():
-        raise InputError("the design must be a 2-D array of finite numbers")
-    if not 0 < lam < np.inf:
-        raise InputError(f"lambda must be finite and > 0, got {lam}")
-    return np.hstack([x, (np.sqrt(len(x)) / lam) * np.eye(len(x))])
-
-
 def _support_mask(indices, size: int, name: str) -> np.ndarray:
     """Boolean mask of ``indices``, each an integer in [0, size)."""
     mask = np.zeros(size, dtype=bool)
@@ -69,33 +60,33 @@ def _support_mask(indices, size: int, name: str) -> np.ndarray:
     return mask
 
 
-def _max_inner_product_lp(a_null: np.ndarray, h: np.ndarray,
-                          on: np.ndarray):
-    """Solve max h'nu s.t. a_null nu = 0, ||nu_off||_1 <= 1.
+def _max_inner_product_lp(jp: LpProblem, h: np.ndarray, on: np.ndarray):
+    """Solve max (w h)'nu s.t. A nu = 0, sum_off w_j |nu_j| <= 1, where the
+    noiseless program ``jp`` has the split columns [A | -A] and costs (w, w).
 
     ``on`` masks the support, whose entries are left out of the budget.
-    Returns (value, nu) or (inf, None) when unbounded.
+    The start is the block basis of ``jp`` plus the budget slack: a lower
+    triangular basis at x_B = (0, ..., 0, 1). Returns (value, w nu) or
+    (inf, None) when unbounded.
     """
-    m, k = a_null.shape
+    m, k = jp.a.shape[0], jp.n_signed
     # split nu = u - v, slack t for the budget row
     a = np.zeros((m + 1, 2 * k + 1))
-    a[:m, :k] = a_null
-    a[:m, k:2 * k] = -a_null
-    a[m, :2 * k] = np.tile(~on, 2)
+    a[:m, :2 * k] = jp.a
+    a[m, :2 * k] = jp.c * np.tile(~on, 2)
     a[m, 2 * k] = 1.0
     b = np.zeros(m + 1)
     b[m] = 1.0
-    c = np.zeros(2 * k + 1)
-    c[:k] = -h
-    c[k:2 * k] = h
-    # the budget row puts +1 under both halves, so column k + j is not
+    c = np.append(jp.c * np.concatenate([-h, h]), 0.0)
+    # the budget row puts +w_j under both halves, so column k + j is not
     # minus column j: the pairs are not declared and every column is priced
-    x, obj, status = solve_lp(LpProblem(a=a, b=b, c=c))
+    x, obj, status = solve_lp(LpProblem(a=a, b=b, c=c,
+                                        basis=np.append(jp.basis, 2 * k)))
     if status == "unbounded":
         return np.inf, None
     if status != OPTIMAL:
         raise SolverFailure(f"certification LP ended with status {status}")
-    return -obj, x[:k] - x[k:2 * k]
+    return -obj, jp.c[:k] * (x[:k] - x[k:2 * k])
 
 
 def check_identifiability(x: np.ndarray, theta: np.ndarray,
@@ -108,9 +99,9 @@ def check_identifiability(x: np.ndarray, theta: np.ndarray,
     that is not finite and 2-D, a lambda that is not finite and > 0, and
     sign vectors of other entries or lengths raise InputError.
     """
-    a_null = _null_space_matrix(x, lam)
-    n, k = a_null.shape
-    p = k - n
+    x = check_design(x)
+    n, p = x.shape
+    jp = formulate_jp(x, np.zeros(n), lam)
     theta = _check_signs(theta, "theta")
     theta_tilde = _check_signs(theta_tilde, "theta_tilde")
     if theta.shape != (p,) or theta_tilde.shape != (n,):
@@ -120,14 +111,14 @@ def check_identifiability(x: np.ndarray, theta: np.ndarray,
 
     # on-support columns must be independent, otherwise a null vector
     # supported inside (S, T) kills uniqueness outright: the value is +inf
-    a_on = a_null[:, support]
+    a_on = jp.a[:, :n + p][:, support]
     _, sing, vt = np.linalg.svd(a_on)
     rank_tol = max(a_on.shape) * sing.max(initial=0.0) * 1e-12
     if a_on.shape[1] > (sing > rank_tol).sum():
-        value, nu = np.inf, np.zeros(k)
-        nu[support] = vt[-1]
+        value, nu = np.inf, np.zeros(n + p)
+        nu[support] = jp.c[:n + p][support] * vt[-1]
     else:
-        value, nu = _max_inner_product_lp(a_null, h, support)
+        value, nu = _max_inner_product_lp(jp, h, support)
     margin = 1.0 - value
     identifiable = bool(margin > _STRICTNESS)
     # dead band: uniqueness cannot be certified, so the conservative
@@ -154,10 +145,10 @@ def check_stable_nsp(x: np.ndarray, s0, t0, lam: float = 1.0,
     S or T entries that are not indices, or a rho_nsp that is not finite
     and >= 0 raise InputError.
     """
-    a_null = _null_space_matrix(x, lam)
-    n, k = a_null.shape
-    on = np.concatenate([_support_mask(s0, k - n, "S"),
-                         _support_mask(t0, n, "T")])
+    x = check_design(x)
+    n, p = x.shape
+    jp = formulate_jp(x, np.zeros(n), lam)
+    on = np.concatenate([_support_mask(s0, p, "S"), _support_mask(t0, n, "T")])
     if not 0 <= rho_nsp < np.inf:
         raise InputError(f"rho_nsp must be finite and >= 0, got {rho_nsp}")
     on_idx = np.flatnonzero(on)
@@ -167,9 +158,9 @@ def check_stable_nsp(x: np.ndarray, s0, t0, lam: float = 1.0,
             f"{n_lps} sign patterns exceed budget {budget}")
     # bit i set gives entry i the sign -1: even patterns start with +1
     for bits in range(0, 2 * n_lps, 2):
-        h = np.zeros(k)
+        h = np.zeros(n + p)
         h[on_idx] = 1.0 - 2.0 * (bits >> np.arange(on_idx.size) & 1)
-        value, _ = _max_inner_product_lp(a_null, h, on)
+        value, _ = _max_inner_product_lp(jp, h, on)
         if value > rho_nsp + _STRICTNESS:
             return False
     return True
@@ -203,7 +194,8 @@ def covariance_diagnostics(sigma: np.ndarray, n: int, s: int, k: int,
     The numerical constants are inputs: the theory only pins down
     c_sample >= 144^2 and leaves the others unspecified. InputError
     unless n >= 1, s >= 1 and k >= 0 are integers, beta_min is finite,
-    sigma_noise is finite and >= 0 and lam is finite and > 0.
+    sigma_noise is finite and >= 0, and lam and the three constants are
+    finite and > 0.
     """
     for name, value, minimum in (("n", n, 1), ("s", s, 1), ("k", k, 0)):
         check_count(name, value, minimum)
@@ -212,8 +204,11 @@ def covariance_diagnostics(sigma: np.ndarray, n: int, s: int, k: int,
     if not 0.0 <= sigma_noise < np.inf:
         raise InputError(f"sigma_noise must be finite and >= 0, "
                          f"got {sigma_noise}")
-    if not 0.0 < lam < np.inf:
-        raise InputError(f"lam must be finite and > 0, got {lam}")
+    for name, value in (("lam", lam), ("c_sample", c_sample),
+                        ("c_corruption_1", c_corruption_1),
+                        ("c_corruption_2", c_corruption_2)):
+        if not 0.0 < value < np.inf:
+            raise InputError(f"{name} must be finite and > 0, got {value}")
     sigma = np.asarray(sigma, dtype=float)
     p = sigma.shape[0]
     if sigma.shape != (p, p) or not np.allclose(sigma, sigma.T, atol=1e-10):

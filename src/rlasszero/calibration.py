@@ -29,7 +29,7 @@ from .core import RngStream, check_count, run_tasks, usable_cores
 from .errors import InputError, SolverFailure
 from .estimators import RlzConfig, pivot_scale_from_gammas, \
     robust_lasso_zero
-from .lp import check_corruption_rows
+from .lp import check_corruption_rows, check_design
 
 # Leading entry of every calibration stream path. The simulation harness
 # numbers its replications from 1, so no replication path starts with 0
@@ -69,8 +69,9 @@ def qut_threshold(x: np.ndarray, spec: QutSpec,
     deterministic function of its arguments and shares no stream with a
     data fit or a simulation replication. ``x`` and ``corruption_cols`` must
     be the exact matrix and corruption rows the subsequent fit will use,
-    as :func:`rlasszero.missing.rlz_with_missing` passes them; rows that
-    are not integers in [0, n) raise InputError before any draw.
+    as :func:`rlasszero.missing.rlz_with_missing` passes them. A design
+    that is not a finite 2-D array, or rows that are not integers in
+    [0, n), raise InputError before any draw.
 
     The draws run through :func:`rlasszero.core.run_tasks` on one worker
     per usable core (:func:`rlasszero.core.usable_cores`), each on one
@@ -80,7 +81,7 @@ def qut_threshold(x: np.ndarray, spec: QutSpec,
     The returned ``pivot_quantile`` multiplies the pivot scale of the data
     fit to give the data-dependent threshold.
     """
-    x = np.asarray(x, dtype=float)
+    x = check_design(x)
     cols = check_corruption_rows(corruption_cols, len(x))
     draw = partial(_qut_draw, x, spec, cols)
     results = run_tasks(draw, range(1, spec.n_mc + 1), usable_cores())

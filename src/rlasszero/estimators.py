@@ -22,8 +22,8 @@ import numpy as np
 
 from .core import RngStream, check_count
 from .errors import InputError, SolverFailure
-from .lp import OPTIMAL, check_corruption_rows, check_response, solve_jp, \
-    solve_jp_many
+from .lp import OPTIMAL, check_corruption_rows, check_design, \
+    check_response, solve_jp, solve_jp_many
 
 
 def hard_threshold(v: np.ndarray, tau: float) -> np.ndarray:
@@ -143,11 +143,11 @@ def robust_lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
     its solve starts. Either way each result equals its own
     :func:`rlasszero.lp.solve_jp`, bit for bit. Failed solves are dropped
     from the medians with a warning; the fit aborts only when more than
-    half of them fail. A response that is not n finite values, or rows
-    that are not integers in [0, n), raise InputError before any
-    dictionary is drawn.
+    half of them fail. A design that is not a finite 2-D array, a
+    response that is not n finite values, or rows that are not integers
+    in [0, n), raise InputError before any dictionary is drawn.
     """
-    x = np.asarray(x, dtype=float)
+    x = check_design(x)
     n = x.shape[0]
     y = check_response(y, n)
     cols = check_corruption_rows(corruption_cols, n)

@@ -109,7 +109,7 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
     side of its split pair that makes it nonnegative. It is None when the
     dictionary has too few columns for those rows or the block is singular.
     """
-    x = np.asarray(x, dtype=float)
+    x = check_design(x)
     if not 0 < lam < np.inf:
         raise InputError(f"lambda must be finite and > 0, got {lam}")
     n, p = x.shape
@@ -128,6 +128,14 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
                      c=np.concatenate([costs, costs]),
                      n_signed=a_signed.shape[1],
                      basis=_block_basis(a_signed, y, p, cols))
+
+
+def check_design(x: np.ndarray) -> np.ndarray:
+    """``x`` as a float array; InputError unless it is 2-D and finite."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or not np.isfinite(x).all():
+        raise InputError("the design must be a 2-D array of finite numbers")
+    return x
 
 
 def check_response(y: np.ndarray, n: int) -> np.ndarray:
@@ -192,8 +200,8 @@ def _refactor(a_basis, b):
 
 
 def _apply_pivot(binv, xb, basis, d, leave, enter):
-    """Update the basis inverse and basic values after a pivot, with the
-    float operations of the tests' reference update (np.clip, np.outer)."""
+    """Update the basis inverse and basic values after a pivot; np.maximum
+    and np.multiply.outer give the bytes of the tests' reference update."""
     piv = d[leave]
     t = xb[leave] / piv
     xb -= t * d
@@ -302,19 +310,18 @@ def _finish(a, b, c, basis, status, n):
     """(x, objective, status) over the first n columns of ``a`` at the
     basis a phase-2 loop ended on with ``status``.
 
-    The basis is inverted afresh; "optimal" stands only if the residual
-    and the reduced costs pass at that inverse, and is "tolerance_failure"
-    otherwise.
+    Any status but "optimal" gives zeros and a NaN objective. The basis is
+    inverted afresh; "optimal" stands only if the residual and the reduced
+    costs pass at that inverse, and is "tolerance_failure" otherwise.
     """
-    if status == TOLERANCE_FAILURE:
-        return np.zeros(n), np.nan, TOLERANCE_FAILURE
+    if status != OPTIMAL:
+        return np.zeros(n), np.nan, status
     a_basis = a[:, basis]
     binv, xb = _refactor(a_basis, b)
-    if status == OPTIMAL:
-        reduced = c[:n] - (c[basis] @ binv) @ a[:, :n]
-        if not _residual_ok(a_basis, b, xb) \
-                or reduced.min() < -_OPT_TOL * (1.0 + np.abs(c).max()):
-            return np.zeros(n), np.nan, TOLERANCE_FAILURE
+    reduced = c[:n] - (c[basis] @ binv) @ a[:, :n]
+    if not _residual_ok(a_basis, b, xb) \
+            or reduced.min() < -_OPT_TOL * (1.0 + np.abs(c).max()):
+        return np.zeros(n), np.nan, TOLERANCE_FAILURE
     x = np.zeros(n)
     keep = basis < n
     x[basis[keep]] = xb[keep]
@@ -331,7 +338,8 @@ def solve_lp(prob: LpProblem):
     >= -1e-9 (1 + ||c||_inf); a basis failing either check gives
     "tolerance_failure". Each phase may take 50 (m + N) pivots for m rows
     and N columns, and switches to Bland's rule after 10 (m + N); a phase
-    that runs out of pivots gives "tolerance_failure". A problem whose
+    that runs out of pivots gives "tolerance_failure". Every status but
+    "optimal" comes with x = 0 and a NaN objective. A problem whose
     ``n_signed`` pairs are not exact negatives raises InputError.
     """
     a, b, c, start = _start(prob)
@@ -532,7 +540,8 @@ def solve_jp_many(x: np.ndarray, y: np.ndarray, lam: float,
     Larger programs are solved one at a time, and ``dictionaries`` is then
     read one item per solve, so a generator keeps one dictionary alive.
     """
-    n, p = np.shape(x)
+    x = check_design(x)
+    n, p = x.shape
     gs = dictionaries if n > _LOCKSTEP_MAX_ROWS else list(dictionaries)
     if n > _LOCKSTEP_MAX_ROWS or len({np.shape(g) for g in gs}) != 1:
         return [solve_jp(x, y, lam, corruption_cols, g) for g in gs]

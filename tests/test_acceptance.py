@@ -30,6 +30,7 @@ from rlasszero.lp import (
 )
 from rlasszero.missing import MissingnessSpec, generate_missingness
 
+from test_pinned_outputs import stack_note
 from vertex_oracle import certify_unique_jp, enumerate_vertex_optima, recompose
 
 
@@ -323,4 +324,5 @@ def test_fig1_outputs_pinned(workers):
                                       "cdcf9f992689c7ede1307c76428e68fa"),
             (raw_to_csv(raw_rows), "df0028fd36288940210c8a95be31ed56"
                                    "691a154632b8b8e9ec1f84ea6f3ccd9c")):
-        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256, \
+            stack_note()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -11,6 +13,7 @@ from rlasszero.analysis import (
 from rlasszero.core import RngStream, toeplitz_sigma
 from rlasszero.lp import solve_jp
 
+from test_pinned_outputs import DATA, write_inputs
 from vertex_oracle import certify_unique_jp
 
 
@@ -79,6 +82,47 @@ class TestCheckIdentifiability:
             oracle = (np.allclose(beta_u, beta0, atol=1e-8)
                       and np.allclose(omega_u, omega0, atol=1e-8))
         assert verdict.identifiable == oracle
+
+
+def _assert_witness(x, theta, theta_tilde, lam, margin, beta_w, omega_w):
+    """The witness is a null vector of [X, sqrt(n)/lam I] on the budget
+    slice with unit weights, and attains the certificate's value."""
+    n = len(x)
+    assert np.abs(x @ beta_w + np.sqrt(n) / lam * omega_w).max() <= 1e-12
+    h = np.concatenate([theta, theta_tilde])
+    nu = np.concatenate([beta_w, omega_w])
+    assert np.abs(nu[h == 0]).sum() <= 1.0 + 1e-9
+    assert h @ nu == pytest.approx(1.0 - margin, abs=1e-9)
+
+
+class TestWitness:
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_witness(self, seed, lam):
+        gen = RngStream(seed, (121,)).generator()
+        n, p = 20, 40
+        x = gen.standard_normal((n, p))
+        theta, theta_tilde = np.zeros(p), np.zeros(n)
+        theta[gen.choice(p, 4, replace=False)] = gen.choice([-1.0, 1.0], 4)
+        theta_tilde[gen.choice(n, 6, replace=False)] = \
+            gen.choice([-1.0, 1.0], 6)
+        v = check_identifiability(x, theta, theta_tilde, lam=lam)
+        # an LP witness: the on-support columns are independent
+        assert not v.identifiable and -np.inf < v.margin < -1e-3
+        assert np.abs(v.witness[1]).max() > 0.1
+        _assert_witness(x, theta, theta_tilde, lam, v.margin, *v.witness)
+
+    def test_pinned_cli_witness(self, tmp_path):
+        write_inputs(tmp_path)
+        x, theta, theta_tilde = (
+            np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+            for name in ("X_id.csv", "theta_large.csv", "tt_large.csv"))
+        got = json.loads((DATA / "pinned_identify_witness.json")
+                         .read_text(encoding="utf-8"))
+        assert not got["identifiable"]
+        _assert_witness(x, theta, theta_tilde, 1.0, got["margin"],
+                        np.array(got["witness"]["beta"]),
+                        np.array(got["witness"]["omega"]))
 
 
 def _highs_stable_nsp_value(x, s0, t0, lam):
@@ -252,7 +296,10 @@ class TestCovarianceDiagnostics:
         dict(beta_min=np.nan), dict(beta_min=np.inf),
         dict(sigma_noise=-0.5), dict(sigma_noise=np.inf),
         dict(sigma_noise=np.nan), dict(lam=-1.0), dict(lam=0.0),
-        dict(lam=np.inf)])
+        dict(lam=np.inf), dict(c_sample=-1.0), dict(c_sample=0.0),
+        dict(c_sample=np.nan), dict(c_corruption_1=0.0),
+        dict(c_corruption_1=np.inf), dict(c_corruption_2=-1.0),
+        dict(c_corruption_2=np.nan)])
     def test_impossible_inputs_rejected(self, kw):
         args = dict(n=10, s=1, k=1, beta_min=1.0, sigma_noise=0.1, lam=1.0)
         with pytest.raises(InputError):

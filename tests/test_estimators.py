@@ -346,3 +346,33 @@ class TestCorruptionRows:
         cols = lp.check_corruption_rows(rows, 4)
         assert cols.ndim == 1 and cols.dtype == int
         np.testing.assert_array_equal(cols, want)
+
+
+class TestDesignCheck:
+    """Every entry point that takes a design checks it with
+    :func:`rlasszero.lp.check_design` before any draw or solve."""
+
+    ENTRY_POINTS = {
+        "formulate_jp": lambda x: lp.formulate_jp(x, np.ones(12), 1.0),
+        "solve_jp": lambda x: lp.solve_jp(x, np.ones(12), 1.0),
+        "solve_jp_many": lambda x: lp.solve_jp_many(
+            x, np.ones(12), 1.0, None, [np.ones((12, 12))]),
+        "tjp": lambda x: tjp(x, np.ones(12), 1.0, 0.1),
+        "robust_lasso_zero": lambda x: robust_lasso_zero(
+            x, np.ones(12), RlzConfig(tau=0.1, n_dictionaries=2)),
+        "qut_threshold": lambda x: calibration.qut_threshold(
+            x, calibration.QutSpec(n_mc=50, n_dictionaries=2)),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1-D"])
+    def test_bad_design_rejected_before_any_draw(self, monkeypatch, entry,
+                                                 bad):
+        x = RngStream(3, (5,)).generator().standard_normal((12, 20))
+        if bad == "1-D":
+            x = x[0]
+        else:
+            x[4, 7] = float(bad)
+        monkeypatch.setattr(RngStream, "generator", None)
+        with pytest.raises(InputError, match="2-D array of finite numbers"):
+            self.ENTRY_POINTS[entry](x)

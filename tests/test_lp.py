@@ -106,8 +106,10 @@ class TestSolveLp:
     def test_unbounded_detected(self):
         prob = LpProblem(a=np.array([[1.0, -1.0]]), b=np.array([0.0]),
                          c=np.array([-1.0, 0.0]))
-        _, _, status = solve_lp(prob)
+        x, obj, status = solve_lp(prob)
         assert status == UNBOUNDED
+        # no vertex and no finite objective at any status but optimal
+        assert np.array_equal(x, np.zeros(2)) and np.isnan(obj)
 
     def test_duplicate_columns_terminate(self):
         a = np.hstack([np.ones((2, 4)), np.eye(2)])
@@ -356,8 +358,7 @@ class TestPivotPath:
     def test_certification_lp(self, monkeypatch):
         gen = RngStream(7, (43,)).generator()
         n, p = 30, 10
-        a_null = np.hstack([gen.standard_normal((n, p)),
-                            np.sqrt(n) * np.eye(n)])
+        jp = formulate_jp(gen.standard_normal((n, p)), np.zeros(n), 1.0)
         h = np.zeros(n + p)
         h[[0, 3, 7]] = gen.choice([-1.0, 1.0], 3)
         h[p:p + 15] = 1.0
@@ -369,9 +370,13 @@ class TestPivotPath:
 
         with monkeypatch.context() as mp:
             mp.setattr(analysis, "solve_lp", capture)
-            analysis._max_inner_product_lp(a_null, h, h != 0)
+            analysis._max_inner_product_lp(jp, h, h != 0)
+        # the block basis plus the budget slack is a feasible start, so
+        # the solve runs one pivot loop and no phase 1
         assert problems[0].n_signed == 0
-        self._same_path(monkeypatch, problems[0])
+        assert lp._start(problems[0])[3] is not None
+        _, _, status, path = self._same_path(monkeypatch, problems[0])
+        assert status == OPTIMAL and path.count("loop") == 1
 
     def test_unbounded_program(self, monkeypatch):
         # a negative cost on both halves of a pair: u = v = t stays

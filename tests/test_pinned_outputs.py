@@ -5,10 +5,12 @@ subprocess on one OpenBLAS thread and compares what it writes with an
 expected file under ``tests/data/``: simulation CSVs byte for byte, JSON
 by keys, strings, integers and signs exactly and floats to 1e-12
 relative. A refactor that is meant to keep behaviour must pass these
-unchanged.
+unchanged. The files were made on the numeric stack recorded in
+``tests/data/pinned_stack.json``; on another stack a failure says so.
 
-Running this file as a script rewrites the expected files from the
-current code; do that only at a commit whose outputs are known good.
+Running this file as a script rewrites the expected files, and that
+record, from the current code and stack; do that only at a commit whose
+outputs are known good.
 """
 
 import json
@@ -26,6 +28,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
 REL_TOL = 1e-12
+STACK = DATA / "pinned_stack.json"
 
 _FIT = ["fit", "--x", "{d}/X_na.csv", "--y", "{d}/y.csv", "--dictionaries", "5"]
 _IDENTIFY = ["identify", "--x", "{d}/X_id.csv", "--theta-tilde"]
@@ -118,6 +121,28 @@ def run_cases(d: Path) -> None:
         assert done.returncode == 0, f"{name}: {done.stderr}"
 
 
+def running_stack() -> dict:
+    """The Python minor version, numpy version and BLAS build running now."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # an older show_config has no "dicts"
+        blas = "unknown"
+    return {"python": "%d.%d" % sys.version_info[:2],
+            "numpy": np.__version__, "blas": blas}
+
+
+def stack_note() -> str:
+    """Empty on the stack the pinned files were made with, else a note
+    naming both stacks for a failing comparison's message."""
+    pinned = json.loads(STACK.read_text(encoding="utf-8"))
+    running = running_stack()
+    if running == pinned:
+        return ""
+    name = "Python {python}, numpy {numpy}, {blas}".format
+    return f"pinned on {name(**pinned)}, running on {name(**running)}"
+
+
 def json_differences(got, want, where="$") -> list[str]:
     """Where two JSON values differ: keys, strings, integers, booleans,
     None and signs must match exactly, floats to REL_TOL relative."""
@@ -154,12 +179,13 @@ def outputs(tmp_path_factory):
 def test_json_output_pinned(outputs, name):
     got = json.loads((outputs / name).read_text(encoding="utf-8"))
     want = json.loads((DATA / name).read_text(encoding="utf-8"))
-    assert json_differences(got, want) == []
+    assert json_differences(got, want) == [], stack_note()
 
 
 @pytest.mark.parametrize("name", [n for n in OUTPUTS if n.endswith(".csv")])
 def test_csv_output_pinned(outputs, name):
-    assert (outputs / name).read_bytes() == (DATA / name).read_bytes()
+    assert (outputs / name).read_bytes() == (DATA / name).read_bytes(), \
+        stack_note()
 
 
 def test_json_comparison_catches_changes():
@@ -184,3 +210,6 @@ if __name__ == "__main__":
         for name in OUTPUTS:
             shutil.copyfile(Path(tmp) / name, DATA / name)
             print(f"wrote {DATA / name}")
+        STACK.write_text(json.dumps(running_stack(), indent=2) + "\n",
+                         encoding="utf-8")
+        print(f"wrote {STACK}")
