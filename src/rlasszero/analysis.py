@@ -193,7 +193,8 @@ def covariance_diagnostics(sigma: np.ndarray, n: int, s: int, k: int,
 
     The numerical constants are inputs: the theory only pins down
     c_sample >= 144^2 and leaves the others unspecified. InputError
-    unless n >= 1, s >= 1 and k >= 0 are integers, beta_min is finite,
+    unless sigma is a finite, square, symmetric and positive definite
+    matrix, n >= 1, s >= 1 and k >= 0 are integers, beta_min is finite,
     sigma_noise is finite and >= 0, and lam and the three constants are
     finite and > 0.
     """
@@ -210,9 +211,11 @@ def covariance_diagnostics(sigma: np.ndarray, n: int, s: int, k: int,
         if not 0.0 < value < np.inf:
             raise InputError(f"{name} must be finite and > 0, got {value}")
     sigma = np.asarray(sigma, dtype=float)
+    if (sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]
+            or sigma.size == 0 or not np.isfinite(sigma).all()
+            or not np.allclose(sigma, sigma.T, atol=1e-10)):
+        raise InputError("sigma must be a finite, square, symmetric matrix")
     p = sigma.shape[0]
-    if sigma.shape != (p, p) or not np.allclose(sigma, sigma.T, atol=1e-10):
-        raise InputError("sigma must be square symmetric")
     eigs = np.linalg.eigvalsh(sigma)
     lo, hi = float(eigs[0]), float(eigs[-1])
     if lo <= 0:

@@ -324,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="JSON simulation spec")
     sim.add_argument("--out", required=True, help="aggregate metrics CSV")
     sim.add_argument("--raw", help="optional per-replication CSV")
-    sim.add_argument("--workers", type=int, default=1)
+    sim.add_argument("--workers", type=int, default=1,
+                     help="worker processes, at most one per usable core "
+                          "and per replication (default 1)")
     sim.set_defaults(func=_cmd_simulate)
 
     qut = sub.add_parser("qut", parents=[fit_qut],

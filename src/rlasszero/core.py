@@ -20,8 +20,9 @@ import multiprocessing
 import numbers
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -60,10 +61,10 @@ def check_count(name: str, value, minimum: int) -> None:
 def toeplitz_sigma(p: int, rho: float) -> np.ndarray:
     """Toeplitz correlation matrix with entries rho**|i-j| and unit diagonal.
 
-    Requires 0 <= rho < 1 so the matrix is positive definite.
+    Requires an integer p >= 1, and 0 <= rho < 1 so the matrix is
+    positive definite.
     """
-    if p < 1:
-        raise InputError(f"p must be >= 1, got {p}")
+    check_count("p", p, 1)
     if not 0.0 <= rho < 1.0:
         raise InputError(f"rho must lie in [0, 1), got {rho}")
     idx = np.arange(p)
@@ -74,8 +75,11 @@ def sample_design(n: int, p: int, sigma: np.ndarray, stream: RngStream) -> np.nd
     """Draw an n x p matrix with i.i.d. rows from N(0, sigma).
 
     Rows are generated as standard-normal vectors times the lower Cholesky
-    factor of sigma, so the covariance is exact.
+    factor of sigma, so the covariance is exact. InputError unless n and
+    p are integers >= 1 and sigma is p x p and positive definite.
     """
+    check_count("n", n, 1)
+    check_count("p", p, 1)
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (p, p):
         raise InputError(f"sigma must be {p}x{p}, got shape {sigma.shape}")
@@ -178,53 +182,48 @@ def run_tasks(fn: Callable, items: Sequence, workers: int) -> list:
     same results, warnings and failures at any ``workers``.
 
     A call that raises InputError or SolverFailure gets the exception as
-    its result; any other exception is raised, and cancels the calls no
-    worker has started. Each call's warnings are raised again here, in
-    order of the items, once every call has returned.
+    its result. Any other exception is raised, the first in order of the
+    items, once the calls before it have returned; the calls after it
+    that no worker has started are cancelled. Each call's warnings are
+    raised again here, in order of the items, once every call has
+    returned.
 
     The calls run here, inside :func:`single_blas_thread`, when
     ``workers`` is 1 or this process is a multiprocessing child, so pools
     never nest. Otherwise they run in contiguous chunks, four per worker
     so that the last ones leave little to wait for, on a pool of forked
     processes that the call starts and closes, each on one OpenBLAS
-    thread, since the workers already fill the cores. Forked, because a
-    spawned worker imports numpy and the package afresh: about 0.5 s of
-    CPU on a 2-core x86 machine, some 10 calibration draws at 50 x 100.
+    thread, since the workers already fill the cores. The pool has at
+    most one process per usable core and per item, whatever ``workers``
+    asks: a forked pool starts all its processes at once, and processes
+    beyond the cores only compete for them. Forked, because a spawned
+    worker imports numpy and the package afresh: about 0.5 s of CPU on a
+    2-core x86 machine, some 10 calibration draws at 50 x 100.
     """
     items = list(items)
     if workers == 1 or multiprocessing.parent_process() is not None:
         with single_blas_thread():
-            outcomes = _run_chunk(fn, items)
+            outcomes = [_run_one(fn, item) for item in items]
     else:
         size = -(-len(items) // (4 * workers))
         with ProcessPoolExecutor(
-                max_workers=min(workers, len(items)),
+                max_workers=min(workers, len(items), usable_cores()),
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=set_blas_threads, initargs=(1,)) as pool:
-            chunks = [pool.submit(_run_chunk, fn, items[i:i + size])
-                      for i in range(0, len(items), size)]
-            try:
-                for chunk in as_completed(chunks):
-                    chunk.result()
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
-        outcomes = [outcome for chunk in chunks for outcome in chunk.result()]
+            outcomes = list(pool.map(partial(_run_one, fn), items,
+                                     chunksize=size))
     for _, caught in outcomes:
         for message in caught:
             warnings.warn(message, stacklevel=3)
     return [result for result, _ in outcomes]
 
 
-def _run_chunk(fn: Callable, items: list) -> list:
-    """(result or InputError/SolverFailure, warnings raised) of each item."""
-    outcomes = []
-    for item in items:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                result = fn(item)
-            except (InputError, SolverFailure) as exc:
-                result = exc
-        outcomes.append((result, [w.message for w in caught]))
-    return outcomes
+def _run_one(fn: Callable, item) -> tuple:
+    """(result or InputError/SolverFailure, warnings raised) of one item."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(item)
+        except (InputError, SolverFailure) as exc:
+            result = exc
+    return result, [w.message for w in caught]

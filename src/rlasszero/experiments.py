@@ -260,8 +260,9 @@ def run_experiment(spec: SimulationSpec, workers: int = 1):
     A ``workers`` that is not an integer >= 1 raises InputError.
 
     :func:`rlasszero.core.run_tasks` runs the replications on ``workers``
-    processes, each on one OpenBLAS thread, and raises their warnings
-    again once every replication has run, in order of the replications.
+    processes, but on no more than one per usable core, each on one
+    OpenBLAS thread, and raises their warnings again once every
+    replication has run, in order of the replications.
     """
     check_count("workers", workers, 1)
     reps = range(1, spec.replications + 1)

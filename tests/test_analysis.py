@@ -299,11 +299,16 @@ class TestCovarianceDiagnostics:
         dict(lam=np.inf), dict(c_sample=-1.0), dict(c_sample=0.0),
         dict(c_sample=np.nan), dict(c_corruption_1=0.0),
         dict(c_corruption_1=np.inf), dict(c_corruption_2=-1.0),
-        dict(c_corruption_2=np.nan)])
+        dict(c_corruption_2=np.nan), dict(sigma=1.0),
+        dict(sigma=np.ones(3)), dict(sigma=np.ones((2, 3))),
+        dict(sigma=np.zeros((0, 0))), dict(sigma=np.ones((1, 2, 2))),
+        dict(sigma=np.diag([1.0, np.inf])),
+        dict(sigma=np.diag([1.0, np.nan]))])
     def test_impossible_inputs_rejected(self, kw):
-        args = dict(n=10, s=1, k=1, beta_min=1.0, sigma_noise=0.1, lam=1.0)
+        args = dict(sigma=np.eye(3), n=10, s=1, k=1, beta_min=1.0,
+                    sigma_noise=0.1, lam=1.0)
         with pytest.raises(InputError):
-            covariance_diagnostics(np.eye(3), **{**args, **kw})
+            covariance_diagnostics(**{**args, **kw})
 
     def test_non_pd_rejected(self):
         with pytest.raises(InputError):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from rlasszero import InputError
 from rlasszero.core import (
     RngStream,
+    run_tasks,
     sample_design,
     standardize_columns,
     toeplitz_sigma,
@@ -53,6 +55,11 @@ class TestToeplitzSigma:
         with pytest.raises(InputError):
             toeplitz_sigma(3, rho)
 
+    @pytest.mark.parametrize("p", [0, -1, 2.5, 3.0, "3"])
+    def test_p_not_a_count(self, p):
+        with pytest.raises(InputError, match="p must be an integer"):
+            toeplitz_sigma(p, 0.5)
+
     @pytest.mark.parametrize("p", [2, 50, 500])
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.95])
     def test_positive_definite(self, p, rho):
@@ -80,6 +87,29 @@ class TestSampleDesign:
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(InputError):
             sample_design(5, 2, bad, RngStream(0, ()))
+
+    @pytest.mark.parametrize("n, p, name", [
+        (2.5, 2, "n"), (0, 2, "n"), (3, 2.0, "p"), (3, 0, "p")])
+    def test_sizes_not_counts(self, n, p, name):
+        with pytest.raises(InputError, match=f"{name} must be an integer"):
+            sample_design(n, p, np.eye(2), RngStream(0, ()))
+
+
+def _first_fails_last(item):
+    # item 0 fails late, item 7 at once: the first failure in item order
+    # is item 0's, whichever finishes first
+    if item == 0:
+        time.sleep(0.5)
+    if item in (0, 7):
+        raise RuntimeError(f"item {item}")
+    return item
+
+
+class TestRunTasks:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failure_in_item_order(self, workers):
+        with pytest.raises(RuntimeError, match="item 0"):
+            run_tasks(_first_fails_last, range(8), workers)
 
 
 class TestStandardizeColumns:

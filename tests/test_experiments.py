@@ -350,6 +350,32 @@ class TestRunExperiment:
         assert len(list(tmp_path.iterdir())) < replications - 1
         assert multiprocessing.active_children() == []
 
+    def test_pool_capped_at_usable_cores(self, monkeypatch):
+        # a forked pool starts every process it may use at once; this one
+        # records its size and runs the replications here, starting none
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers, **kw):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(core, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(core, "usable_cores", lambda: 3)
+        for replications in (5, 2):
+            spec = _tiny_spec(replications=replications, estimators=("tjp",))
+            assert _simulate(spec, 10 ** 6) == _simulate(spec, 1)
+        assert pools == [3, 2]
+        assert multiprocessing.active_children() == []
+
     def test_serial_inside_a_pool_worker(self, monkeypatch):
         def no_pool(*args, **kw):
             raise AssertionError("a pool started inside a pool worker")
