@@ -70,8 +70,8 @@ def qut_threshold(x: np.ndarray, spec: QutSpec,
     data fit or a simulation replication. ``x`` and ``corruption_cols`` must
     be the exact matrix and corruption rows the subsequent fit will use,
     as :func:`rlasszero.missing.rlz_with_missing` passes them. A design
-    that is not a finite 2-D array, or rows that are not integers in
-    [0, n), raise InputError before any draw.
+    that is not a finite 2-D array, or rows that are not distinct
+    integers in [0, n), raise InputError before any draw.
 
     The draws run through :func:`rlasszero.core.run_tasks` on one worker
     per usable core (:func:`rlasszero.core.usable_cores`), each on one

@@ -144,8 +144,8 @@ def robust_lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
     :func:`rlasszero.lp.solve_jp`, bit for bit. Failed solves are dropped
     from the medians with a warning; the fit aborts only when more than
     half of them fail. A design that is not a finite 2-D array, a
-    response that is not n finite values, or rows that are not integers
-    in [0, n), raise InputError before any dictionary is drawn.
+    response that is not n finite values, or rows that are not distinct
+    integers in [0, n), raise InputError before any dictionary is drawn.
     """
     x = check_design(x)
     n = x.shape[0]

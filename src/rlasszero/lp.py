@@ -31,15 +31,17 @@ inverted final basis.
 A median fit solves M programs that differ only in their dictionary.
 :func:`solve_jp_many` returns what :func:`solve_jp` returns for each of
 them, bit for bit. At most ``_LOCKSTEP_MAX_ROWS`` (64) rows, it runs their
-phase 2 in lock step on (B, m, K) arrays of the signed blocks, one row of
-the stack per program, so each numpy call of a pivot serves all B
-programs; the products and the pivot update are the single loop's float
-operations program by program. At 50 rows this takes 0.64-0.80 of the
-one-at-a-time CPU time; at 100 rows lock step takes 1.09-1.26 of it, so
-larger programs are solved one at a time. The loss is not the cache:
-batches of 2 or 3 programs at 100 rows fit a 2 MiB L2 and still lose,
-because there the arithmetic of each pivot outweighs the per-call overhead
-that lock step shares.
+phase 2 in lock step on the (B, m, 2K) stack of the split matrices that
+``_start`` builds, one row of the stack per program, so each numpy call of
+a pivot serves all B programs; the products and the pivot update are the
+single loop's float operations program by program. Each program is
+certified by ``_finish`` as it leaves the loop, which then packs the
+matrices of the live programs over it in place. At 50 rows this takes
+0.64-0.80 of the one-at-a-time CPU time; at 100 rows lock step takes
+1.09-1.26 of it, so larger programs are solved one at a time. The loss is
+not the cache: batches of 2 or 3 programs at 100 rows fit a 2 MiB L2 and
+still lose, because there the arithmetic of each pivot outweighs the
+per-call overhead that lock step shares.
 """
 
 from __future__ import annotations
@@ -99,9 +101,10 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
     s.t. X beta + sqrt(n) E omega + G gamma = y.
 
     When ``corruption_cols`` is None the corruption block spans all n rows;
-    otherwise only the listed rows get a corruption column, and an empty
-    list drops the block (:func:`check_corruption_rows`). Without ``g``
-    there is no dictionary block.
+    otherwise only the listed rows get a corruption column, an empty list
+    drops the block, and a repeated row is an InputError
+    (:func:`check_corruption_rows`). Without ``g`` there is no dictionary
+    block.
     Variables are ordered [beta, omega, gamma].
 
     The starting basis takes the corruption column of each row that has
@@ -148,8 +151,9 @@ def check_response(y: np.ndarray, n: int) -> np.ndarray:
 
 def check_corruption_rows(rows, n: int) -> np.ndarray:
     """The corruption rows as a 1-D integer array: every row for None,
-    else InputError unless ``rows`` lists integers in [0, n). An empty
-    list drops the corruption block, and a repeated row is allowed."""
+    else InputError unless ``rows`` lists distinct integers in [0, n). An
+    empty list drops the corruption block. A repeated row is rejected: its
+    corruption columns would be equal, and omega not unique."""
     if rows is None:
         return np.arange(n)
     idx = np.asarray(rows)
@@ -157,16 +161,19 @@ def check_corruption_rows(rows, n: int) -> np.ndarray:
             idx.dtype.kind in "iu" and 0 <= idx.min() and idx.max() < n)):
         raise InputError(f"corruption rows must be a list of integers in "
                          f"range({n}), got {rows!r}")
+    if len(set(idx.tolist())) != idx.size:
+        raise InputError(f"corruption rows must not repeat, got {rows!r}")
     return idx.astype(int, copy=False)
 
 
 def _block_basis(a_signed, y, p, cols):
     """Feasible basis of the split program from the E and G blocks, or None."""
     n, k = a_signed.shape
-    rows, first = np.unique(cols, return_index=True)
-    n_free = n - rows.size
+    n_free = n - cols.size
     if n_free > k - p - cols.size:
         return None
+    # corruption columns in row order, then dictionary columns
+    first = np.argsort(cols, kind="stable")
     signed = np.concatenate([p + first, p + cols.size + np.arange(n_free)])
     try:
         z = np.linalg.solve(a_signed[:, signed], y)
@@ -389,37 +396,31 @@ def solve_lp(prob: LpProblem):
 # Lock-step phase 2 over a stack of programs
 # ---------------------------------------------------------------------------
 
-def _basis_columns(a_signed, basis):
-    """The columns ``basis`` of the split matrices [a_signed | -a_signed]
-    of a stack of programs: column K + j is built as the exact negation
-    of column j."""
-    k = a_signed.shape[-1]
-    cols = np.take_along_axis(a_signed, basis[..., None, :] % k, axis=-1)
-    np.negative(cols, out=cols, where=basis[..., None, :] >= k)
-    return cols
-
-
 def _lockstep_loop(a, b, c, basis, binv, xb, max_pivots: int,
                    bland_after: int):
     """:func:`_pivot_loop` run over a stack of B split-symmetric programs
-    at once, each making the pivots it makes alone, bit for bit.
+    at once, each making the pivots it makes alone, bit for bit, and
+    certified by :func:`_finish` as it leaves.
 
-    Program i has the columns [a[i] | -a[i]] (a is (B, m, K)), and all of
-    them share the right-hand side ``b`` and the costs ``c`` (length 2K).
-    Every program may price all 2K columns. ``basis`` (B, m), ``binv``
-    (B, m, m) and ``xb`` (B, m) are updated in place. Each step mirrors
-    :func:`_pivot_loop` and :func:`_apply_pivot` with stacked arrays, and
-    a stacked product runs one BLAS call per program, as the single loop
-    does. A program leaves the live arrays when its loop ends, and ``a``
-    is overwritten as the loop packs the blocks of the live programs into
-    its leading rows. Returns (statuses, pivots), one entry per program.
+    ``a`` (B, m, 2K) stacks the split matrices [A_i | -A_i] that
+    :func:`_start` returns; all programs share the right-hand side ``b``
+    and the costs ``c`` (length 2K), and may price all 2K columns.
+    ``basis`` (B, m), ``binv`` (B, m, m) and ``xb`` (B, m) are updated in
+    place. Each step mirrors :func:`_pivot_loop` and :func:`_apply_pivot`
+    with stacked arrays, and a stacked product runs one BLAS call per
+    program, as the single loop does. A program leaves the live arrays
+    when its loop ends, and ``a`` is overwritten as the loop packs the
+    matrices of the live programs into its leading rows. Returns
+    (results, pivots): per program, the (x, objective, status) of
+    :func:`_finish` and the number of pivots made.
     """
-    n_prog, m, k = a.shape
-    statuses, pivots = [None] * n_prog, [0] * n_prog
+    n_prog, m, n = a.shape
+    k = n // 2
+    results, pivots = [None] * n_prog, [0] * n_prog
     c_u, c_v = c[:k], c[k:]
     threshold = -_OPT_TOL * (1.0 + np.abs(c).max())
     no_tie = np.iinfo(basis.dtype).max  # above every column index
-    reduced_buf = np.empty((n_prog, 2 * k))
+    reduced_buf = np.empty((n_prog, n))
     ratios_buf = np.empty((n_prog, m))
     outer_buf = np.empty((n_prog, m, m))
     live, rows = np.arange(n_prog), np.arange(n_prog)
@@ -427,19 +428,20 @@ def _lockstep_loop(a, b, c, basis, binv, xb, max_pivots: int,
     it = 0
 
     def retire(ended, status):
-        """Write back the state of the programs that ended with ``status``
+        """Certify and write back the programs that ended with ``status``
         and drop them from the live arrays; returns the mask kept."""
         nonlocal a_l, basis_l, binv_l, xb_l, cb, live, rows
         done = live[ended]
         basis[done], binv[done], xb[done] = \
             basis_l[ended], binv_l[ended], xb_l[ended]
-        for i in done:
-            statuses[i], pivots[i] = status, it
+        for i, j in zip(done, np.flatnonzero(ended)):
+            results[i] = _finish(a_l[j], b, c, basis[i], status, n)
+            pivots[i] = it
         keep = ~ended
         basis_l, binv_l, xb_l, cb, live = (
             v[keep] for v in (basis_l, binv_l, xb_l, cb, live))
-        # pack the live blocks into the leading rows of a: a compacted copy
-        # would double the largest array of the loop
+        # pack the live matrices into the leading rows of a: a compacted
+        # copy would double the largest array of the loop
         for j, i in enumerate(np.flatnonzero(keep)):
             if j != i:
                 a_l[j] = a_l[i]
@@ -448,8 +450,9 @@ def _lockstep_loop(a, b, c, basis, binv, xb, max_pivots: int,
 
     while True:
         if it and it % _REFACTOR_EVERY == 0:
-            binv_l[:], xb_l[:] = _refactor(_basis_columns(a_l, basis_l), b)
-        w = np.matmul(np.matmul(cb[:, None, :], binv_l), a_l)[:, 0]
+            binv_l[:], xb_l[:] = _refactor(
+                np.take_along_axis(a_l, basis_l[:, None, :], axis=-1), b)
+        w = np.matmul(np.matmul(cb[:, None, :], binv_l), a_l[:, :, :k])[:, 0]
         reduced = reduced_buf[:live.size]
         np.subtract(c_u, w, out=reduced[:, :k])
         np.add(c_v, w, out=reduced[:, k:])
@@ -459,13 +462,11 @@ def _lockstep_loop(a, b, c, basis, binv, xb, max_pivots: int,
         if lowest.max() >= threshold:
             keep = retire(lowest >= threshold, OPTIMAL)
             if not live.size:
-                return statuses, pivots
+                return results, pivots
             enter, reduced = enter[keep], reduced[keep]
         if it >= bland_after:
             enter = (reduced < threshold).argmax(axis=1)
-        col = a_l[rows, :, enter % k]
-        np.negative(col, out=col, where=(enter >= k)[:, None])
-        d = np.matmul(binv_l, col[:, :, None])[:, :, 0]
+        d = np.matmul(binv_l, a_l[rows, :, enter][:, :, None])[:, :, 0]
         ratios = ratios_buf[:live.size]
         ratios.fill(np.inf)
         np.divide(xb_l, d, out=ratios, where=d > _FEAS_TOL)
@@ -473,7 +474,7 @@ def _lockstep_loop(a, b, c, basis, binv, xb, max_pivots: int,
         if best.max() == np.inf:
             keep = retire(best == np.inf, UNBOUNDED)
             if not live.size:
-                return statuses, pivots
+                return results, pivots
             enter, d, ratios, best = \
                 enter[keep], d[keep], ratios[keep], best[keep]
         # smallest variable index among ratio ties, as in _pivot_loop
@@ -495,7 +496,7 @@ def _lockstep_loop(a, b, c, basis, binv, xb, max_pivots: int,
         it += 1
         if it >= max_pivots:
             retire(np.ones(live.size, dtype=bool), TOLERANCE_FAILURE)
-            return statuses, pivots
+            return results, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +535,8 @@ def solve_jp_many(x: np.ndarray, y: np.ndarray, lam: float,
 
     Programs of at most ``_LOCKSTEP_MAX_ROWS`` rows whose dictionaries
     share one shape run their phase 2 in lock step
-    (:func:`_lockstep_loop`), each from its block basis, and are then
-    certified one by one as :func:`solve_lp` certifies. A program without
+    (:func:`_lockstep_loop`), each from its block basis and certified as
+    it leaves the loop, as :func:`solve_lp` certifies. A program without
     a feasible block start goes through :func:`solve_lp` and its phase 1.
     Larger programs are solved one at a time, and ``dictionaries`` is then
     read one item per solve, so a generator keeps one dictionary alive.
@@ -556,15 +557,13 @@ def solve_jp_many(x: np.ndarray, y: np.ndarray, lam: float,
         else:
             batch.append((i, a, *start))
     if batch:
-        # the programs share b, c and k; the loop packs a stacked copy of
-        # their pair blocks in place, and each is certified on its own a
-        k = prob.n_signed
-        basis, binv, xb = (np.stack(v) for v in list(zip(*batch))[2:])
+        # the programs share b and c; one stack holds their split matrices,
+        # which the loop packs in place, certifying each as it leaves
+        idx, a, basis, binv, xb = (np.stack(v) for v in zip(*batch))
+        del batch  # the per-program copies
         size = n + c.size  # rows plus columns of each split program
-        statuses, _ = _lockstep_loop(
-            np.stack([a[:, :k] for _, a, *_ in batch]), b, c, basis, binv, xb,
-            _PIVOTS_PER_COLUMN * size, 10 * size)
-        for (i, a, *_), end, status in zip(batch, basis, statuses):
-            sols[i] = _jp_solution(
-                *_finish(a, b, c, end, status, c.size), p, gs[i])
+        results, _ = _lockstep_loop(a, b, c, basis, binv, xb,
+                                    _PIVOTS_PER_COLUMN * size, 10 * size)
+        for i, res in zip(idx, results):
+            sols[i] = _jp_solution(*res, p, gs[i])
     return sols

@@ -10,7 +10,8 @@ from rlasszero.analysis import (
     check_stable_nsp,
     covariance_diagnostics,
 )
-from rlasszero.core import RngStream, toeplitz_sigma
+from rlasszero.core import RngStream, standardize_columns, \
+    toeplitz_sigma
 from rlasszero.lp import solve_jp
 
 from test_pinned_outputs import DATA, write_inputs
@@ -123,6 +124,74 @@ class TestWitness:
         _assert_witness(x, theta, theta_tilde, 1.0, got["margin"],
                         np.array(got["witness"]["beta"]),
                         np.array(got["witness"]["omega"]))
+
+
+def _recovers(x, beta0, omega0, lam):
+    """Whether noiseless Justice Pursuit returns (beta0, omega0)."""
+    sol = solve_jp(x, x @ beta0 + np.sqrt(len(x)) * omega0, lam)
+    assert sol.status == "optimal"
+    return (np.allclose(sol.beta, beta0, rtol=0, atol=1e-8)
+            and np.allclose(sol.omega, omega0, rtol=0, atol=1e-8))
+
+
+def _witness_slope(x, beta0, omega0, lam, nu_beta, nu_omega):
+    """The rate of change of ||beta||_1 + lam ||omega||_1 from (beta0,
+    omega0) along d = -(nu_beta, nu_omega / lam), after checking that d
+    keeps X beta + sqrt(n) omega fixed."""
+    n = len(x)
+    assert np.abs(x @ nu_beta + np.sqrt(n) / lam * nu_omega).max() <= 1e-12
+    z = np.concatenate([beta0, omega0])
+    d = -np.concatenate([nu_beta, nu_omega / lam])
+    w = np.concatenate([np.ones(beta0.size), np.full(n, lam)])
+    # the cost is linear along d until a support entry changes sign
+    on = z != 0
+    step = min(1.0, 0.5 * np.abs(z[on] / d[on]).min(initial=np.inf))
+    return (w @ np.abs(z + step * d) - w @ np.abs(z)) / step
+
+
+class TestCertificateAtScale:
+    """At 50 x 100, where vertex enumeration cannot reach, the verdict
+    predicts what noiseless Justice Pursuit returns, and a witness is a
+    feasible direction along which the cost falls at the margin's rate."""
+
+    @pytest.mark.parametrize("lam_drawn", [False, True],
+                             ids=["lam1", "lam_uniform"])
+    def test_verdict_predicts_recovery_and_witness_slope(self, lam_drawn):
+        n, p = 50, 100
+        verdicts = []
+        for seed in range(100):
+            gen = RngStream(seed, (123,)).generator()
+            x = standardize_columns(gen.standard_normal((n, p)))
+            lam = float(gen.uniform(0.5, 2.0)) if lam_drawn else 1.0
+            beta0, omega0 = np.zeros(p), np.zeros(n)
+            for v, size in ((beta0, int(gen.integers(1, 16))),
+                            (omega0, int(gen.integers(0, 16)))):
+                at = gen.choice(v.size, size, replace=False)
+                v[at] = gen.choice([-1.0, 1.0], size) \
+                    * gen.uniform(1.0, 2.0, size)
+            v = check_identifiability(x, np.sign(beta0), np.sign(omega0),
+                                      lam=lam)
+            assert abs(v.margin) > 1e-9 and not v.inconclusive
+            assert v.identifiable == _recovers(x, beta0, omega0, lam), seed
+            verdicts.append(v.identifiable)
+            if not v.identifiable:
+                assert _witness_slope(x, beta0, omega0, lam, *v.witness) \
+                    == pytest.approx(v.margin, abs=1e-9)
+        assert 25 <= sum(verdicts) <= 75  # both verdicts are common
+
+    def test_pinned_cli_witness_recovery_and_slope(self, tmp_path):
+        write_inputs(tmp_path)
+        x, theta, theta_tilde = (
+            np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+            for name in ("X_id.csv", "theta_large.csv", "tt_large.csv"))
+        got = json.loads((DATA / "pinned_identify_witness.json")
+                         .read_text(encoding="utf-8"))
+        assert got["margin"] < -1e-9
+        assert not _recovers(x, theta, theta_tilde, 1.0)
+        assert _witness_slope(x, theta, theta_tilde, 1.0,
+                              np.array(got["witness"]["beta"]),
+                              np.array(got["witness"]["omega"])) \
+            == pytest.approx(got["margin"], abs=1e-9)
 
 
 def _highs_stable_nsp_value(x, s0, t0, lam):

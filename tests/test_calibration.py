@@ -144,7 +144,10 @@ class TestQutPool:
                 super().__init__(max_workers, **kw)
 
         monkeypatch.setattr(core, "ProcessPoolExecutor", RecordingPool)
+        # run_tasks caps the pool at core.usable_cores(): patch both, so the
+        # pool has two workers on a machine with one usable core too
         monkeypatch.setattr(calibration, "usable_cores", lambda: 2)
+        monkeypatch.setattr(core, "usable_cores", lambda: 2)
         pooled = qut_threshold(wide_design, spec, corruption_cols=cols)
         monkeypatch.setattr(calibration, "usable_cores", lambda: 1)
         serial = qut_threshold(wide_design, spec, corruption_cols=cols)

@@ -330,7 +330,7 @@ class TestCorruptionRows:
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     @pytest.mark.parametrize("rows", [[0.7], ["0"], [-1], [[0, 1]], [12],
-                                      [0.7, 2.2], [True], [[]]])
+                                      [0.7, 2.2], [True], [[]], (1, 1)])
     def test_bad_rows_rejected_before_any_draw(self, monkeypatch, entry,
                                                rows):
         x = RngStream(3, (5,)).generator().standard_normal((12, 20))
@@ -340,7 +340,7 @@ class TestCorruptionRows:
 
     @pytest.mark.parametrize("rows, want", [
         (None, np.arange(4)), ([], []), (np.array([], dtype=int), []),
-        ([3, 0], [3, 0]), ((1, 1), [1, 1]), (np.array([2], np.int32), [2]),
+        ([3, 0], [3, 0]), ((2, 1), [2, 1]), (np.array([2], np.int32), [2]),
         (np.array([0, 3], np.uint8), [0, 3])])
     def test_valid_rows_accepted(self, rows, want):
         cols = lp.check_corruption_rows(rows, 4)

@@ -440,7 +440,8 @@ class TestLockstep:
             mp.setattr(lp, "_lockstep_loop", logged_loop)
             many = lp.solve_jp_many(x, y, 1.0, cols, iter(gs))
         assert len(batches) == 1
-        statuses, pivots = batches[0]
+        results, pivots = batches[0]
+        statuses = [status for _, _, status in results]
         assert len(many) == len(gs)
         single_pivots = []
         for g, got in zip(gs, many):
@@ -511,16 +512,20 @@ class TestLockstep:
         b, c = bs[0], cs[0]
         max_pivots = 50 * (30 + 2 * k)
         stacked = [np.stack(v) for v in zip(*starts)]
-        statuses, pivots = _LOCKSTEP_LOOP(
-            np.stack([a[:, :k] for a in splits]), b, c, *stacked,
-            max_pivots, bland_after)
+        results, pivots = _LOCKSTEP_LOOP(
+            np.stack(splits), b, c, *stacked, max_pivots, bland_after)
         for i, (a, start) in enumerate(zip(splits, starts)):
             basis, binv, xb = (v.copy() for v in start)
-            assert _PIVOT_LOOP(a, b, c, basis, binv, xb, 2 * k, k,
-                               max_pivots, bland_after) == statuses[i]
+            status = _PIVOT_LOOP(a, b, c, basis, binv, xb, 2 * k, k,
+                                 max_pivots, bland_after)
+            ref_x, ref_obj, ref_status = lp._finish(a, b, c, basis, status,
+                                                    2 * k)
+            got_x, got_obj, got_status = results[i]
+            assert got_status == ref_status == OPTIMAL
+            assert np.array_equal(got_x, ref_x) and got_obj == ref_obj
             for got, ref in zip(stacked, (basis, binv, xb)):
                 assert np.array_equal(got[i], ref)
-        assert set(statuses) == {OPTIMAL} and min(pivots) > 0
+        assert min(pivots) > 0
 
     @pytest.mark.parametrize("args", [
         dict(lam=0.0), dict(lam=np.nan), dict(y=np.zeros(7)),
