@@ -75,8 +75,10 @@ def qut_threshold(x: np.ndarray, spec: QutSpec,
 
     The draws run through :func:`rlasszero.core.run_tasks` on one worker
     per usable core (:func:`rlasszero.core.usable_cores`), each on one
-    OpenBLAS thread, so ``mc_statistics`` is the same, byte for byte,
-    whatever the core count or the caller's BLAS thread setting.
+    OpenBLAS thread and taking one draw at a time; with one usable core
+    they run serially in this process, with no pool. ``mc_statistics`` is
+    the same, byte for byte, whatever the core count or the caller's BLAS
+    thread setting.
 
     The returned ``pivot_quantile`` multiplies the pivot scale of the data
     fit to give the data-dependent threshold.

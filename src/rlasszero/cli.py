@@ -326,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--raw", help="optional per-replication CSV")
     sim.add_argument("--workers", type=int, default=1,
                      help="worker processes, at most one per usable core "
-                          "and per replication (default 1)")
+                          "and per replication, each taking one replication "
+                          "at a time; where that is one, the replications "
+                          "run serially, with no pool (default 1)")
     sim.set_defaults(func=_cmd_simulate)
 
     qut = sub.add_parser("qut", parents=[fit_qut],

@@ -188,30 +188,30 @@ def run_tasks(fn: Callable, items: Sequence, workers: int) -> list:
     raised again here, in order of the items, once every call has
     returned.
 
-    The calls run here, inside :func:`single_blas_thread`, when
-    ``workers`` is 1 or this process is a multiprocessing child, so pools
-    never nest. Otherwise they run in contiguous chunks, four per worker
-    so that the last ones leave little to wait for, on a pool of forked
-    processes that the call starts and closes, each on one OpenBLAS
-    thread, since the workers already fill the cores. The pool has at
-    most one process per usable core and per item, whatever ``workers``
-    asks: a forked pool starts all its processes at once, and processes
-    beyond the cores only compete for them. Forked, because a spawned
-    worker imports numpy and the package afresh: about 0.5 s of CPU on a
-    2-core x86 machine, some 10 calibration draws at 50 x 100.
+    The pool would have ``min(workers, len(items), usable_cores())``
+    processes: a forked pool starts all its processes at once, and
+    processes beyond the cores only compete for them. Whenever that is
+    at most one, or this process is a multiprocessing child (so pools
+    never nest), the calls run here, inside :func:`single_blas_thread`.
+    Otherwise they run on a pool of forked processes that the call starts
+    and closes, one item per task, so that no worker idles while another
+    still holds a queue of items, each on one OpenBLAS thread, since the
+    workers already fill the cores. Forked, because a spawned worker
+    imports numpy and the package afresh: about 0.5 s of CPU on a 2-core
+    x86 machine, some 10 calibration draws at 50 x 100.
     """
     items = list(items)
-    if workers == 1 or multiprocessing.parent_process() is not None:
+    processes = min(workers, len(items), usable_cores())
+    if processes <= 1 or multiprocessing.parent_process() is not None:
         with single_blas_thread():
             outcomes = [_run_one(fn, item) for item in items]
     else:
-        size = -(-len(items) // (4 * workers))
         with ProcessPoolExecutor(
-                max_workers=min(workers, len(items), usable_cores()),
+                max_workers=processes,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=set_blas_threads, initargs=(1,)) as pool:
             outcomes = list(pool.map(partial(_run_one, fn), items,
-                                     chunksize=size))
+                                     chunksize=1))
     for _, caught in outcomes:
         for message in caught:
             warnings.warn(message, stacklevel=3)

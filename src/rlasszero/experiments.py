@@ -260,8 +260,10 @@ def run_experiment(spec: SimulationSpec, workers: int = 1):
     A ``workers`` that is not an integer >= 1 raises InputError.
 
     :func:`rlasszero.core.run_tasks` runs the replications on ``workers``
-    processes, but on no more than one per usable core, each on one
-    OpenBLAS thread, and raises their warnings again once every
+    processes, but on no more than one per usable core and per
+    replication, each on one OpenBLAS thread and taking one replication
+    at a time. Where that leaves one process, they run serially in this
+    one, with no pool. It raises their warnings again once every
     replication has run, in order of the replications.
     """
     check_count("workers", workers, 1)

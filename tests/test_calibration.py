@@ -136,12 +136,16 @@ class TestQutPool:
                              ids=["restricted", "full"])
     def test_pooled_equals_serial(self, wide_design, monkeypatch, cols):
         spec = QutSpec(n_mc=50, n_dictionaries=4, master_seed=3)
-        pools = []
+        pools, maps = [], []
 
         class RecordingPool(ProcessPoolExecutor):
             def __init__(self, max_workers, **kw):
                 pools.append(max_workers)
                 super().__init__(max_workers, **kw)
+
+            def map(self, fn, items, chunksize):
+                maps.append((len(items), chunksize))
+                return super().map(fn, items, chunksize=chunksize)
 
         monkeypatch.setattr(core, "ProcessPoolExecutor", RecordingPool)
         # run_tasks caps the pool at core.usable_cores(): patch both, so the
@@ -152,6 +156,8 @@ class TestQutPool:
         monkeypatch.setattr(calibration, "usable_cores", lambda: 1)
         serial = qut_threshold(wide_design, spec, corruption_cols=cols)
         assert pools == [2]
+        # one draw per task: no worker idles while another holds a chunk
+        assert maps == [(50, 1)]
         assert pooled.mc_statistics.tobytes() == serial.mc_statistics.tobytes()
         assert pooled.pivot_quantile == serial.pivot_quantile
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlasszero import InputError
+from rlasszero import InputError, core
 from rlasszero.core import (
     RngStream,
     run_tasks,
@@ -105,11 +105,31 @@ def _first_fails_last(item):
     return item
 
 
+def _square(item):
+    return item * item
+
+
+def _no_pool(*args, **kw):
+    raise AssertionError("a pool started where one process runs the calls")
+
+
 class TestRunTasks:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_first_failure_in_item_order(self, workers):
         with pytest.raises(RuntimeError, match="item 0"):
             run_tasks(_first_fails_last, range(8), workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_items(self, workers):
+        assert run_tasks(_square, [], workers) == []
+
+    @pytest.mark.parametrize("items, workers, cores", [
+        ([3], 2, 2), (range(8), 4, 1)], ids=["one-item", "one-core"])
+    def test_no_pool_of_one(self, monkeypatch, items, workers, cores):
+        # a pool of one process only adds a fork to the serial path
+        monkeypatch.setattr(core, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(core, "usable_cores", lambda: cores)
+        assert run_tasks(_square, items, workers) == [i * i for i in items]
 
 
 class TestStandardizeColumns:

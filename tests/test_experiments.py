@@ -270,6 +270,9 @@ class TestRunExperiment:
                 return super().submit(fn, *args)
 
         monkeypatch.setattr(core, "ProcessPoolExecutor", RecordingPool)
+        # run_tasks sizes the pool by core.usable_cores(): two, so a pool
+        # starts on a machine with one usable core too
+        monkeypatch.setattr(core, "usable_cores", lambda: 2)
         run_experiment(_tiny_spec(replications=2, estimators=("tjp",)),
                        workers=2)
         assert seen == [1, 1]
@@ -375,6 +378,15 @@ class TestRunExperiment:
             assert _simulate(spec, 10 ** 6) == _simulate(spec, 1)
         assert pools == [3, 2]
         assert multiprocessing.active_children() == []
+
+    def test_one_replication_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kw):
+            raise AssertionError("a pool of one process started")
+
+        spec = _tiny_spec(replications=1)
+        serial = _simulate(spec, 1)
+        monkeypatch.setattr(core, "ProcessPoolExecutor", no_pool)
+        assert _simulate(spec, 2) == serial
 
     def test_serial_inside_a_pool_worker(self, monkeypatch):
         def no_pool(*args, **kw):

@@ -16,6 +16,7 @@ outputs are known good.
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -186,6 +187,20 @@ def test_json_output_pinned(outputs, name):
 def test_csv_output_pinned(outputs, name):
     assert (outputs / name).read_bytes() == (DATA / name).read_bytes(), \
         stack_note()
+
+
+def test_ci_installs_the_recorded_stack():
+    # outputs pinned again on a new numpy must move the constrained CI job
+    # to that numpy too, or the job keeps testing them on the old one
+    pinned = json.loads(STACK.read_text(encoding="utf-8"))
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(
+        encoding="utf-8")
+    entries = re.findall(r'^\s*- python-version: "([^"]+)"\n'
+                         r'\s*constraints: "-c ([^"]+)"', workflow, re.M)
+    assert [python for python, _ in entries] == [pinned["python"]]
+    constraints = (ROOT / entries[0][1]).read_text(encoding="utf-8")
+    assert re.findall(r"^numpy==(\S+)\s*$", constraints, re.M) == \
+        [pinned["numpy"]]
 
 
 def test_json_comparison_catches_changes():
