@@ -51,10 +51,12 @@ def _check_signs(v: np.ndarray, name: str) -> np.ndarray:
 
 
 def _support_mask(indices, size: int, name: str) -> np.ndarray:
-    """Boolean mask of ``indices``, each an integer in [0, size)."""
+    """Boolean mask of ``indices``, each an integer (not a bool) in
+    [0, size)."""
     mask = np.zeros(size, dtype=bool)
     for i in indices:
-        if not isinstance(i, numbers.Integral) or not 0 <= i < size:
+        if not isinstance(i, numbers.Integral) or isinstance(i, bool) \
+                or not 0 <= i < size:
             raise InputError(f"{name} index {i!r} is not in range({size})")
         mask[i] = True
     return mask

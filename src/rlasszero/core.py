@@ -52,8 +52,9 @@ class RngStream:
 
 def check_count(name: str, value, minimum: int) -> None:
     """InputError unless ``value`` is an integer (a numpy integer passes,
-    a float or a string does not) of at least ``minimum``."""
-    if not isinstance(value, numbers.Integral) or value < minimum:
+    a bool, a float or a string does not) of at least ``minimum``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+            or value < minimum:
         raise InputError(f"{name} must be an integer >= {minimum}, "
                          f"got {value!r}")
 

@@ -138,12 +138,12 @@ def robust_lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
     (master_seed, (*rng_path, k)), so fits are deterministic. The M
     programs share X, y and the corruption rows, and
     :func:`rlasszero.lp.solve_jp_many` solves them together: in lock step
-    up to 64 rows, where that saves about a quarter of the solve time at
-    50 rows, and one at a time above, drawing each dictionary only when
-    its solve starts. Either way each result equals its own
-    :func:`rlasszero.lp.solve_jp`, bit for bit. Failed solves are dropped
-    from the medians with a warning; the fit aborts only when more than
-    half of them fail. A design that is not a finite 2-D array, a
+    up to 64 rows, where that saves solve time (measured at
+    ``lp._LOCKSTEP_MAX_ROWS``), and one at a time above, drawing each
+    dictionary only when its solve starts. Either way each result equals
+    its own :func:`rlasszero.lp.solve_jp`, bit for bit. Failed solves are
+    dropped from the medians with a warning; the fit aborts only when more
+    than half of them fail. A design that is not a finite 2-D array, a
     response that is not n finite values, or rows that are not distinct
     integers in [0, n), raise InputError before any dictionary is drawn.
     """

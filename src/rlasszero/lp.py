@@ -16,32 +16,29 @@ feasible starting basis from the program's own blocks: the corruption
 column of every row that has one, and dictionary columns for the other
 rows. The split program's columns are [A | -A], and ``LpProblem.n_signed``
 declares those pairs so that the solver prices both columns of a pair with
-one product. Both pivot loops below start a program through ``_start``: it
-negates the rows with b < 0 and checks the hinted basis. The solver is a
-revised simplex with Dantzig pricing and an automatic Bland fallback,
-which terminates on degenerate problems and returns exact basic feasible
-solutions -- needed downstream for uniqueness and sign-pattern
-certification, where first-order solvers are too loose. It starts from the
-program's basis when one is known and runs a phase 1 on artificial
-variables only when there is none (basis pursuit, Justice Pursuit with a
-restricted block, or a hand-built :class:`LpProblem`). Before it reports
-"optimal" it checks the residual and the reduced costs at a freshly
-inverted final basis.
+one product. Both pivot loops below start a program through ``_start``,
+which checks the hinted basis; no solve copies or writes the program's
+matrix or right-hand side. The solver is a revised simplex with Dantzig
+pricing and an automatic Bland fallback, which terminates on degenerate
+problems and returns exact basic feasible solutions -- needed downstream
+for uniqueness and sign-pattern certification, where first-order solvers
+are too loose. It starts from the program's basis when one is known and
+runs a phase 1 on signed artificial columns only when there is none (basis
+pursuit, Justice Pursuit with a restricted block, or a hand-built
+:class:`LpProblem`). Before it reports "optimal" it checks the residual
+and the reduced costs at a freshly inverted final basis.
 
 A median fit solves M programs that differ only in their dictionary.
 :func:`solve_jp_many` returns what :func:`solve_jp` returns for each of
 them, bit for bit. At most ``_LOCKSTEP_MAX_ROWS`` (64) rows, it runs their
-phase 2 in lock step on the (B, m, 2K) stack of the split matrices that
-``_start`` builds, one row of the stack per program, so each numpy call of
-a pivot serves all B programs; the products and the pivot update are the
+phase 2 in lock step on the (B, m, 2K) stack of the split matrices of
+:func:`formulate_jp`, one row of the stack per program, so each numpy call
+of a pivot serves all B programs; the products and the pivot update are the
 single loop's float operations program by program. Each program is
 certified by ``_finish`` as it leaves the loop, which then packs the
-matrices of the live programs over it in place. At 50 rows this takes
-0.64-0.80 of the one-at-a-time CPU time; at 100 rows lock step takes
-1.09-1.26 of it, so larger programs are solved one at a time. The loss is
-not the cache: batches of 2 or 3 programs at 100 rows fit a 2 MiB L2 and
-still lose, because there the arithmetic of each pivot outweighs the
-per-call overhead that lock step shares.
+matrices of the live programs over it in place. Larger programs are solved
+one at a time; the measurements behind the limit are noted at
+``_LOCKSTEP_MAX_ROWS``.
 """
 
 from __future__ import annotations
@@ -193,7 +190,8 @@ _REFACTOR_EVERY = 120
 # one BLAS thread, 2-core x86 machine, 6 seeds each), lock-step CPU time
 # over one-at-a-time CPU time: 0.64-0.80 at 50 rows, 0.70-1.03 at 64 and
 # 1.09-1.26 at 100, where the arithmetic of a pivot outweighs the call
-# overhead that lock step shares.
+# overhead that lock step shares. The loss is not the cache: batches of 2
+# or 3 programs at 100 rows fit a 2 MiB L2 and still lose.
 _LOCKSTEP_MAX_ROWS = 64
 
 
@@ -278,23 +276,21 @@ def _residual_ok(a_basis, b, xb):
 
 
 def _start(prob: LpProblem):
-    """(a, b, c, start) of ``prob`` before pivoting: copies of a and b with
-    the rows of b < 0 negated, the costs, and (basis, binv, xb) at
-    ``prob.basis`` when that is a feasible basis of the flipped system,
-    else None. InputError when the ``n_signed`` pairs are not exact
-    negatives or the hint does not list m column indices.
+    """(a, b, c, start) of ``prob`` before pivoting: a and b as C-ordered
+    float arrays (``prob``'s own when they are already), the costs, and
+    (basis, binv, xb) at ``prob.basis`` when that is a feasible basis,
+    else None. No solve writes to a or b. InputError when the
+    ``n_signed`` pairs are not exact negatives or the hint does not list
+    m column indices.
     """
-    a = np.asarray(prob.a, dtype=float).copy()
-    b = np.asarray(prob.b, dtype=float).copy()
+    a = np.ascontiguousarray(prob.a, dtype=float)
+    b = np.ascontiguousarray(prob.b, dtype=float)
     c = np.asarray(prob.c, dtype=float)
     m, n = a.shape
     k = prob.n_signed
     if not 0 <= 2 * k <= n or not np.array_equal(a[:, k:2 * k], -a[:, :k]):
         raise InputError(f"n_signed = {k}: columns {k}..{2 * k - 1} must be "
                          f"exactly minus columns 0..{k - 1}")
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
     if prob.basis is None:
         return a, b, c, None
     basis = np.array(prob.basis, dtype=int)
@@ -339,7 +335,10 @@ def solve_lp(prob: LpProblem):
     """Solve a standard-form LP; returns (x, objective, status).
 
     The solve starts from ``prob.basis`` when that is a feasible basis and
-    runs phase 1 otherwise. At status "optimal" the point is a basic
+    runs phase 1 otherwise, from the artificial basis diag(s) with s_i = -1
+    where b_i < 0 and +1 elsewhere; it never copies or writes ``prob.a``
+    or ``prob.b`` (an array that is not C-ordered float is read through a
+    C-ordered float copy). At status "optimal" the point is a basic
     feasible solution whose residual, recomputed at the final basis, is at
     most 1e-9 (1 + ||b||_inf) and whose reduced costs are all
     >= -1e-9 (1 + ||c||_inf); a basis failing either check gives
@@ -357,12 +356,14 @@ def solve_lp(prob: LpProblem):
     if start is not None:
         basis, binv, xb = start
     else:
-        # phase 1: artificial variables
-        a1 = np.hstack([a, np.eye(m)])
+        # phase 1: artificial variables +-e_i, signed so that x_B = s b >= 0
+        # (s b, not |b|, keeps the sign of a -0.0 entry)
+        s = np.where(b < 0, -1.0, 1.0)
+        a1 = np.hstack([a, np.diag(s)])
         c1 = np.concatenate([np.zeros(n), np.ones(m)])
         basis = np.arange(n, n + m)
-        binv = np.eye(m)
-        xb = b.copy()
+        binv = np.diag(s)
+        xb = s * b
         status = _pivot_loop(a1, b, c1, basis, binv, xb, n + m, k,
                              max_pivots, bland_after)
         if status != OPTIMAL:
@@ -557,10 +558,10 @@ def solve_jp_many(x: np.ndarray, y: np.ndarray, lam: float,
         else:
             batch.append((i, a, *start))
     if batch:
-        # the programs share b and c; one stack holds their split matrices,
+        # the programs share b and c; one stack holds formulate_jp's matrices,
         # which the loop packs in place, certifying each as it leaves
         idx, a, basis, binv, xb = (np.stack(v) for v in zip(*batch))
-        del batch  # the per-program copies
+        del batch
         size = n + c.size  # rows plus columns of each split program
         results, _ = _lockstep_loop(a, b, c, basis, binv, xb,
                                     _PIVOTS_PER_COLUMN * size, 10 * size)

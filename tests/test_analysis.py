@@ -264,6 +264,7 @@ class TestCheckStableNsp:
         {"rho_nsp": np.nan}, {"rho_nsp": -0.1}, {"rho_nsp": np.inf},
         {"s0": [0.7]}, {"s0": [2]}, {"s0": [-1]}, {"s0": ["0"]},
         {"t0": [2]}, {"t0": [1.0]},
+        {"s0": [True]}, {"t0": [False]},
     ])
     def test_bad_input_rejected(self, kwargs):
         args = {"x": np.eye(2), "s0": [0], "t0": [1]} | kwargs

@@ -620,7 +620,8 @@ class TestSimulateCommand:
         dict(lam=0), dict(rho=1.5), dict(tuning="automatic", qut_mc=10,
                                          estimators=["rlass0"]),
         dict(tuning="automatic", alpha=2, estimators=["rlass0"]),
-        dict(beta_magnitude=0), dict(estimators=[]), dict(sigma_noise=-1)])
+        dict(beta_magnitude=0), dict(estimators=[]), dict(sigma_noise=-1),
+        dict(s=True), dict(master_seed=False)])
     def test_setting_every_replication_rejects_exit_2(self, tmp_path, kw):
         # rejected once, up front: no replication runs and is dropped
         out = tmp_path / "m.csv"

@@ -55,7 +55,7 @@ class TestToeplitzSigma:
         with pytest.raises(InputError):
             toeplitz_sigma(3, rho)
 
-    @pytest.mark.parametrize("p", [0, -1, 2.5, 3.0, "3"])
+    @pytest.mark.parametrize("p", [0, -1, 2.5, 3.0, "3", True])
     def test_p_not_a_count(self, p):
         with pytest.raises(InputError, match="p must be an integer"):
             toeplitz_sigma(p, 0.5)
@@ -89,7 +89,8 @@ class TestSampleDesign:
             sample_design(5, 2, bad, RngStream(0, ()))
 
     @pytest.mark.parametrize("n, p, name", [
-        (2.5, 2, "n"), (0, 2, "n"), (3, 2.0, "p"), (3, 0, "p")])
+        (2.5, 2, "n"), (0, 2, "n"), (3, 2.0, "p"), (3, 0, "p"),
+        (True, 2, "n"), (3, True, "p")])
     def test_sizes_not_counts(self, n, p, name):
         with pytest.raises(InputError, match=f"{name} must be an integer"):
             sample_design(n, p, np.eye(2), RngStream(0, ()))

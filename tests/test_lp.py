@@ -304,6 +304,26 @@ def _qut_shaped(seed, n=50, p=100, rows=22):
                         g=gen.standard_normal((n, n)))
 
 
+def _certification_lp():
+    """The LP that ``analysis._max_inner_product_lp`` hands to solve_lp."""
+    gen = RngStream(7, (43,)).generator()
+    n, p = 30, 10
+    jp = formulate_jp(gen.standard_normal((n, p)), np.zeros(n), 1.0)
+    h = np.zeros(n + p)
+    h[[0, 3, 7]] = gen.choice([-1.0, 1.0], 3)
+    h[p:p + 15] = 1.0
+    problems = []
+
+    def capture(prob):
+        problems.append(prob)
+        return solve_lp(prob)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "solve_lp", capture)
+        analysis._max_inner_product_lp(jp, h, h != 0)
+    return problems[0]
+
+
 class TestPivotPath:
     """The solver's loop against the reference loop of the tests, which
     recomputes everything on every pivot: the same x, objective, status
@@ -356,26 +376,12 @@ class TestPivotPath:
         assert phase_2_start > phase_1_end + 1
 
     def test_certification_lp(self, monkeypatch):
-        gen = RngStream(7, (43,)).generator()
-        n, p = 30, 10
-        jp = formulate_jp(gen.standard_normal((n, p)), np.zeros(n), 1.0)
-        h = np.zeros(n + p)
-        h[[0, 3, 7]] = gen.choice([-1.0, 1.0], 3)
-        h[p:p + 15] = 1.0
-        problems = []
-
-        def capture(prob):
-            problems.append(prob)
-            return solve_lp(prob)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(analysis, "solve_lp", capture)
-            analysis._max_inner_product_lp(jp, h, h != 0)
+        prob = _certification_lp()
         # the block basis plus the budget slack is a feasible start, so
         # the solve runs one pivot loop and no phase 1
-        assert problems[0].n_signed == 0
-        assert lp._start(problems[0])[3] is not None
-        _, _, status, path = self._same_path(monkeypatch, problems[0])
+        assert prob.n_signed == 0
+        assert lp._start(prob)[3] is not None
+        _, _, status, path = self._same_path(monkeypatch, prob)
         assert status == OPTIMAL and path.count("loop") == 1
 
     def test_unbounded_program(self, monkeypatch):
@@ -538,6 +544,124 @@ class TestLockstep:
         with pytest.raises(InputError) as many:
             lp.solve_jp_many(x, call["y"], call["lam"], cols, call["gs"])
         assert str(many.value) == str(single.value)
+
+
+def _snapshot(*arrays):
+    """Copies of ``arrays`` (None stays None), for :func:`_untouched`."""
+    return [None if v is None else np.array(v, copy=True) for v in arrays]
+
+
+def _untouched(before, *after):
+    """Each array of ``after`` holds the dtype, shape and bytes of its copy
+    in ``before``."""
+    for old, new in zip(before, after, strict=True):
+        if old is None:
+            assert new is None
+            continue
+        new = np.asarray(new)
+        assert (new.dtype, new.shape) == (old.dtype, old.shape)
+        assert new.tobytes() == old.tobytes()
+
+
+def _hand_built(seed, m=20, n=50):
+    """A hand-built LP (no pairs and no hint, so phase 1 runs) whose b has
+    negative entries and an exact 0.0 in row 0, which is zero on the
+    columns of a feasible point."""
+    gen = RngStream(seed, (53,)).generator()
+    a = gen.standard_normal((m, n))
+    z = gen.random(n) * (gen.random(n) < 0.3)
+    a[0, z > 0] = 0.0
+    b = a @ z
+    assert b[0] == 0.0 and (b < 0).any() and (b > 0).any()
+    return LpProblem(a=a, b=b, c=np.abs(gen.standard_normal(n)))
+
+
+# programs of every start: phase 1 (basis pursuit, a restricted block
+# without G, a hand-built LP), a hinted dictionary program and a
+# certification LP
+_AS_GIVEN = {
+    "basis-pursuit": lambda: formulate_jp(
+        *_program(11, 20, 40, "restricted", False)[:3], corruption_cols=[]),
+    "restricted-no-g": lambda: formulate_jp(
+        *_program(11, 20, 40, "restricted", False)[:4]),
+    "hand-built": lambda: _hand_built(12),
+    "hinted": lambda: _qut_shaped(13, n=30, p=60, rows=12),
+    "certification": _certification_lp,
+}
+
+
+class TestProgramAsGiven:
+    """A solve reads its program as given: it writes none of its inputs,
+    and neither the signs of the rows nor the memory order of ``a`` change
+    what it returns."""
+
+    @pytest.mark.parametrize("name", list(_AS_GIVEN))
+    def test_solve_lp_writes_no_input(self, name):
+        prob = _AS_GIVEN[name]()
+        before = _snapshot(prob.a, prob.b, prob.c, prob.basis)
+        assert solve_lp(prob)[2] == OPTIMAL
+        _untouched(before, prob.a, prob.b, prob.c, prob.basis)
+
+    @pytest.mark.parametrize("corruption, with_g", BLOCKS)
+    def test_solve_jp_writes_no_input(self, corruption, with_g):
+        x, y, lam, cols, g = _program(14, 20, 40, corruption, with_g)
+        before = _snapshot(x, y, cols, g)
+        assert solve_jp(x, y, lam, cols, g).status == OPTIMAL
+        _untouched(before, x, y, cols, g)
+
+    # 50 rows run in lock step, 65 one at a time; dictionary 1 is zero at
+    # 50 rows, so that program has no block start and runs phase 1
+    @pytest.mark.parametrize("n", [50, 65])
+    def test_solve_jp_many_writes_no_input(self, n):
+        x, y, cols, gs = _fit_programs(15, n, 2 * n, 22, count=3)
+        if n <= lp._LOCKSTEP_MAX_ROWS:
+            gs[1] = np.zeros((n, n))
+        before = _snapshot(x, y, cols, *gs)
+        sols = lp.solve_jp_many(x, y, 1.0, cols, gs)
+        assert {sol.status for sol in sols} == {OPTIMAL}
+        _untouched(before, x, y, cols, *gs)
+
+    def test_check_identifiability_writes_no_input(self):
+        gen = RngStream(16, (53,)).generator()
+        x = gen.standard_normal((14, 8))
+        theta, theta_tilde = np.zeros(8), np.zeros(14)
+        theta[:2], theta_tilde[:3] = [1.0, -1.0], [-1.0, 1.0, 1.0]
+        before = _snapshot(x, theta, theta_tilde)
+        analysis.check_identifiability(x, theta, theta_tilde)
+        _untouched(before, x, theta, theta_tilde)
+
+    # Negating a row (a and b together) is exact, so the pivots, x and
+    # objective keep their bits. Rows with b = 0 stay as they are: phase 1
+    # gives such a row the artificial +e_i whatever its sign, so negating
+    # it makes another phase-1 program.
+    @pytest.mark.parametrize("name", list(_AS_GIVEN))
+    def test_negated_rows_give_the_same_solve(self, monkeypatch, name):
+        prob = _AS_GIVEN[name]()
+        gen = RngStream(17, (53,)).generator()
+        flip = (prob.b != 0) & (gen.random(prob.b.size) < 0.5)
+        flip[np.flatnonzero(prob.b)[0]] = True
+        sign = np.where(flip, -1.0, 1.0)
+        negated = LpProblem(a=sign[:, None] * prob.a, b=sign * prob.b,
+                            c=prob.c, n_signed=prob.n_signed,
+                            basis=prob.basis)
+        got = _pivot_path(monkeypatch, negated, _PIVOT_LOOP, _APPLY_PIVOT)
+        ref = _pivot_path(monkeypatch, prob, _PIVOT_LOOP, _APPLY_PIVOT)
+        assert ref[2] == OPTIMAL and _pivots(ref[3]) > 0
+        assert got[0].tobytes() == ref[0].tobytes()
+        assert got[1:] == ref[1:]
+        # phase 1 runs exactly where the program has no feasible hint
+        assert ref[3].count("loop") == (2 if prob.basis is None else 1)
+
+    @pytest.mark.parametrize("name", list(_AS_GIVEN))
+    def test_fortran_ordered_matrix_gives_the_same_solve(self, name):
+        prob = _AS_GIVEN[name]()
+        fortran = LpProblem(a=np.asfortranarray(prob.a), b=prob.b, c=prob.c,
+                            n_signed=prob.n_signed, basis=prob.basis)
+        assert not fortran.a.flags.c_contiguous
+        x, objective, status = solve_lp(prob)
+        got_x, got_objective, got_status = solve_lp(fortran)
+        assert status == got_status == OPTIMAL
+        assert got_x.tobytes() == x.tobytes() and got_objective == objective
 
 
 def _jp_residual(x, y, sol, cols=None, g=None):
