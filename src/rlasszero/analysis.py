@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import check_count
+from .core import check_count, check_real
 from .errors import BudgetExceededError, InputError, SolverFailure
 from .lp import LpProblem, OPTIMAL, check_design, formulate_jp, solve_lp
 
@@ -144,15 +144,14 @@ def check_stable_nsp(x: np.ndarray, s0, t0, lam: float = 1.0,
     program with h = +-1 on the (S, T) support, one LP per sign pattern.
     h and -h give the same value, so ``budget`` counts the 2^(|S|+|T|-1)
     LPs whose first sign is +1. Bad x or lam (as in check_identifiability),
-    S or T entries that are not indices, or a rho_nsp that is not finite
-    and >= 0 raise InputError.
+    S or T entries that are not indices, or a rho_nsp that is not a finite
+    number >= 0 raise InputError.
     """
     x = check_design(x)
     n, p = x.shape
     jp = formulate_jp(x, np.zeros(n), lam)
     on = np.concatenate([_support_mask(s0, p, "S"), _support_mask(t0, n, "T")])
-    if not 0 <= rho_nsp < np.inf:
-        raise InputError(f"rho_nsp must be finite and >= 0, got {rho_nsp}")
+    check_real("rho_nsp", rho_nsp, 0.0)
     on_idx = np.flatnonzero(on)
     n_lps = 2 ** on_idx.size // 2  # none for an empty support
     if n_lps > budget:
@@ -196,22 +195,18 @@ def covariance_diagnostics(sigma: np.ndarray, n: int, s: int, k: int,
     The numerical constants are inputs: the theory only pins down
     c_sample >= 144^2 and leaves the others unspecified. InputError
     unless sigma is a finite, square, symmetric and positive definite
-    matrix, n >= 1, s >= 1 and k >= 0 are integers, beta_min is finite,
-    sigma_noise is finite and >= 0, and lam and the three constants are
-    finite and > 0.
+    matrix, n >= 1, s >= 1 and k >= 0 are integers, beta_min is a finite
+    number, sigma_noise a finite number >= 0, and lam and the three
+    constants finite numbers > 0.
     """
     for name, value, minimum in (("n", n, 1), ("s", s, 1), ("k", k, 0)):
         check_count(name, value, minimum)
-    if not np.isfinite(beta_min):
-        raise InputError(f"beta_min must be finite, got {beta_min}")
-    if not 0.0 <= sigma_noise < np.inf:
-        raise InputError(f"sigma_noise must be finite and >= 0, "
-                         f"got {sigma_noise}")
+    check_real("beta_min", beta_min, -np.inf, low_open=True)
+    check_real("sigma_noise", sigma_noise, 0.0)
     for name, value in (("lam", lam), ("c_sample", c_sample),
                         ("c_corruption_1", c_corruption_1),
                         ("c_corruption_2", c_corruption_2)):
-        if not 0.0 < value < np.inf:
-            raise InputError(f"{name} must be finite and > 0, got {value}")
+        check_real(name, value, 0.0, low_open=True)
     sigma = np.asarray(sigma, dtype=float)
     if (sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]
             or sigma.size == 0 or not np.isfinite(sigma).all()

@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import RngStream, check_count, run_tasks, usable_cores
-from .errors import InputError, SolverFailure
+from .core import RngStream, check_count, check_real, run_tasks, usable_cores
+from .errors import SolverFailure
 from .estimators import RlzConfig, pivot_scale_from_gammas, \
     robust_lasso_zero
 from .lp import check_corruption_rows, check_design
@@ -46,8 +46,7 @@ class QutSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise InputError(f"alpha must be in (0,1), got {self.alpha}")
+        check_real("alpha", self.alpha, 0.0, 1.0, low_open=True)
         check_count("n_mc", self.n_mc, 50)
         # the settings of the fit that every draw runs, checked by its rules
         RlzConfig(lam=self.lam, tau=0.0, n_dictionaries=self.n_dictionaries,

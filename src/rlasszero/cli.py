@@ -242,10 +242,7 @@ def _cmd_simulate(args) -> int:
     unknown = set(raw) - known
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        spec = SimulationSpec(**raw)
-    except TypeError as exc:
-        raise InputError(str(exc)) from None
+    spec = SimulationSpec(**raw)
     records, raw_rows = run_experiment(spec, workers=args.workers)
     _write_text(args.out, metrics_to_csv(records))
     if args.raw:

@@ -2,6 +2,8 @@
 the BLAS thread setting and :func:`run_tasks`, the one task map that runs
 the calibration draws and the simulation replications, serially or on a
 pool, with the same results, warnings and failures at any worker count.
+Count settings are checked by :func:`check_count` and real-valued ones by
+:func:`check_real`, each with one InputError message format.
 
 All randomness in the package flows through :class:`RngStream`, a
 (master_seed, path) pair mapped to an independent counter-based generator.
@@ -19,6 +21,7 @@ import glob
 import multiprocessing
 import numbers
 import os
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -59,15 +62,27 @@ def check_count(name: str, value, minimum: int) -> None:
                          f"got {value!r}")
 
 
+def check_real(name: str, value, low: float, high: float = np.inf,
+               low_open: bool = False) -> None:
+    """InputError unless ``value`` is a real number, finite as a float, in
+    [low, high), or in (low, high) with ``low_open``. A numpy float passes;
+    a bool, a string and a 0-d array do not."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) \
+            or not abs(value) <= sys.float_info.max or value >= high \
+            or not (value > low if low_open else value >= low):
+        raise InputError(f"{name} must be a finite number in "
+                         f"{'(' if low_open else '['}{low:g}, {high:g}), "
+                         f"got {value!r}")
+
+
 def toeplitz_sigma(p: int, rho: float) -> np.ndarray:
     """Toeplitz correlation matrix with entries rho**|i-j| and unit diagonal.
 
-    Requires an integer p >= 1, and 0 <= rho < 1 so the matrix is
+    Requires an integer p >= 1, and rho in [0, 1) so the matrix is
     positive definite.
     """
     check_count("p", p, 1)
-    if not 0.0 <= rho < 1.0:
-        raise InputError(f"rho must lie in [0, 1), got {rho}")
+    check_real("rho", rho, 0.0, 1.0)
     idx = np.arange(p)
     return rho ** np.abs(idx[:, None] - idx[None, :])
 

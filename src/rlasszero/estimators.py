@@ -13,23 +13,21 @@ is a single thresholded solve without the dictionary block.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import RngStream, check_count
+from .core import RngStream, check_count, check_real
 from .errors import InputError, SolverFailure
 from .lp import OPTIMAL, check_corruption_rows, check_design, \
     check_response, solve_jp, solve_jp_many
 
 
 def hard_threshold(v: np.ndarray, tau: float) -> np.ndarray:
-    """Keep entries with |v_j| strictly greater than tau, zero the rest."""
-    if not tau >= 0:  # also rejects NaN
-        raise InputError(f"tau must be >= 0, got {tau}")
+    """Keep entries with |v_j| > tau, a finite number >= 0; zero the rest."""
+    check_real("tau", tau, 0.0)
     v = np.asarray(v, dtype=float)
     return np.where(np.abs(v) > tau, v, 0.0)
 
@@ -51,8 +49,9 @@ def median_aggregate(vectors: Sequence[np.ndarray]) -> np.ndarray:
 class RlzConfig:
     """Hyperparameters of the median-aggregated estimator.
 
-    ``tau`` is either a numeric threshold or the string "qut", in which
-    case a calibration result must be passed to the fitting function.
+    ``lam`` is a finite number > 0, ``tau`` a finite number >= 0 or the
+    string "qut", in which case a calibration result must be passed to the
+    fitting function, and ``rng_path`` a tuple of integers >= 0.
     """
 
     lam: float = 1.0
@@ -62,16 +61,15 @@ class RlzConfig:
     rng_path: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not 0 < self.lam < np.inf:
-            raise InputError(f"lambda must be finite and > 0, got {self.lam}")
+        check_real("lambda", self.lam, 0.0, low_open=True)
         check_count("n_dictionaries", self.n_dictionaries, 1)
         check_count("master_seed", self.master_seed, 0)
-        if isinstance(self.tau, str):
-            if self.tau != "qut":
-                raise InputError(f"tau must be numeric or 'qut', got {self.tau!r}")
-        elif not (isinstance(self.tau, numbers.Real)
-                  and 0 <= self.tau < np.inf):
-            raise InputError(f"tau must be finite and >= 0, got {self.tau!r}")
+        for i, index in enumerate(self.rng_path):
+            check_count(f"rng_path[{i}]", index, 0)
+        if not isinstance(self.tau, str):
+            check_real("tau", self.tau, 0.0)
+        elif self.tau != "qut":
+            raise InputError(f"tau must be numeric or 'qut', got {self.tau!r}")
 
 
 @dataclass

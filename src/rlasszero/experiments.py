@@ -26,8 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .calibration import QutSpec
-from .core import RngStream, check_count, run_tasks, sample_design, \
-    standardize_columns, toeplitz_sigma
+from .core import RngStream, check_count, check_real, run_tasks, \
+    sample_design, standardize_columns, toeplitz_sigma
 from .errors import InputError
 from .estimators import RlzConfig, hard_threshold, tjp
 from .missing import IncompleteMatrix, MissingnessSpec, fit_standardized, \
@@ -84,11 +84,12 @@ def oracle_s_threshold(beta_med: np.ndarray, s: int) -> float:
     exceed it. Boundary ties are resolved by lowering the cut to the next
     distinct magnitude (support then exceeds s, with a warning); when
     fewer than s nonzero magnitudes exist the cut sits just under the
-    smallest nonzero one.
+    smallest nonzero one. InputError unless s is an integer in [1, p].
     """
     beta_med = np.asarray(beta_med, dtype=float)
     p = beta_med.size
-    if not 1 <= s <= p:
+    check_count("s", s, 1)
+    if s > p:
         raise InputError(f"s must be in [1, {p}], got {s}")
     mags = np.sort(np.abs(beta_med))[::-1]
     nonzero = int(np.count_nonzero(mags))
@@ -142,24 +143,20 @@ class SimulationSpec:
             check_count(name, getattr(self, name), minimum)
         if self.s > self.p:
             raise InputError("need 1 <= s <= p")
-        if not 0.0 < self.beta_magnitude < np.inf:
-            raise InputError(f"beta_magnitude must be finite and > 0, "
-                             f"got {self.beta_magnitude}")
-        if not 0.0 <= self.sigma_noise < np.inf:
-            raise InputError(f"sigma_noise must be finite and >= 0, "
-                             f"got {self.sigma_noise}")
+        check_real("beta_magnitude", self.beta_magnitude, 0.0, low_open=True)
+        check_real("sigma_noise", self.sigma_noise, 0.0)
         toeplitz_sigma(self.p, self.rho)  # rejects a rho outside [0, 1)
         if self.mechanism not in _MECHANISMS:
             raise InputError(f"mechanism must be one of {_MECHANISMS}")
         if self.tuning not in _TUNINGS:
             raise InputError(f"tuning must be one of {_TUNINGS}")
-        if isinstance(self.estimators, str):
-            raise InputError(f"estimators must be a sequence of names, not "
-                             f"the string {self.estimators!r}")
+        if not isinstance(self.estimators, (list, tuple)):
+            raise InputError(f"estimators must be a list of names, "
+                             f"got {self.estimators!r}")
         self.estimators = tuple(self.estimators)
-        unknown = set(self.estimators) - set(_ESTIMATORS)
+        unknown = [e for e in self.estimators if e not in _ESTIMATORS]
         if unknown:
-            raise InputError(f"unknown estimators {sorted(unknown)}")
+            raise InputError(f"unknown estimators {unknown}")
         if not 0 < len(self.estimators) == len(set(self.estimators)):
             raise InputError(f"need one or more distinct estimators, "
                              f"got {self.estimators}")

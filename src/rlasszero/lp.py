@@ -48,6 +48,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .core import check_real
 from .errors import InputError
 
 OPTIMAL = "optimal"
@@ -95,7 +96,7 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
                  corruption_cols: Optional[Sequence[int]] = None,
                  g: Optional[np.ndarray] = None) -> LpProblem:
     """LP for min ||beta||_1 + lam ||omega||_1 + ||gamma||_1
-    s.t. X beta + sqrt(n) E omega + G gamma = y.
+    s.t. X beta + sqrt(n) E omega + G gamma = y, for a finite lam > 0.
 
     When ``corruption_cols`` is None the corruption block spans all n rows;
     otherwise only the listed rows get a corruption column, an empty list
@@ -110,8 +111,7 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
     dictionary has too few columns for those rows or the block is singular.
     """
     x = check_design(x)
-    if not 0 < lam < np.inf:
-        raise InputError(f"lambda must be finite and > 0, got {lam}")
+    check_real("lambda", lam, 0.0, low_open=True)
     n, p = x.shape
     y = check_response(y, n)
     cols = check_corruption_rows(corruption_cols, n)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .calibration import QutResult, QutSpec, qut_threshold
-from .core import RngStream, standardize_columns
+from .core import RngStream, check_real, standardize_columns
 from .errors import InputError
 from .estimators import RlzConfig, RlzFit, robust_lasso_zero
 from .lp import check_response
@@ -60,9 +60,9 @@ class IncompleteMatrix:
 
 
 def logistic_missing_prob(x, a: float, b: float):
-    """P(entry missing | value x) = 1 / (1 + exp(-a|x| - b))."""
-    if a < 0:
-        raise InputError(f"a must be >= 0, got {a}")
+    """P(missing | value x) = 1 / (1 + exp(-a|x| - b)); a >= 0, b finite."""
+    check_real("a", a, 0.0)
+    check_real("b", b, -np.inf, low_open=True)
     return _expit(a * np.abs(x) + b)
 
 
@@ -73,15 +73,13 @@ def _gh_expectation(a: float, b: float) -> float:
 
 
 def solve_b_for_pi(a: float, pi: float) -> float:
-    """Intercept b giving an expected missing proportion pi for N(0,1) entries.
+    """Intercept b giving a missing proportion pi in (0, 1) for N(0,1) entries.
 
     Closed form logit(pi) when a = 0; otherwise bisection on the
     Gauss-Hermite expectation (monotone increasing in b).
     """
-    if not 0.0 < pi < 1.0:
-        raise InputError(f"pi must be in (0,1), got {pi}")
-    if a < 0:
-        raise InputError(f"a must be >= 0, got {a}")
+    check_real("pi", pi, 0.0, 1.0, low_open=True)
+    check_real("a", a, 0.0)
     if a == 0:
         return math.log(pi / (1.0 - pi))
     lo, hi = -50.0, 50.0

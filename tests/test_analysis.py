@@ -265,6 +265,7 @@ class TestCheckStableNsp:
         {"s0": [0.7]}, {"s0": [2]}, {"s0": [-1]}, {"s0": ["0"]},
         {"t0": [2]}, {"t0": [1.0]},
         {"s0": [True]}, {"t0": [False]},
+        {"rho_nsp": True}, {"lam": True},
     ])
     def test_bad_input_rejected(self, kwargs):
         args = {"x": np.eye(2), "s0": [0], "t0": [1]} | kwargs
@@ -373,7 +374,8 @@ class TestCovarianceDiagnostics:
         dict(sigma=np.ones(3)), dict(sigma=np.ones((2, 3))),
         dict(sigma=np.zeros((0, 0))), dict(sigma=np.ones((1, 2, 2))),
         dict(sigma=np.diag([1.0, np.inf])),
-        dict(sigma=np.diag([1.0, np.nan]))])
+        dict(sigma=np.diag([1.0, np.nan])), dict(beta_min=True),
+        dict(beta_min="1"), dict(lam=True)])
     def test_impossible_inputs_rejected(self, kw):
         args = dict(sigma=np.eye(3), n=10, s=1, k=1, beta_min=1.0,
                     sigma_noise=0.1, lam=1.0)

@@ -26,7 +26,8 @@ class TestQutSpec:
     @pytest.mark.parametrize("kw", [dict(alpha=0.0), dict(alpha=1.0),
                                     dict(n_mc=10), dict(lam=np.nan),
                                     dict(lam=-1.0), dict(lam=0.0),
-                                    dict(n_dictionaries=0)])
+                                    dict(n_dictionaries=0),
+                                    dict(alpha="0.05")])
     def test_invalid_rejected(self, kw):
         with pytest.raises(InputError):
             QutSpec(**kw)

@@ -621,7 +621,8 @@ class TestSimulateCommand:
                                          estimators=["rlass0"]),
         dict(tuning="automatic", alpha=2, estimators=["rlass0"]),
         dict(beta_magnitude=0), dict(estimators=[]), dict(sigma_noise=-1),
-        dict(s=True), dict(master_seed=False)])
+        dict(s=True), dict(master_seed=False), dict(lam=True),
+        dict(rho=False), dict(estimators=5)])
     def test_setting_every_replication_rejects_exit_2(self, tmp_path, kw):
         # rejected once, up front: no replication runs and is dropped
         out = tmp_path / "m.csv"

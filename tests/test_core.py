@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -50,7 +51,7 @@ class TestToeplitzSigma:
     def test_corner_entry_is_power(self):
         assert toeplitz_sigma(4, 0.5)[0, 3] == pytest.approx(0.125)
 
-    @pytest.mark.parametrize("rho", [-0.1, 1.0, 1.5])
+    @pytest.mark.parametrize("rho", [-0.1, 1.0, 1.5, False])
     def test_rho_out_of_range(self, rho):
         with pytest.raises(InputError):
             toeplitz_sigma(3, rho)
@@ -64,6 +65,51 @@ class TestToeplitzSigma:
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.95])
     def test_positive_definite(self, p, rho):
         assert np.linalg.eigvalsh(toeplitz_sigma(p, rho))[0] > 0
+
+
+class TestCheckReal:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.booleans(), st.text(max_size=4), st.none(),
+                     st.integers(), st.floats(),
+                     st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1 - 2 ** -53,
+                                      2 ** 1024, -2 ** 1024])),
+           st.sampled_from([(0.0, np.inf, False), (0.0, np.inf, True),
+                            (0.0, 1.0, False), (0.0, 1.0, True),
+                            (-np.inf, np.inf, True)]))
+    def test_accepts_exactly_the_finite_reals_in_the_interval(self, value,
+                                                              interval):
+        low, high, low_open = interval
+        # finite: a float that is neither NaN nor infinite, or an integer
+        # that converts to a finite float
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            finite = False
+        elif isinstance(value, float):
+            finite = math.isfinite(value)
+        else:
+            finite = abs(value) <= sys.float_info.max
+        inside = finite and value < high and (
+            value > low if low_open else value >= low)
+        try:
+            core.check_real("x", value, low, high, low_open)
+        except InputError as exc:
+            assert not inside
+            assert str(exc).startswith("x must be a finite number in ")
+        else:
+            assert inside
+
+    def test_message(self):
+        with pytest.raises(InputError) as exc:
+            core.check_real("lambda", True, 0.0, low_open=True)
+        assert str(exc.value) == \
+            "lambda must be a finite number in (0, inf), got True"
+
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.int64(1)])
+    def test_numpy_scalars_accepted(self, value):
+        core.check_real("x", value, 0.0)
+
+    def test_zero_d_array_rejected(self):
+        with pytest.raises(InputError):
+            core.check_real("x", np.array(0.5), 0.0)
 
 
 class TestSampleDesign:

@@ -29,7 +29,7 @@ class TestHardThreshold:
                                       np.zeros(4))
 
     def test_negative_tau_rejected(self):
-        for tau in (-1.0, float("nan")):
+        for tau in (-1.0, float("nan"), float("inf"), True, "1"):
             with pytest.raises(InputError):
                 hard_threshold(np.ones(2), tau)
 
@@ -92,7 +92,11 @@ class TestConfigValidation:
                                     dict(tau=-0.5), dict(tau="bogus"),
                                     dict(lam=np.nan), dict(lam=np.inf),
                                     dict(tau=np.nan), dict(tau=np.inf),
-                                    dict(tau=None)])
+                                    dict(tau=None), dict(lam=True),
+                                    dict(tau=True), dict(lam="1"),
+                                    dict(rng_path=(1.5,)),
+                                    dict(rng_path=(-1,)),
+                                    dict(rng_path=(True,))])
     def test_invalid_rejected(self, kw):
         with pytest.raises(InputError):
             RlzConfig(**kw)

@@ -105,6 +105,11 @@ class TestOracleSThreshold:
         with pytest.raises(InputError):
             oracle_s_threshold(np.ones(3), 4)
 
+    @pytest.mark.parametrize("s", [True, 1.5, "1"])
+    def test_s_not_a_count(self, s):
+        with pytest.raises(InputError, match="s must be an integer"):
+            oracle_s_threshold(np.ones(3), s)
+
 
 class TestSimulationSpec:
     def test_defaults_valid(self):
@@ -139,7 +144,9 @@ class TestSimulationSpec:
         dict(rho=-0.1), dict(n_dictionaries=2, tuning="automatic", qut_mc=10),
         dict(tuning="automatic", alpha=2), dict(beta_magnitude=0),
         dict(beta_magnitude=float("inf")), dict(sigma_noise=-1),
-        dict(sigma_noise=float("nan")), dict(estimators=())])
+        dict(sigma_noise=float("nan")), dict(estimators=()),
+        dict(sigma_noise=False), dict(beta_magnitude=True), dict(rho=False),
+        dict(lam="1"), dict(estimators=5)])
     def test_setting_every_replication_rejects(self, kw):
         with pytest.raises(InputError):
             SimulationSpec(**kw)

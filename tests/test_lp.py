@@ -81,6 +81,10 @@ class TestFormulate:
         with pytest.raises(InputError):
             formulate_jp(np.eye(2), np.zeros(2), 0.0)
 
+    def test_bool_lambda_rejected(self):
+        with pytest.raises(InputError, match="lambda must be a finite number"):
+            solve_jp(np.eye(3), np.ones(3), True)
+
     def test_zero_rhs_optimum_zero(self):
         prob = formulate_jp(np.eye(3), np.zeros(3), 1.0)
         x, obj, status = solve_lp(prob)

@@ -83,6 +83,13 @@ class TestLogisticProb:
         with pytest.raises(InputError):
             logistic_missing_prob(0.0, -1.0, 0.0)
 
+    @pytest.mark.parametrize("a, b", [(np.nan, 0.0), (np.inf, 0.0),
+                                      (True, 0.0), (1.0, np.nan),
+                                      (1.0, -np.inf), (1.0, False)])
+    def test_non_finite_or_bool_setting_rejected(self, a, b):
+        with pytest.raises(InputError, match="must be a finite number"):
+            logistic_missing_prob(np.zeros(2), a, b)
+
 
 class TestSolveBForPi:
     def test_mcar_half(self):
@@ -120,6 +127,10 @@ class TestMissingnessSpec:
     def test_mnar_constructor(self):
         spec = MissingnessSpec.mnar(0.2)
         assert spec.a == 5.0
+
+    def test_infinite_slope_rejected_before_the_search(self):
+        with pytest.raises(InputError, match="a must be a finite number"):
+            MissingnessSpec(a=np.inf, pi=0.2)
 
     def test_b_not_settable(self):
         with pytest.raises(TypeError):
