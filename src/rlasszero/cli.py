@@ -9,12 +9,12 @@ Subcommands:
 * ``identify`` — certify identifiability of a sign pattern
 
 Design CSVs carry a header row of column names; missing entries are the
-literal token ``NA``. ``fit`` and ``qut`` solve on one OpenBLAS thread,
-so their output does not depend on the caller's thread setting; the
-calibration draws run on one process per usable core. Exit codes: 0
-success, 2 input error (an unwritable ``--out`` or ``--raw`` among them,
-or a ``--raw`` that names the ``--out`` file, caught before any work), 3
-solver failure.
+literal token ``NA``. Every command runs on one OpenBLAS thread and then
+gives the caller's thread setting back, so its output does not depend on
+that setting; the calibration draws run on one process per usable core.
+Exit codes: 0 success, 2 input error (an unwritable ``--out`` or
+``--raw`` among them, or a ``--raw`` that names the ``--out`` file,
+caught before any work), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -198,12 +198,9 @@ def _cmd_fit(args) -> int:
     qut_spec = QutSpec(alpha=args.alpha, lam=args.lam,
                        n_dictionaries=args.dictionaries,
                        master_seed=args.seed) if tau == "qut" else None
-    inc = IncompleteMatrix(x_raw)
-    with single_blas_thread():
-        fit = rlz_with_missing(y, inc, cfg, qut_spec=qut_spec,
-                               restrict_corruption=args.restrict_corruption_rows)
-    n = x_raw.shape[0]
-    omega_full = fit.omega_full(n)
+    fit = rlz_with_missing(y, IncompleteMatrix(x_raw), cfg, qut_spec=qut_spec,
+                           restrict_corruption=args.restrict_corruption_rows)
+    omega_full = fit.omega_full(x_raw.shape[0])
     _write_json(args.out, {
         "beta_hat": fit.beta_hat.tolist(),
         "beta_med": fit.beta_med.tolist(),
@@ -359,7 +356,8 @@ def main(argv=None) -> int:
         for path in (args.out, getattr(args, "raw", None)):
             if path:
                 _check_writable(path)
-        return args.func(args)
+        with single_blas_thread():
+            return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -172,9 +172,9 @@ def set_blas_threads(count: int) -> None:
 def single_blas_thread():
     """Run the body on one OpenBLAS thread, then restore the caller's count.
 
-    The solves are too small to gain from a second BLAS thread: it only
-    spins, and it keeps spinning through the Python code between BLAS
-    calls, so a whole replication has to run inside, not just its solves.
+    Used by ``cli.main`` around each whole command and by :func:`run_tasks`
+    around its serial calls. At this package's sizes a second BLAS thread
+    only spins, also between BLAS calls, so all the work runs inside.
     """
     before = blas_threads()
     set_blas_threads(1)

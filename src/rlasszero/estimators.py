@@ -64,6 +64,8 @@ class RlzConfig:
         check_real("lambda", self.lam, 0.0, low_open=True)
         check_count("n_dictionaries", self.n_dictionaries, 1)
         check_count("master_seed", self.master_seed, 0)
+        if not isinstance(self.rng_path, tuple):
+            raise InputError(f"rng_path must be a tuple, got {self.rng_path!r}")
         for i, index in enumerate(self.rng_path):
             check_count(f"rng_path[{i}]", index, 0)
         if not isinstance(self.tau, str):

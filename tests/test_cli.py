@@ -40,6 +40,22 @@ def write_vector(path, v, header=None):
             fh.write(f"{val:.17g}\n")
 
 
+def outputs_at_blas_threads(tmp_path, argv):
+    """The bytes ``python -m rlasszero.cli *argv`` writes to its ``--out``
+    file under OPENBLAS_NUM_THREADS=1 and under =2."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "rlasszero.cli", *argv,
+                        "--out", str(out)], env=env, check=True)
+        outputs.append(out.read_bytes())
+    return outputs
+
+
 @pytest.fixture()
 def instance(tmp_path):
     gen = RngStream(0, (201,)).generator()
@@ -315,20 +331,11 @@ class TestFitCommand:
         write_design(tmp_path / "X.csv", x)
         write_vector(tmp_path / "y.csv", x @ beta0 + 0.5 * gen.standard_normal(n),
                      header="y")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"fit{threads}.json"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, [src, os.environ.get("PYTHONPATH")])))
-            subprocess.run([sys.executable, "-m", "rlasszero.cli", "fit",
-                            "--x", str(tmp_path / "X.csv"),
-                            "--y", str(tmp_path / "y.csv"), "--tau", "0.5",
-                            "--dictionaries", "5", "--out", str(out)],
-                           env=env, check=True)
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        first, second = outputs_at_blas_threads(
+            tmp_path, ["fit", "--x", str(tmp_path / "X.csv"),
+                       "--y", str(tmp_path / "y.csv"), "--tau", "0.5",
+                       "--dictionaries", "5"])
+        assert first == second
 
     def test_column_scales_map_back_to_the_csv_columns(self, instance,
                                                        tmp_path):
@@ -521,6 +528,57 @@ class TestIdentifyCommand:
                      "--theta-tilde", str(tmp_path / "tt.csv"),
                      "--lambda", lam, "--out", str(out)])
         assert code == 2 and not out.exists()
+
+    @pytest.mark.skipif(blas_threads() is None,
+                        reason="numpy loaded no OpenBLAS")
+    def test_output_independent_of_blas_threads(self, tmp_path):
+        # at (100, 200) the margin's last digits follow the BLAS thread
+        # count; rlz identify certifies on one thread whatever the caller set
+        gen = RngStream(5, (207,)).generator()
+        n, p = 100, 200
+        theta, theta_tilde = np.zeros(p), np.zeros(n)
+        theta[gen.choice(p, 20, replace=False)] = gen.choice([-1.0, 1.0], 20)
+        theta_tilde[gen.choice(n, 15, replace=False)] = \
+            gen.choice([-1.0, 1.0], 15)
+        write_design(tmp_path / "X.csv", gen.standard_normal((n, p)))
+        write_vector(tmp_path / "theta.csv", theta)
+        write_vector(tmp_path / "tt.csv", theta_tilde)
+        first, second = outputs_at_blas_threads(
+            tmp_path, ["identify", "--x", str(tmp_path / "X.csv"),
+                       "--theta", str(tmp_path / "theta.csv"),
+                       "--theta-tilde", str(tmp_path / "tt.csv")])
+        assert first == second
+
+    @pytest.mark.skipif(blas_threads() is None,
+                        reason="numpy loaded no OpenBLAS")
+    def test_certifies_on_one_blas_thread_and_restores_the_callers(
+            self, monkeypatch, tmp_path):
+        seen = []
+        certify = cli.check_identifiability
+
+        def recording(*args, **kwargs):
+            seen.append(blas_threads())
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_identifiability", recording)
+        x = RngStream(2, (205,)).generator().standard_normal((10, 4))
+        write_design(tmp_path / "X.csv", x)
+        write_design(tmp_path / "X_na.csv", x, np.eye(10, 4, dtype=bool))
+        write_vector(tmp_path / "theta.csv", np.array([1.0, 0, 0, 0]))
+        write_vector(tmp_path / "tt.csv", np.zeros(10))
+        caller = blas_threads()
+        core.set_blas_threads(2)
+        try:
+            # the incomplete design exits 2 from inside the command
+            for design, code in (("X.csv", 0), ("X_na.csv", 2)):
+                assert main(["identify", "--x", str(tmp_path / design),
+                             "--theta", str(tmp_path / "theta.csv"),
+                             "--theta-tilde", str(tmp_path / "tt.csv"),
+                             "--out", str(tmp_path / "v.json")]) == code
+                assert blas_threads() == 2
+        finally:
+            core.set_blas_threads(caller)
+        assert seen == [1]
 
     def test_certification_lp_failure_exit_3(self, monkeypatch, tmp_path):
         import rlasszero.analysis as analysis

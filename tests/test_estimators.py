@@ -96,7 +96,8 @@ class TestConfigValidation:
                                     dict(tau=True), dict(lam="1"),
                                     dict(rng_path=(1.5,)),
                                     dict(rng_path=(-1,)),
-                                    dict(rng_path=(True,))])
+                                    dict(rng_path=(True,)),
+                                    dict(rng_path=[1]), dict(rng_path=5)])
     def test_invalid_rejected(self, kw):
         with pytest.raises(InputError):
             RlzConfig(**kw)

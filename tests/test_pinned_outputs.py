@@ -1,12 +1,13 @@
 """The command-line outputs for fixed inputs and seeds stay the same.
 
 Each case writes seeded inputs, runs ``python -m rlasszero.cli`` in a
-subprocess on one OpenBLAS thread and compares what it writes with an
-expected file under ``tests/data/``: simulation CSVs byte for byte, JSON
-by keys, strings, integers and signs exactly and floats to 1e-12
-relative. A refactor that is meant to keep behaviour must pass these
-unchanged. The files were made on the numeric stack recorded in
-``tests/data/pinned_stack.json``; on another stack a failure says so.
+subprocess as a user runs it, with no BLAS thread setting of its own,
+and compares what it writes with an expected file under ``tests/data/``:
+simulation CSVs byte for byte, JSON by keys, strings, integers and signs
+exactly and floats to 1e-12 relative. A refactor that is meant to keep
+behaviour must pass these unchanged. The files were made on the numeric
+stack recorded in ``tests/data/pinned_stack.json``; on another stack a
+failure says so.
 
 Running this file as a script rewrites the expected files, and that
 record, from the current code and stack; do that only at a commit whose
@@ -111,10 +112,8 @@ def write_inputs(d: Path) -> None:
 
 def run_cases(d: Path) -> None:
     """Run every case; each writes ``d / <expected file name>``."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [str(ROOT / "src"),
-                                 os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     for name, args in CASES.items():
         argv = [a.format(d=d) for a in args] + ["--out", str(d / name)]
         done = subprocess.run([sys.executable, "-m", "rlasszero.cli", *argv],
