@@ -10,9 +10,10 @@ sigma.
 
 The Monte Carlo draws are independent fits, each with its own RNG
 streams, so :func:`qut_threshold` maps them with
-:func:`rlasszero.core.run_tasks` on one process per usable core, each on
-one OpenBLAS thread. The result is the same, byte for byte, as on one
-core. Inside a pool worker (``run_experiment`` with ``workers > 1``, or a
+:func:`rlasszero.core.run_tasks`, asking for one worker per draw, which
+``run_tasks`` caps at one process per usable core, each on one OpenBLAS
+thread. The result is the same, byte for byte, as on one core. Inside a
+pool worker (``run_experiment`` with ``workers > 1``, or a
 caller's own pool) the draws run serially in that worker.
 """
 
@@ -25,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import RngStream, check_count, check_real, run_tasks, usable_cores
+from .core import RngStream, check_count, check_real, run_tasks
 from .errors import SolverFailure
 from .estimators import RlzConfig, pivot_scale_from_gammas, \
     robust_lasso_zero
@@ -72,12 +73,13 @@ def qut_threshold(x: np.ndarray, spec: QutSpec,
     that is not a finite 2-D array, or rows that are not distinct
     integers in [0, n), raise InputError before any draw.
 
-    The draws run through :func:`rlasszero.core.run_tasks` on one worker
-    per usable core (:func:`rlasszero.core.usable_cores`), each on one
-    OpenBLAS thread and taking one draw at a time; with one usable core
-    they run serially in this process, with no pool. ``mc_statistics`` is
-    the same, byte for byte, whatever the core count or the caller's BLAS
-    thread setting.
+    The draws run through :func:`rlasszero.core.run_tasks`, which is
+    asked for one worker per draw and caps that at the usable cores
+    (:func:`rlasszero.core.usable_cores`): each worker runs on one
+    OpenBLAS thread and takes one draw at a time, and with one usable
+    core the draws run serially in this process, with no pool.
+    ``mc_statistics`` is the same, byte for byte, whatever the core count
+    or the caller's BLAS thread setting.
 
     The returned ``pivot_quantile`` multiplies the pivot scale of the data
     fit to give the data-dependent threshold.
@@ -85,7 +87,7 @@ def qut_threshold(x: np.ndarray, spec: QutSpec,
     x = check_design(x)
     cols = check_corruption_rows(corruption_cols, len(x))
     draw = partial(_qut_draw, x, spec, cols)
-    results = run_tasks(draw, range(1, spec.n_mc + 1), usable_cores())
+    results = run_tasks(draw, range(1, spec.n_mc + 1), spec.n_mc)
     stats = [r for r in results if not isinstance(r, Exception)]
     failed = spec.n_mc - len(stats)
     if failed > 0.1 * spec.n_mc:

@@ -275,7 +275,8 @@ def _cmd_identify(args) -> int:
     payload = {
         "identifiable": verdict.identifiable,
         "inconclusive": verdict.inconclusive,
-        "margin": verdict.margin,
+        # JSON has no infinity: a margin that is not finite is null
+        "margin": verdict.margin if math.isfinite(verdict.margin) else None,
         "method": verdict.method,
         "witness": None,
     }

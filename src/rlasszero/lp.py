@@ -409,11 +409,16 @@ def _lockstep_loop(a, b, c, basis, binv, xb, max_pivots: int,
     ``basis`` (B, m), ``binv`` (B, m, m) and ``xb`` (B, m) are updated in
     place. Each step mirrors :func:`_pivot_loop` and :func:`_apply_pivot`
     with stacked arrays, and a stacked product runs one BLAS call per
-    program, as the single loop does. A program leaves the live arrays
-    when its loop ends, and ``a`` is overwritten as the loop packs the
-    matrices of the live programs into its leading rows. Returns
-    (results, pivots): per program, the (x, objective, status) of
-    :func:`_finish` and the number of pivots made.
+    program, as the single loop does. Programs leave at one place, after
+    pricing and the ratio test: those past the pivot budget (checked once
+    a pivot is made, with no refactor at that step) end with
+    "tolerance_failure", the others with no entering column "optimal" and
+    those with no leaving row "unbounded", in that order of precedence.
+    There their basis, inverse and values are written back, :func:`_finish`
+    certifies them, and the matrices of the live programs are packed over
+    theirs into the leading rows of ``a``. Returns (results, pivots): per
+    program, the (x, objective, status) of :func:`_finish` and the number
+    of pivots made.
     """
     n_prog, m, n = a.shape
     k = n // 2
@@ -427,30 +432,10 @@ def _lockstep_loop(a, b, c, basis, binv, xb, max_pivots: int,
     live, rows = np.arange(n_prog), np.arange(n_prog)
     a_l, basis_l, binv_l, xb_l, cb = a, basis, binv, xb, c[basis]
     it = 0
-
-    def retire(ended, status):
-        """Certify and write back the programs that ended with ``status``
-        and drop them from the live arrays; returns the mask kept."""
-        nonlocal a_l, basis_l, binv_l, xb_l, cb, live, rows
-        done = live[ended]
-        basis[done], binv[done], xb[done] = \
-            basis_l[ended], binv_l[ended], xb_l[ended]
-        for i, j in zip(done, np.flatnonzero(ended)):
-            results[i] = _finish(a_l[j], b, c, basis[i], status, n)
-            pivots[i] = it
-        keep = ~ended
-        basis_l, binv_l, xb_l, cb, live = (
-            v[keep] for v in (basis_l, binv_l, xb_l, cb, live))
-        # pack the live matrices into the leading rows of a: a compacted
-        # copy would double the largest array of the loop
-        for j, i in enumerate(np.flatnonzero(keep)):
-            if j != i:
-                a_l[j] = a_l[i]
-        a_l, rows = a_l[:live.size], rows[:live.size]
-        return keep
-
-    while True:
-        if it and it % _REFACTOR_EVERY == 0:
+    while live.size:
+        # _pivot_loop checks its budget after a pivot, so never at 0 pivots
+        budget = it >= max(max_pivots, 1)
+        if it and it % _REFACTOR_EVERY == 0 and not budget:
             binv_l[:], xb_l[:] = _refactor(
                 np.take_along_axis(a_l, basis_l[:, None, :], axis=-1), b)
         w = np.matmul(np.matmul(cb[:, None, :], binv_l), a_l[:, :, :k])[:, 0]
@@ -460,11 +445,6 @@ def _lockstep_loop(a, b, c, basis, binv, xb, max_pivots: int,
         reduced[rows[:, None], basis_l] = 0.0
         enter = reduced.argmin(axis=1)
         lowest = reduced.min(axis=1)
-        if lowest.max() >= threshold:
-            keep = retire(lowest >= threshold, OPTIMAL)
-            if not live.size:
-                return results, pivots
-            enter, reduced = enter[keep], reduced[keep]
         if it >= bland_after:
             enter = (reduced < threshold).argmax(axis=1)
         d = np.matmul(binv_l, a_l[rows, :, enter][:, :, None])[:, :, 0]
@@ -472,12 +452,30 @@ def _lockstep_loop(a, b, c, basis, binv, xb, max_pivots: int,
         ratios.fill(np.inf)
         np.divide(xb_l, d, out=ratios, where=d > _FEAS_TOL)
         best = ratios.min(axis=1)
-        if best.max() == np.inf:
-            keep = retire(best == np.inf, UNBOUNDED)
-            if not live.size:
-                return results, pivots
-            enter, d, ratios, best = \
-                enter[keep], d[keep], ratios[keep], best[keep]
+        # one test per step while no program ends, as in _pivot_loop
+        if budget or lowest.max() >= threshold or best.max() == np.inf:
+            optimal = lowest >= threshold
+            ended = budget | optimal | (best == np.inf)
+            done = live[ended]
+            basis[done], binv[done], xb[done] = \
+                basis_l[ended], binv_l[ended], xb_l[ended]
+            for i, j in zip(done, np.flatnonzero(ended)):
+                status = TOLERANCE_FAILURE if budget else \
+                    OPTIMAL if optimal[j] else UNBOUNDED
+                results[i] = _finish(a_l[j], b, c, basis[i], status, n)
+                pivots[i] = it
+            keep = ~ended
+            basis_l, binv_l, xb_l, cb, live, enter, d, ratios, best = (
+                v[keep] for v in (basis_l, binv_l, xb_l, cb, live, enter, d,
+                                  ratios, best))
+            # pack the live matrices into the leading rows of a: a
+            # compacted copy would double the largest array of the loop
+            for j, i in enumerate(np.flatnonzero(keep)):
+                if j != i:
+                    a_l[j] = a_l[i]
+            a_l, rows = a_l[:live.size], rows[:live.size]
+        # (once every program has ended, the update below runs on empty
+        # arrays and the loop stops)
         # smallest variable index among ratio ties, as in _pivot_loop
         ties = ratios <= (best + _FEAS_TOL)[:, None]
         at = rows, np.where(ties, basis_l, no_tie).argmin(axis=1)
@@ -495,9 +493,7 @@ def _lockstep_loop(a, b, c, basis, binv, xb, max_pivots: int,
         basis_l[at] = enter
         cb[at] = c[enter]
         it += 1
-        if it >= max_pivots:
-            retire(np.ones(live.size, dtype=bool), TOLERANCE_FAILURE)
-            return results, pivots
+    return results, pivots
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from rlasszero import InputError, calibration, core
+from rlasszero import InputError, SolverFailure, calibration, core
 from rlasszero.calibration import (
     QutSpec,
     pivot_scale_from_gammas,
@@ -122,6 +122,30 @@ class TestQutThreshold:
             qs.append(qut_threshold(design, spec).pivot_quantile)
         assert qs[0] >= qs[1] >= qs[2] >= 0.0
 
+    # up to a tenth of the 50 draws may fail: they are dropped with a
+    # warning, and one more fails the calibration
+    @pytest.mark.parametrize("failing", [5, 6])
+    def test_failed_draws(self, design, monkeypatch, failing):
+        spec = QutSpec(n_mc=50, n_dictionaries=3, master_seed=2)
+        full = qut_threshold(design, spec).mc_statistics
+        fit = calibration.robust_lasso_zero
+        broken = range(3, 3 + 7 * failing, 7)
+
+        def failing_fit(x, y, cfg, corruption_cols=None):
+            if cfg.rng_path[1] in broken:
+                raise SolverFailure(f"draw {cfg.rng_path[1]} failed")
+            return fit(x, y, cfg, corruption_cols=corruption_cols)
+
+        monkeypatch.setattr(calibration, "robust_lasso_zero", failing_fit)
+        if failing == 6:
+            with pytest.raises(SolverFailure, match="6/50"):
+                qut_threshold(design, spec)
+            return
+        with pytest.warns(UserWarning, match="5 calibration draws failed"):
+            stats = qut_threshold(design, spec).mc_statistics
+        kept = [j - 1 for j in range(1, 51) if j not in broken]
+        assert stats.tobytes() == full[kept].tobytes()
+
 
 def _calibrate(x, spec):
     return qut_threshold(x, spec).mc_statistics
@@ -149,12 +173,11 @@ class TestQutPool:
                 return super().map(fn, items, chunksize=chunksize)
 
         monkeypatch.setattr(core, "ProcessPoolExecutor", RecordingPool)
-        # run_tasks caps the pool at core.usable_cores(): patch both, so the
-        # pool has two workers on a machine with one usable core too
-        monkeypatch.setattr(calibration, "usable_cores", lambda: 2)
+        # run_tasks caps the pool at core.usable_cores(), so the pool has
+        # two workers on a machine with one usable core too
         monkeypatch.setattr(core, "usable_cores", lambda: 2)
         pooled = qut_threshold(wide_design, spec, corruption_cols=cols)
-        monkeypatch.setattr(calibration, "usable_cores", lambda: 1)
+        monkeypatch.setattr(core, "usable_cores", lambda: 1)
         serial = qut_threshold(wide_design, spec, corruption_cols=cols)
         assert pools == [2]
         # one draw per task: no worker idles while another holds a chunk
@@ -171,7 +194,7 @@ class TestQutPool:
                 raise RuntimeError("draw 7 broke")
             return fit(x, y, cfg, corruption_cols=corruption_cols)
 
-        monkeypatch.setattr(calibration, "usable_cores", lambda: 2)
+        monkeypatch.setattr(core, "usable_cores", lambda: 2)
         monkeypatch.setattr(calibration, "robust_lasso_zero", breaking_fit)
         spec = QutSpec(n_mc=50, n_dictionaries=3)
         if raises:
@@ -185,7 +208,7 @@ class TestQutPool:
         def no_pool(*args, **kw):
             raise AssertionError("a pool started inside a pool worker")
 
-        monkeypatch.setattr(calibration, "usable_cores", lambda: 2)
+        monkeypatch.setattr(core, "usable_cores", lambda: 2)
         monkeypatch.setattr(core, "ProcessPoolExecutor", no_pool)
         spec = QutSpec(n_mc=50, n_dictionaries=3)
         # forked, so the worker sees the patches above
@@ -193,7 +216,7 @@ class TestQutPool:
                 max_workers=1,
                 mp_context=multiprocessing.get_context("fork")) as pool:
             inside = pool.submit(_calibrate, design, spec).result(timeout=120)
-        monkeypatch.setattr(calibration, "usable_cores", lambda: 1)
+        monkeypatch.setattr(core, "usable_cores", lambda: 1)
         assert inside.tobytes() == _calibrate(design, spec).tobytes()
 
     @pytest.mark.parametrize("cores", [1, 2])
@@ -207,7 +230,7 @@ class TestQutPool:
                           f"{core.blas_threads()} BLAS threads")
             return fit(x, y, cfg, corruption_cols=corruption_cols)
 
-        monkeypatch.setattr(calibration, "usable_cores", lambda: cores)
+        monkeypatch.setattr(core, "usable_cores", lambda: cores)
         monkeypatch.setattr(calibration, "robust_lasso_zero", warning_fit)
         if caller is not None:
             core.set_blas_threads(2)

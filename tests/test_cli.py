@@ -439,7 +439,7 @@ class TestQutCommand:
         def no_pool(*args, **kw):
             raise AssertionError("a calibration pool was started")
 
-        monkeypatch.setattr(calibration, "usable_cores", lambda: 2)
+        monkeypatch.setattr(core, "usable_cores", lambda: 2)
         monkeypatch.setattr(core, "ProcessPoolExecutor", no_pool)
         x_path = tmp_path / "X.csv"
         write_design(x_path, RngStream(3, (203,)).generator()
@@ -514,6 +514,34 @@ class TestIdentifyCommand:
         assert code == 0
         d = json.loads(out.read_text())
         assert d["identifiable"] is False and d["witness"] is not None
+
+    def test_dependent_support_writes_null_margin(self, tmp_path):
+        # columns 0 and 1 of the support are equal: the margin is -inf,
+        # which strict JSON cannot hold, and the witness is a null vector
+        gen = RngStream(4, (209,)).generator()
+        n, p = 8, 6
+        x = gen.standard_normal((n, p))
+        x[:, 1] = x[:, 0]
+        write_design(tmp_path / "X.csv", x)
+        write_vector(tmp_path / "theta.csv", np.r_[1.0, -1.0, np.zeros(4)])
+        write_vector(tmp_path / "tt.csv", np.zeros(n))
+        out = tmp_path / "v.json"
+        code = main(["identify", "--x", str(tmp_path / "X.csv"),
+                     "--theta", str(tmp_path / "theta.csv"),
+                     "--theta-tilde", str(tmp_path / "tt.csv"),
+                     "--out", str(out)])
+        assert code == 0
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        d = json.loads(out.read_text(), parse_constant=no_constant)
+        assert d["identifiable"] is False and d["margin"] is None
+        beta = np.array(d["witness"]["beta"])
+        omega = np.array(d["witness"]["omega"])
+        assert np.abs(x @ beta + np.sqrt(n) * omega).max() <= 1e-12
+        assert np.all(beta[2:] == 0.0) and np.all(omega == 0.0)
+        assert np.abs(beta[:2]).max() > 0.0
 
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_non_finite_lambda_exit_2(self, tmp_path, lam):

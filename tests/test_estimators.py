@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlasszero import InputError, calibration, lp
+from rlasszero import InputError, SolverFailure, calibration, lp
 from rlasszero.core import RngStream, standardize_columns
 from rlasszero.estimators import (
     RlzConfig,
@@ -214,6 +214,17 @@ def _one_solve_per_dictionary(x, y, cfg, cols):
                 corruption_cols=cols)
 
 
+def _assert_fit_fields(fit, expected):
+    """Each field of ``fit`` equals its value in ``expected``, bit for bit."""
+    for name, value in expected.items():
+        got = getattr(fit, name)
+        if name == "gamma_all":
+            assert len(got) == len(value)
+            assert all(map(np.array_equal, got, value))
+        else:
+            assert np.array_equal(got, value), name
+
+
 class TestSolvePath:
     """64-row programs run in lock step and 65-row programs one at a time;
     both give the fit of one solve_jp per dictionary, bit for bit."""
@@ -246,13 +257,7 @@ class TestSolvePath:
         monkeypatch.setattr(lp, "solve_jp", counted_solve)
         monkeypatch.setattr(lp, "_lockstep_loop", counted_loop)
         fit = robust_lasso_zero(x, y, cfg, corruption_cols=cols)
-        for name, value in expected.items():
-            got = getattr(fit, name)
-            if name == "gamma_all":
-                assert len(got) == len(value)
-                assert all(map(np.array_equal, got, value))
-            else:
-                assert np.array_equal(got, value), name
+        _assert_fit_fields(fit, expected)
         if n <= lp._LOCKSTEP_MAX_ROWS:
             assert at_solve == [] and at_loop == [3]
         else:
@@ -265,6 +270,40 @@ class TestSolvePath:
         for bad in (np.r_[y[:-1], np.nan], y[:-1]):
             with pytest.raises(InputError, match="finite values"):
                 robust_lasso_zero(x, bad, RlzConfig(tau=0.1))
+
+
+class TestFailedSolves:
+    """Failed dictionary solves are dropped from the medians with a
+    warning; more than half of them fail the fit."""
+
+    def _budget(self, monkeypatch, pivots):
+        # each 25 x 149 program of _small_instance may make ``pivots``
+        # pivots: a budget of pivots - 0.5 ends it after its pivots-th
+        monkeypatch.setattr(lp, "_PIVOTS_PER_COLUMN", (pivots - 0.5) / 149)
+
+    def test_failed_solves_leave_the_medians(self, monkeypatch):
+        x, y, _, _ = _small_instance()
+        cfg = RlzConfig(tau=0.1, n_dictionaries=10, master_seed=1)
+        self._budget(monkeypatch, 40)
+        expected = _one_solve_per_dictionary(x, y, cfg, np.arange(25))
+        # five of ten fail: as many as may fail
+        assert expected["per_dictionary_status"].count(lp.OPTIMAL) == 5
+        with pytest.warns(UserWarning, match="5 of 10 dictionary solves"):
+            fit = robust_lasso_zero(x, y, cfg)
+        _assert_fit_fields(fit, expected)
+
+    def test_more_than_half_failed_raises(self, monkeypatch):
+        x, y, _, _ = _small_instance()
+        cfg = RlzConfig(tau=0.1, n_dictionaries=10, master_seed=1)
+        self._budget(monkeypatch, 39)
+        with pytest.raises(SolverFailure, match="more than half"), \
+                pytest.warns(UserWarning, match="6 of 10 dictionary solves"):
+            robust_lasso_zero(x, y, cfg)
+
+    def test_qut_tau_needs_a_calibration(self):
+        x, y, _, _ = _small_instance()
+        with pytest.raises(InputError, match="requires a calibration"):
+            robust_lasso_zero(x, y, RlzConfig(tau="qut", n_dictionaries=2))
 
 
 class TestLassoZero:

@@ -210,7 +210,7 @@ class TestHarnessMatchesLibrary:
                               replications=1, estimators=("rlass0", "lass0"),
                               tuning=tuning, n_dictionaries=2, qut_mc=50,
                               master_seed=8)
-        monkeypatch.setattr(calibration, "usable_cores", lambda: 1)
+        monkeypatch.setattr(core, "usable_cores", lambda: 1)
         standardized, runs = [], {}
 
         def counting(inc):
@@ -473,7 +473,7 @@ class TestRunExperiment:
             (outside if frame is None else inside).add(stream.path)
             return generator(stream)
 
-        monkeypatch.setattr(calibration, "usable_cores", lambda: 1)
+        monkeypatch.setattr(core, "usable_cores", lambda: 1)
         monkeypatch.setattr(RngStream, "generator", recording_generator)
         run_experiment(_auto_spec(replications=1))
         assert inside and outside

@@ -537,6 +537,53 @@ class TestLockstep:
                 assert np.array_equal(got[i], ref)
         assert min(pivots) > 0
 
+    # every program unbounded (a cost of -1 on both halves of a pair), a
+    # budget of one pivot, and 0.3 (m + N) = 69 pivots, which ends some of
+    # these 30 x 60 programs part-way
+    @pytest.mark.parametrize("case", ["unbounded", "budget-1",
+                                      "budget-part-way"])
+    def test_exits_match_the_single_loop(self, monkeypatch, case):
+        x, y, cols, gs = _fit_programs(4, 30, 60, 10)
+        probs = [formulate_jp(x, y, 1.0, cols, g) for g in gs]
+        k = probs[0].n_signed
+        splits, bs, cs, starts = zip(*map(lp._start, probs))
+        b, c = bs[0], cs[0].copy()
+        size = 30 + 2 * k
+        max_pivots = {"budget-1": 1, "budget-part-way": 0.3 * size}.get(
+            case, 50 * size)
+        if case == "unbounded":
+            c[[0, k]] = -1.0
+        stacked = [np.stack(v) for v in zip(*starts)]
+        results, pivots = _LOCKSTEP_LOOP(np.stack(splits), b, c, *stacked,
+                                         max_pivots, 10 * size)
+        for i, (a, start) in enumerate(zip(splits, starts)):
+            path = []
+
+            def counted_apply(*args):
+                path.append(args[-2:])
+                _APPLY_PIVOT(*args)
+
+            basis, binv, xb = (v.copy() for v in start)
+            with monkeypatch.context() as mp:
+                mp.setattr(lp, "_apply_pivot", counted_apply)
+                status = _PIVOT_LOOP(a, b, c, basis, binv, xb, 2 * k, k,
+                                     max_pivots, 10 * size)
+            ref_x, ref_obj, ref_status = lp._finish(a, b, c, basis, status,
+                                                    2 * k)
+            got_x, got_obj, got_status = results[i]
+            assert got_status == ref_status and pivots[i] == len(path)
+            assert np.array_equal(got_x, ref_x)
+            assert np.array_equal(got_obj, ref_obj, equal_nan=True)
+            for got, ref in zip(stacked, (basis, binv, xb)):
+                assert np.array_equal(got[i], ref)
+        statuses = {status for _, _, status in results}
+        assert statuses == {"unbounded": {UNBOUNDED},
+                            "budget-1": {TOLERANCE_FAILURE},
+                            "budget-part-way": {OPTIMAL, TOLERANCE_FAILURE}
+                            }[case]
+        if case == "budget-1":
+            assert set(pivots) == {1}
+
     @pytest.mark.parametrize("args", [
         dict(lam=0.0), dict(lam=np.nan), dict(y=np.zeros(7)),
         dict(y=np.r_[np.nan, np.zeros(11)]), dict(gs=[np.ones((11, 12))])])

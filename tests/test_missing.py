@@ -10,7 +10,8 @@ import rlasszero.missing as missing
 from rlasszero import InputError
 from rlasszero.calibration import QutResult, QutSpec
 from rlasszero.core import RngStream, standardize_columns
-from rlasszero.estimators import RlzConfig, robust_lasso_zero
+from rlasszero.estimators import RlzConfig, pivot_scale_from_gammas, \
+    robust_lasso_zero
 from rlasszero.missing import (
     IncompleteMatrix,
     MissingnessSpec,
@@ -329,6 +330,23 @@ class TestPipeline:
         fit = rlz_with_missing(gen.standard_normal(15), inc, cfg,
                                qut_spec=spec)
         assert np.isfinite(fit.tau_used) and fit.tau_used > 0.0
+
+    def test_default_calibration_has_the_fit_settings(self, monkeypatch):
+        # without a qut_spec the calibration takes lam, M and the seed of
+        # the fit; the recorder stands in for it, so no draw runs
+        specs = []
+
+        def recorder(x, spec, corruption_cols=None):
+            specs.append(spec)
+            return QutResult(pivot_quantile=2.0, mc_statistics=np.ones(50))
+
+        monkeypatch.setattr(missing, "qut_threshold", recorder)
+        gen = RngStream(28, (0,)).generator()
+        x_std = standardize_columns(gen.standard_normal((15, 6)))
+        cfg = RlzConfig(lam=1.5, tau="qut", n_dictionaries=2, master_seed=3)
+        fit = missing.fit_standardized(x_std, gen.standard_normal(15), cfg)
+        assert specs == [QutSpec(lam=1.5, n_dictionaries=2, master_seed=3)]
+        assert fit.tau_used == 2.0 * pivot_scale_from_gammas(fit.gamma_all)
 
 
 class TestStandardizedDesign:
