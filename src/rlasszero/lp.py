@@ -30,15 +30,14 @@ and the reduced costs at a freshly inverted final basis.
 
 A median fit solves M programs that differ only in their dictionary.
 :func:`solve_jp_many` returns what :func:`solve_jp` returns for each of
-them, bit for bit. At most ``_LOCKSTEP_MAX_ROWS`` (64) rows, it runs their
-phase 2 in lock step on the (B, m, 2K) stack of the split matrices of
-:func:`formulate_jp`, one row of the stack per program, so each numpy call
-of a pivot serves all B programs; the products and the pivot update are the
-single loop's float operations program by program. Each program is
-certified by ``_finish`` as it leaves the loop, which then packs the
-matrices of the live programs over it in place. Larger programs are solved
-one at a time; the measurements behind the limit are noted at
-``_LOCKSTEP_MAX_ROWS``.
+them, bit for bit, by one of two routes. At most ``_LOCKSTEP_MAX_ROWS``
+(64) rows, it formulates the first program once and repeats its split
+matrix into a (B, m, 2K) stack, one slot per program with its own G. When
+every program has a block start, their phase 2 runs in lock step, each
+numpy call of a pivot serving all B programs with the single loop's float
+operations, and ``_finish`` certifies each program as it leaves. Otherwise,
+and above the limit (measured at ``_LOCKSTEP_MAX_ROWS``), each program is
+solved on its own by :func:`solve_jp`.
 """
 
 from __future__ import annotations
@@ -131,10 +130,12 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
 
 
 def check_design(x: np.ndarray) -> np.ndarray:
-    """``x`` as a float array; InputError unless it is 2-D and finite."""
+    """``x`` as a float array; InputError unless it is 2-D, finite and has
+    a row."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or not np.isfinite(x).all():
-        raise InputError("the design must be a 2-D array of finite numbers")
+    if x.ndim != 2 or not x.shape[0] or not np.isfinite(x).all():
+        raise InputError("the design must be a 2-D array of finite numbers "
+                         "with at least one row")
     return x
 
 
@@ -528,39 +529,37 @@ def solve_jp_many(x: np.ndarray, y: np.ndarray, lam: float,
                   dictionaries: Iterable[Optional[np.ndarray]]
                   ) -> list[JpSolution]:
     """``[solve_jp(x, y, lam, corruption_cols, g) for g in dictionaries]``,
-    bit for bit, with the same InputErrors.
+    bit for bit, with the same InputErrors, by one of two routes.
 
-    Programs of at most ``_LOCKSTEP_MAX_ROWS`` rows whose dictionaries
-    share one shape run their phase 2 in lock step
-    (:func:`_lockstep_loop`), each from its block basis and certified as
-    it leaves the loop, as :func:`solve_lp` certifies. A program without
-    a feasible block start goes through :func:`solve_lp` and its phase 1.
-    Larger programs are solved one at a time, and ``dictionaries`` is then
-    read one item per solve, so a generator keeps one dictionary alive.
+    Up to ``_LOCKSTEP_MAX_ROWS`` rows, dictionaries of one 2-D shape are
+    solved together: :func:`formulate_jp` builds the first program once,
+    its split matrix is repeated into a (B, m, 2K) stack, and each slot
+    gets its own G and -G. If every program has a feasible block start,
+    all run phase 2 in lock step (:func:`_lockstep_loop`), each certified
+    as it leaves. In every other case (more rows, mixed shapes, None
+    dictionaries or a program without a block start) each program goes
+    through :func:`solve_jp`; above the limit ``dictionaries`` is read one
+    item per solve, so a generator keeps one dictionary alive.
     """
     x = check_design(x)
     n, p = x.shape
     gs = dictionaries if n > _LOCKSTEP_MAX_ROWS else list(dictionaries)
-    if n > _LOCKSTEP_MAX_ROWS or len({np.shape(g) for g in gs}) != 1:
-        return [solve_jp(x, y, lam, corruption_cols, g) for g in gs]
-
-    sols: list[Optional[JpSolution]] = [None] * len(gs)
-    batch = []
-    for i, g in enumerate(gs):
-        prob = formulate_jp(x, y, lam, corruption_cols, g)
-        a, b, c, start = _start(prob)
-        if start is None:
-            sols[i] = _jp_solution(*solve_lp(prob), p, g)
-        else:
-            batch.append((i, a, *start))
-    if batch:
-        # the programs share b and c; one stack holds formulate_jp's matrices,
-        # which the loop packs in place, certifying each as it leaves
-        idx, a, basis, binv, xb = (np.stack(v) for v in zip(*batch))
-        del batch
-        size = n + c.size  # rows plus columns of each split program
-        results, _ = _lockstep_loop(a, b, c, basis, binv, xb,
-                                    _PIVOTS_PER_COLUMN * size, 10 * size)
-        for i, res in zip(idx, results):
-            sols[i] = _jp_solution(*res, p, gs[i])
-    return sols
+    shapes = {np.shape(g) for g in gs} if n <= _LOCKSTEP_MAX_ROWS else ()
+    # lock step takes one 2-D shape: no None, no mixed shapes, not empty
+    if [len(shape) for shape in shapes] == [2]:
+        prob = formulate_jp(x, y, lam, corruption_cols, gs[0])
+        cols = check_corruption_rows(corruption_cols, n)
+        k, q = prob.n_signed, np.shape(gs[0])[1]
+        # each slot's G and its exact negation: the last q columns of a half
+        a = np.repeat(prob.a[None], len(gs), axis=0)
+        a[:, :, k - q:k] = gs
+        np.negative(a[:, :, k - q:k], out=a[:, :, 2 * k - q:])
+        starts = [_start(LpProblem(a_i, prob.b, prob.c, k, _block_basis(
+            a_i[:, :k], prob.b, p, cols)))[3] for a_i in a]
+        if all(start is not None for start in starts):
+            size = n + prob.c.size  # rows plus columns of each program
+            results, _ = _lockstep_loop(
+                a, prob.b, prob.c, *map(np.stack, zip(*starts)),
+                _PIVOTS_PER_COLUMN * size, 10 * size)
+            return [_jp_solution(*res, p, g) for res, g in zip(results, gs)]
+    return [solve_jp(x, y, lam, corruption_cols, g) for g in gs]

@@ -229,14 +229,20 @@ class TestSolvePath:
     """64-row programs run in lock step and 65-row programs one at a time;
     both give the fit of one solve_jp per dictionary, bit for bit."""
 
-    @pytest.mark.parametrize("n", [64, 65])
-    def test_same_fit_as_one_solve_per_dictionary(self, monkeypatch, n):
+    @staticmethod
+    def _fit_inputs(n):
+        """x, y, config and corruption rows of a 3-dictionary fit."""
         gen = RngStream(3, (45,)).generator()
         x = standardize_columns(gen.standard_normal((n, n + 20)))
         y = x[:, :2] @ [3.0, -3.0] + 0.3 * gen.standard_normal(n)
         cols = np.sort(gen.choice(n, n // 3, replace=False))
         cfg = RlzConfig(tau=0.2, n_dictionaries=3, master_seed=4,
                         rng_path=(2,))
+        return x, y, cfg, cols
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_same_fit_as_one_solve_per_dictionary(self, monkeypatch, n):
+        x, y, cfg, cols = self._fit_inputs(n)
         expected = _one_solve_per_dictionary(x, y, cfg, cols)
         # dictionaries drawn so far, at each call of solve_jp and of the
         # lock-step loop
@@ -263,6 +269,18 @@ class TestSolvePath:
         else:
             # one solve_jp per dictionary, each drawn when its solve starts
             assert at_solve == [1, 2, 3] and at_loop == []
+
+    # the lock-step route formulates the first program only; one at a time,
+    # each solve_jp formulates its own
+    @pytest.mark.parametrize("n, calls", [(64, 1), (65, 3)])
+    def test_programs_formulated_once_in_lock_step(self, monkeypatch, n,
+                                                   calls):
+        x, y, cfg, cols = self._fit_inputs(n)
+        formulate_jp, formulated = lp.formulate_jp, []
+        monkeypatch.setattr(lp, "formulate_jp", lambda *args: (
+            formulated.append(args) or formulate_jp(*args)))
+        robust_lasso_zero(x, y, cfg, corruption_cols=cols)
+        assert len(formulated) == calls
 
     def test_response_checked_before_any_dictionary(self, monkeypatch):
         x, y, _, _ = _small_instance()
@@ -409,12 +427,14 @@ class TestDesignCheck:
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1-D"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1-D", "0-rows"])
     def test_bad_design_rejected_before_any_draw(self, monkeypatch, entry,
                                                  bad):
         x = RngStream(3, (5,)).generator().standard_normal((12, 20))
         if bad == "1-D":
             x = x[0]
+        elif bad == "0-rows":
+            x = x[:0]
         else:
             x[4, 7] = float(bad)
         monkeypatch.setattr(RngStream, "generator", None)

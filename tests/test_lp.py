@@ -439,7 +439,8 @@ class TestLockstep:
     def _same_as_one_at_a_time(self, monkeypatch, x, y, cols, gs,
                                batched=None):
         """``batched`` lists the programs that run in lock step (default
-        all of them); returns their statuses and pivots."""
+        all of them; [] means that no lock-step batch runs); returns their
+        statuses and pivots."""
         batches = []
 
         def logged_loop(*args):
@@ -449,8 +450,9 @@ class TestLockstep:
         with monkeypatch.context() as mp:
             mp.setattr(lp, "_lockstep_loop", logged_loop)
             many = lp.solve_jp_many(x, y, 1.0, cols, iter(gs))
-        assert len(batches) == 1
-        results, pivots = batches[0]
+        batched = range(len(gs)) if batched is None else batched
+        assert len(batches) == min(len(batched), 1)
+        results, pivots = batches[0] if batches else ([], [])
         statuses = [status for _, _, status in results]
         assert len(many) == len(gs)
         single_pivots = []
@@ -469,7 +471,6 @@ class TestLockstep:
             assert np.array_equal(got.objective, ref.objective, equal_nan=True)
             for part in ("beta", "omega", "gamma"):
                 assert np.array_equal(getattr(got, part), getattr(ref, part))
-        batched = range(len(gs)) if batched is None else batched
         assert [single_pivots[i] for i in batched] == pivots
         return statuses, pivots
 
@@ -503,12 +504,20 @@ class TestLockstep:
         assert set(statuses) == {OPTIMAL, TOLERANCE_FAILURE}
 
     def test_program_without_block_start_runs_phase_one(self, monkeypatch):
-        # a zero dictionary makes the block basis singular
+        # a zero dictionary makes the block basis singular, so every
+        # program of the fit is solved on its own
         x, y, cols, gs = _fit_programs(5, 20, 40, 6, count=4)
         gs[1] = np.zeros((20, 20))
         assert formulate_jp(x, y, 1.0, cols, gs[1]).basis is None
-        self._same_as_one_at_a_time(monkeypatch, x, y, cols, gs,
-                                    batched=[0, 2, 3])
+        self._same_as_one_at_a_time(monkeypatch, x, y, cols, gs, batched=[])
+
+    # dictionaries of two shapes, and no dictionary block at all
+    @pytest.mark.parametrize("case", ["mixed-shapes", "none"])
+    def test_one_at_a_time_below_the_row_limit(self, monkeypatch, case):
+        x, y, cols, gs = _fit_programs(8, 20, 40, "full", count=2)
+        wide = RngStream(8, (48,)).generator().standard_normal((20, 23))
+        gs = {"mixed-shapes": [gs[0], wide], "none": [None, None]}[case]
+        self._same_as_one_at_a_time(monkeypatch, x, y, cols, gs, batched=[])
 
     # Bland's rule from the first pivot, and Dantzig pricing throughout;
     # the bases, basis inverses and basic values must match too
