@@ -67,8 +67,10 @@ def check_real(name: str, value, low: float, high: float = np.inf,
     """InputError unless ``value`` is a real number, finite as a float, in
     [low, high), or in (low, high) with ``low_open``. A numpy float passes;
     a bool, a string and a 0-d array do not."""
+    bound = np.float64(sys.float_info.max) if isinstance(value, np.floating) \
+        else sys.float_info.max  # a numpy float32 bound would overflow
     if not isinstance(value, numbers.Real) or isinstance(value, bool) \
-            or not abs(value) <= sys.float_info.max or value >= high \
+            or not abs(value) <= bound or value >= high \
             or not (value > low if low_open else value >= low):
         raise InputError(f"{name} must be a finite number in "
                          f"{'(' if low_open else '['}{low:g}, {high:g}), "

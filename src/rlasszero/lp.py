@@ -5,39 +5,35 @@ Every estimator solves one program,
     min ||beta||_1 + lam ||omega||_1 + ||gamma||_1
     s.t. X beta + sqrt(n) E omega + G gamma = y,
 
-where the corruption block E (identity columns for the corrupted rows) and
-the noise-dictionary block G are optional. The corrupted rows are an
-argument of each solve, chosen by the caller from the data (all rows, the
-incomplete rows of an imputed design, or none). Basis pursuit has neither,
-Justice Pursuit has no G, Lasso-Zero has no E and Robust Lasso-Zero has
-both. :func:`formulate_jp` reduces it to a standard-form linear program by
-splitting each signed variable into a nonnegative pair, and builds a
-feasible starting basis from the program's own blocks: the corruption
-column of every row that has one, and dictionary columns for the other
-rows. The split program's columns are [A | -A], and ``LpProblem.n_signed``
-declares those pairs so that the solver prices both columns of a pair with
-one product. Both pivot loops below start a program through ``_start``,
-which checks the hinted basis; no solve copies or writes the program's
-matrix or right-hand side. The solver is a revised simplex with Dantzig
-pricing and an automatic Bland fallback, which terminates on degenerate
-problems and returns exact basic feasible solutions -- needed downstream
-for uniqueness and sign-pattern certification, where first-order solvers
-are too loose. It starts from the program's basis when one is known and
-runs a phase 1 on signed artificial columns only when there is none (basis
-pursuit, Justice Pursuit with a restricted block, or a hand-built
-:class:`LpProblem`). Before it reports "optimal" it checks the residual
+where the corruption block E (identity columns for the rows that the caller
+calls corrupted) and the noise-dictionary block G are optional. Basis
+pursuit has neither, Justice Pursuit has no G, Lasso-Zero has no E and
+Robust Lasso-Zero has both. :func:`formulate_jp` reduces it to a
+standard-form linear program by splitting each signed variable into a
+nonnegative pair, and builds a feasible starting basis from the program's
+own blocks: the corruption column of every row that has one, and dictionary
+columns for the other rows. The split program's columns are [A | -A], and
+``LpProblem.n_signed`` declares those pairs so that the solver prices both
+columns of a pair with one product. Both pivot loops below start their
+programs through ``_start``, which checks the hinted basis; no solve copies
+or writes the program's matrix or right-hand side. The solver is a revised
+simplex with Dantzig pricing and an automatic Bland fallback, which
+terminates on degenerate problems and returns exact basic feasible
+solutions -- needed downstream for uniqueness and sign-pattern
+certification, where first-order solvers are too loose. It runs a phase 1
+on signed artificial columns only when the program has no known basis
+(basis pursuit, Justice Pursuit with a restricted block, or a hand-built
+:class:`LpProblem`), and before it reports "optimal" it checks the residual
 and the reduced costs at a freshly inverted final basis.
 
 A median fit solves M programs that differ only in their dictionary.
-:func:`solve_jp_many` returns what :func:`solve_jp` returns for each of
-them, bit for bit, by one of two routes. At most ``_LOCKSTEP_MAX_ROWS``
-(64) rows, it formulates the first program once and repeats its split
-matrix into a (B, m, 2K) stack, one slot per program with its own G. When
-every program has a block start, their phase 2 runs in lock step, each
-numpy call of a pivot serving all B programs with the single loop's float
-operations, and ``_finish`` certifies each program as it leaves. Otherwise,
-and above the limit (measured at ``_LOCKSTEP_MAX_ROWS``), each program is
-solved on its own by :func:`solve_jp`.
+:func:`solve_jp_many` returns what :func:`solve_jp` returns for each, bit
+for bit. At most ``_LOCKSTEP_MAX_ROWS`` rows, :func:`formulate_jp` builds
+them as one (M, m, 2K) stack from the stack of dictionaries and ``_start``
+starts them at once; when every program has a block start, their phase 2
+runs in lock step, one numpy call of a pivot serving all of them, and
+``_finish`` certifies each as it leaves. Otherwise, and above the limit,
+each program is solved on its own by :func:`solve_jp`.
 """
 
 from __future__ import annotations
@@ -72,7 +68,8 @@ class LpProblem:
     signed optimizers are recomposed as ``x[:K] - x[K:2K]``. ``basis``,
     when known, lists m columns of ``a`` that form a feasible basis; the
     solver then skips phase 1 (it checks the basis and falls back to
-    phase 1 if it is not).
+    phase 1 if it is not). A stack of B programs of one b and c has ``a``
+    (B, m, N) and ``basis`` (B, m); :func:`solve_lp` rejects it.
     """
 
     a: np.ndarray
@@ -101,41 +98,43 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
     otherwise only the listed rows get a corruption column, an empty list
     drops the block, and a repeated row is an InputError
     (:func:`check_corruption_rows`). Without ``g`` there is no dictionary
-    block.
-    Variables are ordered [beta, omega, gamma].
+    block; a (B, n, q) stack of dictionaries gives a stack of B programs,
+    each with its own bits. Variables are ordered [beta, omega, gamma].
 
     The starting basis takes the corruption column of each row that has
     one and the first dictionary columns for the other rows, each on the
     side of its split pair that makes it nonnegative. It is None when the
-    dictionary has too few columns for those rows or the block is singular.
+    dictionary has too few columns for those rows or a block is singular.
     """
     x = check_design(x)
     check_real("lambda", lam, 0.0, low_open=True)
     n, p = x.shape
     y = check_response(y, n)
     cols = check_corruption_rows(corruption_cols, n)
-    eye_block = np.zeros((n, cols.size))
-    eye_block[cols, np.arange(cols.size)] = np.sqrt(n)
     g = np.zeros((n, 0)) if g is None else np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != n:
-        raise InputError(f"dictionary must have {n} rows, got shape {g.shape}")
-    a_signed = np.hstack([x, eye_block, g])
+    if g.ndim not in (2, 3) or g.shape[-2] != n:
+        one = g.shape[1:] if g.ndim == 3 else g.shape  # one dictionary's
+        raise InputError(f"dictionary must have {n} rows, got shape {one}")
+    k = p + cols.size + g.shape[-1]
+    # [X, sqrt(n) E, G] in the u block, then its exact negation: x = u - v
+    a = np.zeros(g.shape[:-2] + (n, 2 * k))
+    a[..., :p] = x
+    a[..., cols, p + np.arange(cols.size)] = np.sqrt(n)
+    a[..., p + cols.size:k] = g
+    np.negative(a[..., :k], out=a[..., k:])
     costs = np.concatenate([np.ones(p), np.full(cols.size, lam),
-                            np.ones(g.shape[1])])
-    # split each signed variable into a nonnegative pair: [u block, v block]
-    return LpProblem(a=np.hstack([a_signed, -a_signed]), b=y.copy(),
-                     c=np.concatenate([costs, costs]),
-                     n_signed=a_signed.shape[1],
-                     basis=_block_basis(a_signed, y, p, cols))
+                            np.ones(g.shape[-1])])
+    return LpProblem(a=a, b=y.copy(), c=np.concatenate([costs, costs]),
+                     n_signed=k, basis=_block_basis(a, y, p, cols))
 
 
 def check_design(x: np.ndarray) -> np.ndarray:
     """``x`` as a float array; InputError unless it is 2-D, finite and has
-    a row."""
+    a row and a column."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or not x.shape[0] or not np.isfinite(x).all():
+    if x.ndim != 2 or not x.size or not np.isfinite(x).all():
         raise InputError("the design must be a 2-D array of finite numbers "
-                         "with at least one row")
+                         "with at least one row and one column")
     return x
 
 
@@ -164,17 +163,20 @@ def check_corruption_rows(rows, n: int) -> np.ndarray:
     return idx.astype(int, copy=False)
 
 
-def _block_basis(a_signed, y, p, cols):
-    """Feasible basis of the split program from the E and G blocks, or None."""
-    n, k = a_signed.shape
+def _block_basis(a, y, p, cols):
+    """Feasible basis of the split program ``a`` from the E and G blocks,
+    or None; of each program of a stack, or None if any lacks one."""
+    n, k = a.shape[-2], a.shape[-1] // 2
     n_free = n - cols.size
     if n_free > k - p - cols.size:
         return None
     # corruption columns in row order, then dictionary columns
     first = np.argsort(cols, kind="stable")
     signed = np.concatenate([p + first, p + cols.size + np.arange(n_free)])
+    # a right-hand side of shape (..., n, 1): numpy 1.x and 2.x read it alike
+    rhs = np.broadcast_to(y[:, None], a.shape[:-2] + (n, 1))
     try:
-        z = np.linalg.solve(a_signed[:, signed], y)
+        z = np.linalg.solve(a[..., signed], rhs)[..., 0]
     except np.linalg.LinAlgError:
         return None
     return np.where(z >= 0, signed, k + signed)
@@ -282,32 +284,34 @@ def _start(prob: LpProblem):
     (basis, binv, xb) at ``prob.basis`` when that is a feasible basis,
     else None. No solve writes to a or b. InputError when the
     ``n_signed`` pairs are not exact negatives or the hint does not list
-    m column indices.
+    m column indices. A stacked problem is checked and started at once,
+    each program with its own bits; its start is None if any program's is.
     """
     a = np.ascontiguousarray(prob.a, dtype=float)
     b = np.ascontiguousarray(prob.b, dtype=float)
     c = np.asarray(prob.c, dtype=float)
-    m, n = a.shape
+    m, n = a.shape[-2:]
     k = prob.n_signed
-    if not 0 <= 2 * k <= n or not np.array_equal(a[:, k:2 * k], -a[:, :k]):
+    if not 0 <= 2 * k <= n or \
+            not np.array_equal(a[..., k:2 * k], -a[..., :k]):
         raise InputError(f"n_signed = {k}: columns {k}..{2 * k - 1} must be "
                          f"exactly minus columns 0..{k - 1}")
     if prob.basis is None:
         return a, b, c, None
     basis = np.array(prob.basis, dtype=int)
-    if basis.shape != (m,) or basis.min(initial=0) < 0 \
+    if basis.shape != a.shape[:-1] or basis.min(initial=0) < 0 \
             or basis.max(initial=0) >= n:
         raise InputError(f"basis must list {m} column indices below {n}")
-    a_basis = a[:, basis]
+    a_basis = np.take_along_axis(a, basis[..., None, :], axis=-1)
     try:
         binv = np.linalg.inv(a_basis)
     except np.linalg.LinAlgError:
         return a, b, c, None
-    xb = binv @ b
-    if xb.min() < -_FEAS_TOL or not _residual_ok(a_basis, b, xb):
+    xb = binv @ b[:, None]  # a column of basic values per program
+    if xb.min() < -_FEAS_TOL or not _residual_ok(a_basis, b[:, None], xb):
         return a, b, c, None
     np.clip(xb, 0.0, None, out=xb)
-    return a, b, c, (basis, binv, xb)
+    return a, b, c, (basis, binv, xb[..., 0])
 
 
 def _finish(a, b, c, basis, status, n):
@@ -347,8 +351,11 @@ def solve_lp(prob: LpProblem):
     and N columns, and switches to Bland's rule after 10 (m + N); a phase
     that runs out of pivots gives "tolerance_failure". Every status but
     "optimal" comes with x = 0 and a NaN objective. A problem whose
-    ``n_signed`` pairs are not exact negatives raises InputError.
+    ``n_signed`` pairs are not exact negatives, or a stack of problems,
+    raises InputError.
     """
+    if np.ndim(prob.a) != 2:
+        raise InputError(f"solve_lp: a must be 2-D, got {np.shape(prob.a)}")
     a, b, c, start = _start(prob)
     m, n = a.shape
     k = prob.n_signed
@@ -369,9 +376,7 @@ def solve_lp(prob: LpProblem):
                              max_pivots, bland_after)
         if status != OPTIMAL:
             return np.zeros(n), np.nan, TOLERANCE_FAILURE
-        b_scale = 1.0 + np.abs(b).max()
-        phase1_obj = float(xb[basis >= n].sum())
-        if phase1_obj > 1e-7 * b_scale:
+        if xb[basis >= n].sum() > 1e-7 * (1.0 + np.abs(b).max()):
             return np.zeros(n), np.nan, INFEASIBLE
 
         # drive remaining artificials out of the basis (degenerate pivots)
@@ -532,14 +537,14 @@ def solve_jp_many(x: np.ndarray, y: np.ndarray, lam: float,
     bit for bit, with the same InputErrors, by one of two routes.
 
     Up to ``_LOCKSTEP_MAX_ROWS`` rows, dictionaries of one 2-D shape are
-    solved together: :func:`formulate_jp` builds the first program once,
-    its split matrix is repeated into a (B, m, 2K) stack, and each slot
-    gets its own G and -G. If every program has a feasible block start,
-    all run phase 2 in lock step (:func:`_lockstep_loop`), each certified
-    as it leaves. In every other case (more rows, mixed shapes, None
-    dictionaries or a program without a block start) each program goes
-    through :func:`solve_jp`; above the limit ``dictionaries`` is read one
-    item per solve, so a generator keeps one dictionary alive.
+    solved together: :func:`formulate_jp` and :func:`_start` build and
+    start all programs at once, the dictionaries read as one stack. If
+    every program has a feasible block start, all run phase 2 in lock step
+    (:func:`_lockstep_loop`), each certified as it leaves. In every other
+    case (more rows, mixed shapes, None dictionaries or a program without
+    a block start) each program goes through :func:`solve_jp`; above the
+    limit ``dictionaries`` is read one item per solve, so a generator
+    keeps one dictionary alive.
     """
     x = check_design(x)
     n, p = x.shape
@@ -547,19 +552,10 @@ def solve_jp_many(x: np.ndarray, y: np.ndarray, lam: float,
     shapes = {np.shape(g) for g in gs} if n <= _LOCKSTEP_MAX_ROWS else ()
     # lock step takes one 2-D shape: no None, no mixed shapes, not empty
     if [len(shape) for shape in shapes] == [2]:
-        prob = formulate_jp(x, y, lam, corruption_cols, gs[0])
-        cols = check_corruption_rows(corruption_cols, n)
-        k, q = prob.n_signed, np.shape(gs[0])[1]
-        # each slot's G and its exact negation: the last q columns of a half
-        a = np.repeat(prob.a[None], len(gs), axis=0)
-        a[:, :, k - q:k] = gs
-        np.negative(a[:, :, k - q:k], out=a[:, :, 2 * k - q:])
-        starts = [_start(LpProblem(a_i, prob.b, prob.c, k, _block_basis(
-            a_i[:, :k], prob.b, p, cols)))[3] for a_i in a]
-        if all(start is not None for start in starts):
-            size = n + prob.c.size  # rows plus columns of each program
-            results, _ = _lockstep_loop(
-                a, prob.b, prob.c, *map(np.stack, zip(*starts)),
-                _PIVOTS_PER_COLUMN * size, 10 * size)
+        a, b, c, start = _start(formulate_jp(x, y, lam, corruption_cols, gs))
+        if start is not None:
+            size = n + c.size  # rows plus columns of each program
+            results, _ = _lockstep_loop(a, b, c, *start,
+                                        _PIVOTS_PER_COLUMN * size, 10 * size)
             return [_jp_solution(*res, p, g) for res, g in zip(results, gs)]
     return [solve_jp(x, y, lam, corruption_cols, g) for g in gs]

@@ -46,6 +46,8 @@ class IncompleteMatrix:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
+        if self.values.ndim != 2:
+            raise InputError(f"values must be 2-D, got {self.values.shape}")
         self.mask = np.isnan(self.values)
         infinite = np.argwhere(np.isinf(self.values))
         if infinite.size:

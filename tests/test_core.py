@@ -103,7 +103,8 @@ class TestCheckReal:
         assert str(exc.value) == \
             "lambda must be a finite number in (0, inf), got True"
 
-    @pytest.mark.parametrize("value", [np.float64(0.5), np.int64(1)])
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.int64(1),
+                                       np.float32(0.5), np.float16(0.5)])
     def test_numpy_scalars_accepted(self, value):
         core.check_real("x", value, 0.0)
 

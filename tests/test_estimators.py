@@ -270,17 +270,20 @@ class TestSolvePath:
             # one solve_jp per dictionary, each drawn when its solve starts
             assert at_solve == [1, 2, 3] and at_loop == []
 
-    # the lock-step route formulates the first program only; one at a time,
-    # each solve_jp formulates its own
+    # the lock-step route formulates and starts all programs as one stack;
+    # one at a time, each solve_jp formulates and starts its own
     @pytest.mark.parametrize("n, calls", [(64, 1), (65, 3)])
     def test_programs_formulated_once_in_lock_step(self, monkeypatch, n,
                                                    calls):
         x, y, cfg, cols = self._fit_inputs(n)
-        formulate_jp, formulated = lp.formulate_jp, []
+        formulate_jp, start, formulated, started = \
+            lp.formulate_jp, lp._start, [], []
         monkeypatch.setattr(lp, "formulate_jp", lambda *args: (
             formulated.append(args) or formulate_jp(*args)))
+        monkeypatch.setattr(lp, "_start", lambda prob: (
+            started.append(prob) or start(prob)))
         robust_lasso_zero(x, y, cfg, corruption_cols=cols)
-        assert len(formulated) == calls
+        assert len(formulated) == len(started) == calls
 
     def test_response_checked_before_any_dictionary(self, monkeypatch):
         x, y, _, _ = _small_instance()
@@ -427,7 +430,8 @@ class TestDesignCheck:
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1-D", "0-rows"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1-D", "0-rows",
+                                     "0-columns"])
     def test_bad_design_rejected_before_any_draw(self, monkeypatch, entry,
                                                  bad):
         x = RngStream(3, (5,)).generator().standard_normal((12, 20))
@@ -435,6 +439,8 @@ class TestDesignCheck:
             x = x[0]
         elif bad == "0-rows":
             x = x[:0]
+        elif bad == "0-columns":
+            x = x[:, :0]
         else:
             x[4, 7] = float(bad)
         monkeypatch.setattr(RngStream, "generator", None)

@@ -73,6 +73,39 @@ class TestFormulate:
                                       np.r_[np.ones(p), np.full(n, lam),
                                             np.ones(n)])
 
+    # one (B, n, q) stack of dictionaries against B single calls
+    @pytest.mark.parametrize("corruption", ["full", "restricted", "empty"])
+    def test_stack_equals_single_programs(self, corruption):
+        x, y, lam, cols, _ = _program(4, 12, 20, corruption, False)
+        gen = RngStream(4, (59,)).generator()
+        gs = gen.standard_normal((3, 12, 12))
+        stack = formulate_jp(x, y, lam, cols, gs)
+        assert stack.a.shape == (3, 12, 2 * stack.n_signed)
+        assert stack.basis.shape == (3, 12)
+        for i, g in enumerate(gs):
+            single = formulate_jp(x, y, lam, cols, g)
+            assert stack.n_signed == single.n_signed
+            assert stack.a[i].tobytes() == single.a.tobytes()
+            assert stack.b.tobytes() == single.b.tobytes()
+            assert stack.c.tobytes() == single.c.tobytes()
+            assert np.array_equal(stack.basis[i], single.basis)
+
+    def test_stack_with_a_singular_block_has_no_basis(self):
+        x, y, lam, cols, _ = _program(4, 12, 20, "restricted", False)
+        gs = RngStream(4, (59,)).generator().standard_normal((3, 12, 12))
+        gs[1] = 0.0
+        assert formulate_jp(x, y, lam, cols, gs[0]).basis is not None
+        assert formulate_jp(x, y, lam, cols, gs[1]).basis is None
+        assert formulate_jp(x, y, lam, cols, gs).basis is None
+
+    def test_stack_is_not_one_program(self):
+        x, y, lam, cols, _ = _program(4, 12, 20, "full", False)
+        gs = RngStream(4, (59,)).generator().standard_normal((2, 12, 12))
+        with pytest.raises(InputError, match="2-D"):
+            solve_lp(formulate_jp(x, y, lam, cols, gs))
+        with pytest.raises(InputError, match="2-D"):
+            solve_jp(x, y, lam, cols, gs)
+
     def test_dictionary_row_mismatch_rejected(self):
         with pytest.raises(InputError):
             formulate_jp(np.eye(3), np.zeros(3), 1.0, g=np.ones((2, 3)))

@@ -42,6 +42,13 @@ class TestIncompleteMatrix:
         inc = IncompleteMatrix(vals)
         np.testing.assert_array_equal(inc.incomplete_rows, [1, 2])
 
+    @pytest.mark.parametrize("shape", [(2,), (2, 2, 2)], ids=["1-D", "3-D"])
+    def test_values_not_2d_rejected(self, shape):
+        values = np.ones(shape)
+        values.flat[1] = NA
+        with pytest.raises(InputError, match="2-D"):
+            IncompleteMatrix(values)
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_infinite_entry_rejected(self, value):
         # NaN marks a missing entry; an infinite one is an input error
