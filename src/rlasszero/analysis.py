@@ -71,7 +71,7 @@ def _max_inner_product_lp(jp: LpProblem, h: np.ndarray, on: np.ndarray):
     triangular basis at x_B = (0, ..., 0, 1). Returns (value, w nu) or
     (inf, None) when unbounded.
     """
-    m, k = jp.a.shape[0], jp.n_signed
+    m, k = jp.a.shape[0], jp.a.shape[1] // 2
     # split nu = u - v, slack t for the budget row
     a = np.zeros((m + 1, 2 * k + 1))
     a[:m, :2 * k] = jp.a
@@ -81,7 +81,7 @@ def _max_inner_product_lp(jp: LpProblem, h: np.ndarray, on: np.ndarray):
     b[m] = 1.0
     c = np.append(jp.c * np.concatenate([-h, h]), 0.0)
     # the budget row puts +w_j under both halves, so column k + j is not
-    # minus column j: the pairs are not declared and every column is priced
+    # minus column j, and the slack makes N odd: every column is priced
     x, obj, status = solve_lp(LpProblem(a=a, b=b, c=c,
                                         basis=np.append(jp.basis, 2 * k)))
     if status == "unbounded":
@@ -144,14 +144,15 @@ def check_stable_nsp(x: np.ndarray, s0, t0, lam: float = 1.0,
     program with h = +-1 on the (S, T) support, one LP per sign pattern.
     h and -h give the same value, so ``budget`` counts the 2^(|S|+|T|-1)
     LPs whose first sign is +1. Bad x or lam (as in check_identifiability),
-    S or T entries that are not indices, or a rho_nsp that is not a finite
-    number >= 0 raise InputError.
+    S or T entries that are not indices, a rho_nsp that is not a finite
+    number >= 0, or a budget that is not an integer >= 0 raise InputError.
     """
     x = check_design(x)
     n, p = x.shape
     jp = formulate_jp(x, np.zeros(n), lam)
     on = np.concatenate([_support_mask(s0, p, "S"), _support_mask(t0, n, "T")])
     check_real("rho_nsp", rho_nsp, 0.0)
+    check_count("budget", budget, 0)
     on_idx = np.flatnonzero(on)
     n_lps = 2 ** on_idx.size // 2  # none for an empty support
     if n_lps > budget:

@@ -196,8 +196,7 @@ def _cmd_fit(args) -> int:
     cfg = RlzConfig(lam=args.lam, tau=tau, n_dictionaries=args.dictionaries,
                     master_seed=args.seed)
     qut_spec = QutSpec(alpha=args.alpha, lam=args.lam,
-                       n_dictionaries=args.dictionaries,
-                       master_seed=args.seed) if tau == "qut" else None
+                       n_dictionaries=args.dictionaries, master_seed=args.seed)
     fit = rlz_with_missing(y, IncompleteMatrix(x_raw), cfg, qut_spec=qut_spec,
                            restrict_corruption=args.restrict_corruption_rows)
     omega_full = fit.omega_full(x_raw.shape[0])

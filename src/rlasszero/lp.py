@@ -10,30 +10,29 @@ calls corrupted) and the noise-dictionary block G are optional. Basis
 pursuit has neither, Justice Pursuit has no G, Lasso-Zero has no E and
 Robust Lasso-Zero has both. :func:`formulate_jp` reduces it to a
 standard-form linear program by splitting each signed variable into a
-nonnegative pair, and builds a feasible starting basis from the program's
-own blocks: the corruption column of every row that has one, and dictionary
-columns for the other rows. The split program's columns are [A | -A], and
-``LpProblem.n_signed`` declares those pairs so that the solver prices both
-columns of a pair with one product. Both pivot loops below start their
-programs through ``_start``, which checks the hinted basis; no solve copies
-or writes the program's matrix or right-hand side. The solver is a revised
-simplex with Dantzig pricing and an automatic Bland fallback, which
-terminates on degenerate problems and returns exact basic feasible
-solutions -- needed downstream for uniqueness and sign-pattern
-certification, where first-order solvers are too loose. It runs a phase 1
-on signed artificial columns only when the program has no known basis
-(basis pursuit, Justice Pursuit with a restricted block, or a hand-built
-:class:`LpProblem`), and before it reports "optimal" it checks the residual
-and the reduced costs at a freshly inverted final basis.
+nonnegative pair, so that its columns are [A | -A], and builds a feasible
+starting basis from the program's own blocks: the corruption column of every
+row that has one, and dictionary columns for the other rows. Both pivot
+loops below start their programs through ``_start``, which checks the
+program and its hinted basis and reads the pairs off the matrix: one that is
+exactly [A | -A] is priced by pairs, one product for both columns of a pair,
+any other column by column. No solve copies or writes the program's matrix
+or right-hand side. The solver is a revised simplex with Dantzig pricing and
+an automatic Bland fallback, which terminates on degenerate problems and
+returns exact basic feasible solutions -- needed downstream for uniqueness
+and sign-pattern certification, where first-order solvers are too loose. It
+runs a phase 1 on signed artificial columns only when the program has no
+known basis (basis pursuit, Justice Pursuit with a restricted block, or a
+hand-built :class:`LpProblem`), and before it reports "optimal" it checks
+the residual and the reduced costs at a freshly inverted final basis.
 
 A median fit solves M programs that differ only in their dictionary.
 :func:`solve_jp_many` returns what :func:`solve_jp` returns for each, bit
-for bit. At most ``_LOCKSTEP_MAX_ROWS`` rows, :func:`formulate_jp` builds
-them as one (M, m, 2K) stack from the stack of dictionaries and ``_start``
-starts them at once; when every program has a block start, their phase 2
+for bit. At most ``_LOCKSTEP_MAX_ROWS`` rows, it builds and starts them as
+one (M, m, 2K) stack; when every program has a block start, their phase 2
 runs in lock step, one numpy call of a pivot serving all of them, and
-``_finish`` certifies each as it leaves. Otherwise, and above the limit,
-each program is solved on its own by :func:`solve_jp`.
+``_finish`` certifies each as it leaves. Otherwise each program is solved
+on its own by :func:`solve_jp`.
 """
 
 from __future__ import annotations
@@ -62,20 +61,18 @@ _PIVOTS_PER_COLUMN = 50
 class LpProblem:
     """Standard-form LP: min c'x s.t. a x = b, x >= 0.
 
-    ``n_signed = K`` declares that the first 2K columns split K signed
-    variables into nonnegative pairs x = u - v: column K + j is exactly
-    minus column j, so the solver prices each pair with one product, and
-    signed optimizers are recomposed as ``x[:K] - x[K:2K]``. ``basis``,
-    when known, lists m columns of ``a`` that form a feasible basis; the
-    solver then skips phase 1 (it checks the basis and falls back to
-    phase 1 if it is not). A stack of B programs of one b and c has ``a``
-    (B, m, N) and ``basis`` (B, m); :func:`solve_lp` rejects it.
+    An ``a`` of N = 2K columns that is exactly [A | -A] splits K signed
+    variables into pairs x = u - v, recomposed as ``x[:K] - x[K:]``; the
+    solver prices each pair with one product. ``basis``, when known,
+    lists m columns of ``a`` that form a feasible basis; the solver then
+    skips phase 1 (it checks the basis and falls back to phase 1 if it is
+    not). A stack of B programs of one b and c has ``a`` (B, m, N) and
+    ``basis`` (B, m); :func:`solve_lp` rejects it.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    n_signed: int = 0
     basis: Optional[np.ndarray] = None
 
 
@@ -98,7 +95,7 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
     otherwise only the listed rows get a corruption column, an empty list
     drops the block, and a repeated row is an InputError
     (:func:`check_corruption_rows`). Without ``g`` there is no dictionary
-    block; a (B, n, q) stack of dictionaries gives a stack of B programs,
+    block, and ``g`` must be finite; a (B, n, q) stack gives B programs,
     each with its own bits. Variables are ordered [beta, omega, gamma].
 
     The starting basis takes the corruption column of each row that has
@@ -115,6 +112,8 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
     if g.ndim not in (2, 3) or g.shape[-2] != n:
         one = g.shape[1:] if g.ndim == 3 else g.shape  # one dictionary's
         raise InputError(f"dictionary must have {n} rows, got shape {one}")
+    if not np.isfinite(g).all():
+        raise InputError("dictionary must hold finite numbers")
     k = p + cols.size + g.shape[-1]
     # [X, sqrt(n) E, G] in the u block, then its exact negation: x = u - v
     a = np.zeros(g.shape[:-2] + (n, 2 * k))
@@ -125,7 +124,7 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
     costs = np.concatenate([np.ones(p), np.full(cols.size, lam),
                             np.ones(g.shape[-1])])
     return LpProblem(a=a, b=y.copy(), c=np.concatenate([costs, costs]),
-                     n_signed=k, basis=_block_basis(a, y, p, cols))
+                     basis=_block_basis(a, y, p, cols))
 
 
 def check_design(x: np.ndarray) -> np.ndarray:
@@ -279,25 +278,26 @@ def _residual_ok(a_basis, b, xb):
 
 
 def _start(prob: LpProblem):
-    """(a, b, c, start) of ``prob`` before pivoting: a and b as C-ordered
-    float arrays (``prob``'s own when they are already), the costs, and
-    (basis, binv, xb) at ``prob.basis`` when that is a feasible basis,
-    else None. No solve writes to a or b. InputError when the
-    ``n_signed`` pairs are not exact negatives or the hint does not list
-    m column indices. A stacked problem is checked and started at once,
-    each program with its own bits; its start is None if any program's is.
+    """(a, b, c, start, k) of ``prob`` before pivoting: a and b as C-ordered
+    float arrays (``prob``'s own when they are already), the costs, the
+    (basis, binv, xb) of a feasible ``prob.basis`` or None, and k = N/2 if
+    the N columns of a are exactly [A | -A], else 0. No solve writes to a
+    or b. InputError unless b and c are m and N finite values and a hint
+    lists m column indices. A stack is checked and started at once, each
+    program with its own bits; its start is None if any program's is.
     """
     a = np.ascontiguousarray(prob.a, dtype=float)
     b = np.ascontiguousarray(prob.b, dtype=float)
     c = np.asarray(prob.c, dtype=float)
     m, n = a.shape[-2:]
-    k = prob.n_signed
-    if not 0 <= 2 * k <= n or \
-            not np.array_equal(a[..., k:2 * k], -a[..., :k]):
-        raise InputError(f"n_signed = {k}: columns {k}..{2 * k - 1} must be "
-                         f"exactly minus columns 0..{k - 1}")
+    if b.shape != (m,) or c.shape != (n,) \
+            or not np.isfinite(np.concatenate([b, c])).all():
+        raise InputError(f"b and c must be {m} and {n} finite values")
+    k = n // 2
+    if n % 2 or not np.array_equal(a[..., k:], -a[..., :k]):
+        k = 0
     if prob.basis is None:
-        return a, b, c, None
+        return a, b, c, None, k
     basis = np.array(prob.basis, dtype=int)
     if basis.shape != a.shape[:-1] or basis.min(initial=0) < 0 \
             or basis.max(initial=0) >= n:
@@ -306,12 +306,12 @@ def _start(prob: LpProblem):
     try:
         binv = np.linalg.inv(a_basis)
     except np.linalg.LinAlgError:
-        return a, b, c, None
+        return a, b, c, None, k
     xb = binv @ b[:, None]  # a column of basic values per program
     if xb.min() < -_FEAS_TOL or not _residual_ok(a_basis, b[:, None], xb):
-        return a, b, c, None
+        return a, b, c, None, k
     np.clip(xb, 0.0, None, out=xb)
-    return a, b, c, (basis, binv, xb[..., 0])
+    return a, b, c, (basis, binv, xb[..., 0]), k
 
 
 def _finish(a, b, c, basis, status, n):
@@ -341,24 +341,23 @@ def solve_lp(prob: LpProblem):
 
     The solve starts from ``prob.basis`` when that is a feasible basis and
     runs phase 1 otherwise, from the artificial basis diag(s) with s_i = -1
-    where b_i < 0 and +1 elsewhere; it never copies or writes ``prob.a``
-    or ``prob.b`` (an array that is not C-ordered float is read through a
-    C-ordered float copy). At status "optimal" the point is a basic
-    feasible solution whose residual, recomputed at the final basis, is at
-    most 1e-9 (1 + ||b||_inf) and whose reduced costs are all
-    >= -1e-9 (1 + ||c||_inf); a basis failing either check gives
+    where b_i < 0 and +1 elsewhere; it never copies or writes ``prob.a`` or
+    ``prob.b`` (an array that is not C-ordered float is read through a
+    C-ordered float copy). Both phases price an ``a`` that is exactly
+    [A | -A] by pairs, any other column by column. At status "optimal" the
+    point is a basic feasible solution whose residual, recomputed at the
+    final basis, is at most 1e-9 (1 + ||b||_inf) and whose reduced costs
+    are all >= -1e-9 (1 + ||c||_inf); a basis failing either check gives
     "tolerance_failure". Each phase may take 50 (m + N) pivots for m rows
     and N columns, and switches to Bland's rule after 10 (m + N); a phase
     that runs out of pivots gives "tolerance_failure". Every status but
-    "optimal" comes with x = 0 and a NaN objective. A problem whose
-    ``n_signed`` pairs are not exact negatives, or a stack of problems,
-    raises InputError.
+    "optimal" comes with x = 0 and a NaN objective. A b or c that is not m
+    or N finite values, or a stack of problems, raises InputError.
     """
     if np.ndim(prob.a) != 2:
         raise InputError(f"solve_lp: a must be 2-D, got {np.shape(prob.a)}")
-    a, b, c, start = _start(prob)
+    a, b, c, start, k = _start(prob)
     m, n = a.shape
-    k = prob.n_signed
     max_pivots = _PIVOTS_PER_COLUMN * (m + n)
     bland_after = 10 * (m + n)
     if start is not None:
@@ -375,9 +374,9 @@ def solve_lp(prob: LpProblem):
         status = _pivot_loop(a1, b, c1, basis, binv, xb, n + m, k,
                              max_pivots, bland_after)
         if status != OPTIMAL:
-            return np.zeros(n), np.nan, TOLERANCE_FAILURE
+            return _finish(a, b, c, basis, TOLERANCE_FAILURE, n)
         if xb[basis >= n].sum() > 1e-7 * (1.0 + np.abs(b).max()):
-            return np.zeros(n), np.nan, INFEASIBLE
+            return _finish(a, b, c, basis, INFEASIBLE, n)
 
         # drive remaining artificials out of the basis (degenerate pivots)
         for leave in np.flatnonzero(basis >= n):
@@ -537,14 +536,13 @@ def solve_jp_many(x: np.ndarray, y: np.ndarray, lam: float,
     bit for bit, with the same InputErrors, by one of two routes.
 
     Up to ``_LOCKSTEP_MAX_ROWS`` rows, dictionaries of one 2-D shape are
-    solved together: :func:`formulate_jp` and :func:`_start` build and
-    start all programs at once, the dictionaries read as one stack. If
-    every program has a feasible block start, all run phase 2 in lock step
-    (:func:`_lockstep_loop`), each certified as it leaves. In every other
-    case (more rows, mixed shapes, None dictionaries or a program without
-    a block start) each program goes through :func:`solve_jp`; above the
-    limit ``dictionaries`` is read one item per solve, so a generator
-    keeps one dictionary alive.
+    read as one stack, which :func:`formulate_jp` and :func:`_start` build
+    and start at once. If every program has a feasible block start, all
+    run phase 2 in lock step (:func:`_lockstep_loop`), each certified as it
+    leaves. In every other case (more rows, mixed shapes, None dictionaries
+    or a program without a block start) each program goes through
+    :func:`solve_jp`; above the limit ``dictionaries`` is read one item per
+    solve, so a generator keeps one dictionary alive.
     """
     x = check_design(x)
     n, p = x.shape
@@ -552,7 +550,8 @@ def solve_jp_many(x: np.ndarray, y: np.ndarray, lam: float,
     shapes = {np.shape(g) for g in gs} if n <= _LOCKSTEP_MAX_ROWS else ()
     # lock step takes one 2-D shape: no None, no mixed shapes, not empty
     if [len(shape) for shape in shapes] == [2]:
-        a, b, c, start = _start(formulate_jp(x, y, lam, corruption_cols, gs))
+        a, b, c, start, _ = _start(formulate_jp(x, y, lam, corruption_cols,
+                                                gs))
         if start is not None:
             size = n + c.size  # rows plus columns of each program
             results, _ = _lockstep_loop(a, b, c, *start,

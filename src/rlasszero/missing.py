@@ -22,7 +22,7 @@ from .calibration import QutResult, QutSpec, qut_threshold
 from .core import RngStream, check_real, standardize_columns
 from .errors import InputError
 from .estimators import RlzConfig, RlzFit, robust_lasso_zero
-from .lp import check_response
+from .lp import check_design, check_response
 
 # Gauss-Hermite nodes and weights for the expected missing rate, computed
 # once: the intercept bisection evaluates the expectation about 40 times
@@ -175,9 +175,10 @@ def fit_standardized(x_std: np.ndarray, y: np.ndarray, cfg: RlzConfig,
     spec of ``cfg``. Dictionary k of the fit comes from the stream
     (master_seed, (*cfg.rng_path, k)); the calibration draws use paths
     that start with 0, (0, j, 0) and (0, j, k), so with the default empty
-    ``rng_path`` the fit and its calibration share no stream. A response
-    that is not n finite values raises InputError before calibrating.
+    ``rng_path`` the fit and its calibration share no stream. A bad design
+    or a response that is not n finite values raises InputError first.
     """
+    x_std = check_design(x_std)
     y = check_response(y, x_std.shape[0])
     qut: Optional[QutResult] = None
     if isinstance(cfg.tau, str):

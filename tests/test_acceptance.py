@@ -64,7 +64,7 @@ def test_criterion_1_lp_oracle_equivalence():
         assert status == OPTIMAL
         # feasibility and split complementarity
         assert np.abs(prob.a @ v - prob.b).max() < 1e-8
-        k = prob.n_signed
+        k = prob.a.shape[1] // 2
         assert all(min(v[i], v[k + i]) <= 1e-9 for i in range(k))
         optima = enumerate_vertex_optima(prob)
         best = min(float(prob.c @ np.concatenate(

@@ -266,6 +266,8 @@ class TestCheckStableNsp:
         {"t0": [2]}, {"t0": [1.0]},
         {"s0": [True]}, {"t0": [False]},
         {"rho_nsp": True}, {"lam": True},
+        {"budget": "10"}, {"budget": None}, {"budget": -1}, {"budget": 1.5},
+        {"budget": True},
     ])
     def test_bad_input_rejected(self, kwargs):
         args = {"x": np.eye(2), "s0": [0], "t0": [1]} | kwargs

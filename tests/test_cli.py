@@ -387,6 +387,16 @@ class TestFitCommand:
                      "--dictionaries", "3", *flags, "--out", str(out)])
         assert code == 2 and not out.exists()
 
+    # a numeric --tau runs no calibration, but --alpha is still a setting
+    @pytest.mark.parametrize("alpha", ["7", "nan", "-1", "0", "1"])
+    def test_bad_alpha_exit_2_under_numeric_tau(self, instance, tmp_path,
+                                                alpha):
+        _, x_path, y_path, _ = instance
+        out = tmp_path / "o.json"
+        code = main(["fit", "--x", x_path, "--y", y_path, "--tau", "0.5",
+                     "--alpha", alpha, "--out", str(out)])
+        assert code == 2 and not out.exists()
+
 
 class TestQutCommand:
     def test_runs_and_writes(self, tmp_path):

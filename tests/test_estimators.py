@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlasszero import InputError, SolverFailure, calibration, lp
+from rlasszero import InputError, SolverFailure, calibration, lp, missing
 from rlasszero.core import RngStream, standardize_columns
 from rlasszero.estimators import (
     RlzConfig,
@@ -427,6 +427,8 @@ class TestDesignCheck:
             x, np.ones(12), RlzConfig(tau=0.1, n_dictionaries=2)),
         "qut_threshold": lambda x: calibration.qut_threshold(
             x, calibration.QutSpec(n_mc=50, n_dictionaries=2)),
+        "fit_standardized": lambda x: missing.fit_standardized(
+            x, np.ones(12), RlzConfig(tau=0.1, n_dictionaries=2)),
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
@@ -446,3 +448,10 @@ class TestDesignCheck:
         monkeypatch.setattr(RngStream, "generator", None)
         with pytest.raises(InputError, match="2-D array of finite numbers"):
             self.ENTRY_POINTS[entry](x)
+
+    def test_fit_standardized_reads_a_list_design(self):
+        x, y, _, _ = _small_instance()
+        cfg = RlzConfig(tau=0.1, n_dictionaries=2)
+        fit = missing.fit_standardized(x.tolist(), y, cfg)
+        assert fit.beta_hat.tobytes() == \
+            missing.fit_standardized(x, y, cfg).beta_hat.tobytes()

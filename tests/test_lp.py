@@ -40,7 +40,7 @@ class TestFormulate:
     def test_tiny_dimensions(self):
         prob = formulate_jp(np.array([[1.0]]), np.array([3.0]), 2.0)
         assert prob.a.shape == (1, 4)
-        assert prob.n_signed == 2
+        assert lp._start(prob)[4] == 2
 
     def test_restricted_block_scaling(self):
         cols = np.array([1, 3])
@@ -80,11 +80,10 @@ class TestFormulate:
         gen = RngStream(4, (59,)).generator()
         gs = gen.standard_normal((3, 12, 12))
         stack = formulate_jp(x, y, lam, cols, gs)
-        assert stack.a.shape == (3, 12, 2 * stack.n_signed)
         assert stack.basis.shape == (3, 12)
         for i, g in enumerate(gs):
             single = formulate_jp(x, y, lam, cols, g)
-            assert stack.n_signed == single.n_signed
+            assert stack.a.shape == (3,) + single.a.shape
             assert stack.a[i].tobytes() == single.a.tobytes()
             assert stack.b.tobytes() == single.b.tobytes()
             assert stack.c.tobytes() == single.c.tobytes()
@@ -148,6 +147,23 @@ class TestSolveLp:
         # no vertex and no finite objective at any status but optimal
         assert np.array_equal(x, np.zeros(2)) and np.isnan(obj)
 
+    # b and c must fit the matrix and be finite: a short c was padded with
+    # zeros and a long one cut, so another program was solved
+    @pytest.mark.parametrize("case", ["c-short", "c-long", "b-short",
+                                      "b-long", "b-nan", "c-nan", "c-inf"])
+    def test_bad_b_or_c_rejected(self, case):
+        gen = RngStream(21, (61,)).generator()
+        a = gen.standard_normal((4, 8))
+        b, c = a @ gen.random(8), np.abs(gen.standard_normal(8))
+        assert solve_lp(LpProblem(a=a, b=b, c=c))[2] == OPTIMAL
+        b, c = {"c-short": (b, c[:5]), "c-long": (b, np.r_[c, 1.0]),
+                "b-short": (b[:3], c), "b-long": (np.r_[b, 0.0], c),
+                "b-nan": (np.r_[np.nan, b[1:]], c),
+                "c-nan": (b, np.r_[c[:7], np.nan]),
+                "c-inf": (b, np.r_[np.inf, c[1:]])}[case]
+        with pytest.raises(InputError, match="finite values"):
+            solve_lp(LpProblem(a=a, b=b, c=c))
+
     def test_duplicate_columns_terminate(self):
         a = np.hstack([np.ones((2, 4)), np.eye(2)])
         prob = LpProblem(a=a, b=np.ones(2), c=np.ones(6))
@@ -177,14 +193,16 @@ BLOCKS = [("full", True), ("restricted", True), ("empty", True),
 class TestPairPricing:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("corruption, with_g", BLOCKS)
-    def test_half_pricing_matches_full_pricing(self, corruption, with_g,
-                                               seed):
+    def test_half_pricing_matches_full_pricing(self, monkeypatch, corruption,
+                                               with_g, seed):
         x, y, lam, cols, g = _program(seed, 100, 200, corruption, with_g)
-        half = formulate_jp(x, y, lam, corruption_cols=cols, g=g)
-        full = LpProblem(a=half.a, b=half.b, c=half.c, basis=half.basis)
-        assert half.n_signed == half.a.shape[1] // 2 and full.n_signed == 0
-        v_half, obj_half, status_half = solve_lp(half)
-        v_full, obj_full, status_full = solve_lp(full)
+        prob = formulate_jp(x, y, lam, corruption_cols=cols, g=g)
+        assert lp._start(prob)[4] == prob.a.shape[1] // 2
+        v_half, obj_half, status_half = solve_lp(prob)
+        with monkeypatch.context() as mp:
+            mp.setattr(lp, "_pivot_loop", reference_simplex.full_pricing_loop)
+            mp.setattr(lp, "_apply_pivot", reference_simplex.apply_pivot)
+            v_full, obj_full, status_full = solve_lp(prob)
         assert status_half == status_full == OPTIMAL
         assert obj_half == obj_full
         np.testing.assert_array_equal(np.flatnonzero(v_half),
@@ -201,16 +219,62 @@ class TestPairPricing:
         a[m, :2 * k], a[m, 2 * k] = 1.0, 1.0
         c = np.concatenate([-np.ones(k), np.ones(k), [0.0]])
         b = np.r_[np.zeros(m), 1.0]
-        with pytest.raises(InputError, match="n_signed"):
-            solve_lp(LpProblem(a=a, b=b, c=c, n_signed=k))
-        _, _, status = solve_lp(LpProblem(a=a, b=b, c=c))
+        prob = LpProblem(a=a, b=b, c=c)
+        assert lp._start(prob)[4] == 0
+        _, _, status = solve_lp(prob)
         assert status == OPTIMAL
 
-    def test_more_pairs_than_columns_rejected(self):
-        prob = formulate_jp(np.eye(2), np.ones(2), 1.0)
-        with pytest.raises(InputError, match="n_signed"):
-            solve_lp(LpProblem(a=prob.a, b=prob.b, c=prob.c,
-                               n_signed=prob.n_signed + 1))
+
+class TestPairsReadOffTheMatrix:
+    """``_start`` reads the signed pairs off the matrix: N/2 of them when
+    its N columns are exactly [A | -A], and none otherwise."""
+
+    @pytest.mark.parametrize("corruption", ["full", "restricted", "empty"])
+    def test_formulated_programs_and_stacks(self, corruption):
+        x, y, lam, cols, g = _program(6, 12, 20, corruption, True)
+        gs = RngStream(6, (59,)).generator().standard_normal((3, 12, 12))
+        for prob in (formulate_jp(x, y, lam, cols, g),
+                     formulate_jp(x, y, lam, cols, gs)):
+            assert lp._start(prob)[4] == prob.a.shape[-1] // 2
+
+    @pytest.mark.parametrize("case", ["certification", "one-entry",
+                                      "one-entry-in-a-stack"])
+    def test_no_pairs(self, case):
+        if case == "certification":
+            prob = _certification_lp()
+        else:
+            x, y, lam, cols, _ = _program(6, 12, 20, "full", False)
+            gs = RngStream(6, (59,)).generator().standard_normal((3, 12, 12))
+            prob = formulate_jp(x, y, lam, cols,
+                                gs if case == "one-entry-in-a-stack" else
+                                gs[0])
+            prob.a[(-1,) * prob.a.ndim] += 0.5  # one program of a stack
+        assert lp._start(prob)[4] == 0
+
+    # the same program built by hand: priced by pairs in every phase, and
+    # solved with the same bits
+    @pytest.mark.parametrize("with_g", [True, False], ids=["hinted",
+                                                           "phase-1"])
+    def test_hand_built_pairs(self, monkeypatch, with_g):
+        x, y, lam, cols, g = _program(7, 30, 60, "restricted", with_g)
+        prob = formulate_jp(x, y, lam, corruption_cols=cols, g=g)
+        assert (prob.basis is None) == (not with_g)
+        k = prob.a.shape[1] // 2
+        a_u = prob.a[:, :k].copy()
+        hand = LpProblem(a=np.hstack([a_u, -a_u]), b=y.copy(),
+                         c=prob.c.copy(), basis=prob.basis)
+        x_ref, obj_ref, status_ref = solve_lp(prob)
+        pairs = []
+
+        def recorded(*args):
+            pairs.append(args[7])
+            return _PIVOT_LOOP(*args)
+
+        monkeypatch.setattr(lp, "_pivot_loop", recorded)
+        got_x, got_obj, got_status = solve_lp(hand)
+        assert pairs == [k] * (1 if with_g else 2)
+        assert got_status == status_ref == OPTIMAL
+        assert got_x.tobytes() == x_ref.tobytes() and got_obj == obj_ref
 
 
 class TestStartingBasis:
@@ -231,9 +295,8 @@ class TestStartingBasis:
         assert formulate_jp(x, y, lam, corruption_cols=cols).basis is None
 
     def _same_as_without_hint(self, prob, hint):
-        plain = LpProblem(a=prob.a, b=prob.b, c=prob.c, n_signed=prob.n_signed)
-        hinted = LpProblem(a=prob.a, b=prob.b, c=prob.c, n_signed=prob.n_signed,
-                           basis=hint)
+        plain = LpProblem(a=prob.a, b=prob.b, c=prob.c)
+        hinted = LpProblem(a=prob.a, b=prob.b, c=prob.c, basis=hint)
         _, obj_plain, status_plain = solve_lp(plain)
         _, obj_hinted, status_hinted = solve_lp(hinted)
         assert status_hinted == status_plain == OPTIMAL
@@ -416,8 +479,8 @@ class TestPivotPath:
         prob = _certification_lp()
         # the block basis plus the budget slack is a feasible start, so
         # the solve runs one pivot loop and no phase 1
-        assert prob.n_signed == 0
-        assert lp._start(prob)[3] is not None
+        _, _, _, start, k = lp._start(prob)
+        assert start is not None and k == 0
         _, _, status, path = self._same_path(monkeypatch, prob)
         assert status == OPTIMAL and path.count("loop") == 1
 
@@ -425,7 +488,7 @@ class TestPivotPath:
         # a negative cost on both halves of a pair: u = v = t stays
         # feasible and lowers the cost without bound
         prob = _qut_shaped(8, n=20, p=40, rows=8)
-        prob.c[[0, prob.n_signed]] = -1.0
+        prob.c[[0, prob.a.shape[1] // 2]] = -1.0
         _, _, status, path = self._same_path(monkeypatch, prob)
         assert status == UNBOUNDED and _pivots(path) > 0
 
@@ -434,13 +497,13 @@ class TestPivotPath:
     @pytest.mark.parametrize("bland_after", [0, 10 ** 6])
     def test_pivot_loop_called_directly(self, bland_after):
         prob = _qut_shaped(9)
-        a, b, c, start = lp._start(prob)
+        a, b, c, start, k = lp._start(prob)
         m, n = a.shape
         runs = []
         for loop in (_PIVOT_LOOP, _REF_LOOP):
             basis, binv, xb = (v.copy() for v in start)
             status = loop(a, b, c, basis, binv, xb, n,
-                          prob.n_signed, 50 * (m + n), bland_after)
+                          k, 50 * (m + n), bland_after)
             runs.append((status, basis, binv, xb))
         (status, *arrays), (ref_status, *ref_arrays) = runs
         assert status == ref_status == OPTIMAL
@@ -559,8 +622,8 @@ class TestLockstep:
     def test_loop_called_directly(self, bland_after, rows, tiny):
         x, y, cols, gs = _fit_programs(9, 30, 60, rows, count=4, tiny=tiny)
         probs = [formulate_jp(x, y, 1.0, cols, g) for g in gs]
-        k = probs[0].n_signed
-        splits, bs, cs, starts = zip(*map(lp._start, probs))
+        splits, bs, cs, starts, ks = zip(*map(lp._start, probs))
+        k = ks[0]
         b, c = bs[0], cs[0]
         max_pivots = 50 * (30 + 2 * k)
         stacked = [np.stack(v) for v in zip(*starts)]
@@ -587,8 +650,8 @@ class TestLockstep:
     def test_exits_match_the_single_loop(self, monkeypatch, case):
         x, y, cols, gs = _fit_programs(4, 30, 60, 10)
         probs = [formulate_jp(x, y, 1.0, cols, g) for g in gs]
-        k = probs[0].n_signed
-        splits, bs, cs, starts = zip(*map(lp._start, probs))
+        splits, bs, cs, starts, ks = zip(*map(lp._start, probs))
+        k = ks[0]
         b, c = bs[0], cs[0].copy()
         size = 30 + 2 * k
         max_pivots = {"budget-1": 1, "budget-part-way": 0.3 * size}.get(
@@ -628,7 +691,9 @@ class TestLockstep:
 
     @pytest.mark.parametrize("args", [
         dict(lam=0.0), dict(lam=np.nan), dict(y=np.zeros(7)),
-        dict(y=np.r_[np.nan, np.zeros(11)]), dict(gs=[np.ones((11, 12))])])
+        dict(y=np.r_[np.nan, np.zeros(11)]), dict(gs=[np.ones((11, 12))]),
+        dict(gs=[np.full((12, 12), np.nan)]),
+        dict(gs=[np.full((12, 12), np.inf)])])
     def test_input_errors(self, args):
         x, y, cols, gs = _fit_programs(6, 12, 20, 4, count=2)
         call = {"lam": 1.0, "y": y, "gs": gs} | args
@@ -735,8 +800,7 @@ class TestProgramAsGiven:
         flip[np.flatnonzero(prob.b)[0]] = True
         sign = np.where(flip, -1.0, 1.0)
         negated = LpProblem(a=sign[:, None] * prob.a, b=sign * prob.b,
-                            c=prob.c, n_signed=prob.n_signed,
-                            basis=prob.basis)
+                            c=prob.c, basis=prob.basis)
         got = _pivot_path(monkeypatch, negated, _PIVOT_LOOP, _APPLY_PIVOT)
         ref = _pivot_path(monkeypatch, prob, _PIVOT_LOOP, _APPLY_PIVOT)
         assert ref[2] == OPTIMAL and _pivots(ref[3]) > 0
@@ -749,7 +813,7 @@ class TestProgramAsGiven:
     def test_fortran_ordered_matrix_gives_the_same_solve(self, name):
         prob = _AS_GIVEN[name]()
         fortran = LpProblem(a=np.asfortranarray(prob.a), b=prob.b, c=prob.c,
-                            n_signed=prob.n_signed, basis=prob.basis)
+                            basis=prob.basis)
         assert not fortran.a.flags.c_contiguous
         x, objective, status = solve_lp(prob)
         got_x, got_objective, got_status = solve_lp(fortran)
@@ -935,7 +999,7 @@ class TestInvariants:
         prob = formulate_jp(x, y, lam)
         v, _, status = solve_lp(prob)
         assert status == OPTIMAL
-        k = prob.n_signed
+        k = prob.a.shape[1] // 2
         for pos in range(k):
             assert min(v[pos], v[k + pos]) <= 1e-9
 

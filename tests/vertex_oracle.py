@@ -18,8 +18,12 @@ _ENUM_CHUNK = 20000  # column subsets per batched solve
 
 def recompose(prob: LpProblem, x: np.ndarray) -> np.ndarray:
     """Map a split-variable solution of ``prob`` back to its signed
-    variables, ``x[:K] - x[K:2K]`` with K = ``prob.n_signed``."""
-    k = prob.n_signed
+    variables, ``x[:K] - x[K:2K]`` with K the pairs that ``prob.a``
+    holds: none unless it is exactly [A | -A]."""
+    a = np.asarray(prob.a, dtype=float)
+    k = a.shape[1] // 2
+    if a.shape[1] % 2 or not np.array_equal(a[:, k:], -a[:, :k]):
+        k = 0
     x = np.asarray(x, dtype=float)
     return x[:k] - x[k:2 * k]
 
