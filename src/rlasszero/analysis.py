@@ -29,7 +29,8 @@ import numpy as np
 
 from .core import check_count, check_real
 from .errors import BudgetExceededError, InputError, SolverFailure
-from .lp import LpProblem, OPTIMAL, check_design, formulate_jp, solve_lp
+from .lp import LpProblem, OPTIMAL, UNBOUNDED, check_design, formulate_jp, \
+    solve_lp
 
 _STRICTNESS = 1e-9
 
@@ -84,7 +85,7 @@ def _max_inner_product_lp(jp: LpProblem, h: np.ndarray, on: np.ndarray):
     # minus column j, and the slack makes N odd: every column is priced
     x, obj, status = solve_lp(LpProblem(a=a, b=b, c=c,
                                         basis=np.append(jp.basis, 2 * k)))
-    if status == "unbounded":
+    if status == UNBOUNDED:
         return np.inf, None
     if status != OPTIMAL:
         raise SolverFailure(f"certification LP ended with status {status}")

@@ -199,12 +199,11 @@ def _cmd_fit(args) -> int:
                        n_dictionaries=args.dictionaries, master_seed=args.seed)
     fit = rlz_with_missing(y, IncompleteMatrix(x_raw), cfg, qut_spec=qut_spec,
                            restrict_corruption=args.restrict_corruption_rows)
-    omega_full = fit.omega_full(x_raw.shape[0])
     _write_json(args.out, {
         "beta_hat": fit.beta_hat.tolist(),
         "beta_med": fit.beta_med.tolist(),
         "column_scales": fit.column_scales.tolist(),
-        "omega_med": None if omega_full is None else omega_full.tolist(),
+        "omega_med": fit.omega_full(x_raw.shape[0]).tolist(),
         "tau_used": fit.tau_used,
         "lambda": args.lam,
         "M": args.dictionaries,

@@ -77,20 +77,18 @@ class RlzConfig:
 @dataclass
 class RlzFit:
     beta_med: np.ndarray
-    omega_med: Optional[np.ndarray]
+    omega_med: np.ndarray
     gamma_all: list[np.ndarray]
     beta_hat: np.ndarray
-    omega_hat: Optional[np.ndarray]
+    omega_hat: np.ndarray
     tau_used: float
     per_dictionary_status: list[str]
     corruption_cols: np.ndarray  # the rows with a corruption column
     column_scales: Optional[np.ndarray] = None  # set by the missing-data path
 
-    def omega_full(self, n: int) -> Optional[np.ndarray]:
+    def omega_full(self, n: int) -> np.ndarray:
         """Corruption medians indexed by original row, zero on the rows
-        without a corruption column."""
-        if self.omega_med is None:
-            return None
+        without a corruption column: n zeros when no row has one."""
         out = np.zeros(n)
         out[self.corruption_cols] = self.omega_med
         return out
@@ -131,16 +129,15 @@ def robust_lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
                       ) -> RlzFit:
     """Noise-dictionary median estimator for the sparse corruption model,
     with the corruption block on the rows ``corruption_cols`` (None = all
-    rows, empty = no corruption block): solve with M noise dictionaries,
-    take medians and hard-threshold.
+    rows, empty = no corruption block, and empty ``omega_med`` and
+    ``omega_hat``): solve with M noise dictionaries, take medians and
+    hard-threshold.
 
     Dictionary k (1-based) is drawn from the stream
-    (master_seed, (*rng_path, k)), so fits are deterministic. The M
-    programs share X, y and the corruption rows, and
-    :func:`rlasszero.lp.solve_jp_many` solves them together: in lock step
-    up to 64 rows, where that saves solve time (measured at
-    ``lp._LOCKSTEP_MAX_ROWS``), and one at a time above, drawing each
-    dictionary only when its solve starts. Either way each result equals
+    (master_seed, (*rng_path, k)), so fits are deterministic.
+    :func:`rlasszero.lp.solve_jp_many` solves the M programs together (in
+    lock step up to ``lp._LOCKSTEP_MAX_ROWS`` rows, one at a time above,
+    drawing each dictionary when its solve starts), each result equal to
     its own :func:`rlasszero.lp.solve_jp`, bit for bit. Failed solves are
     dropped from the medians with a warning; the fit aborts only when more
     than half of them fail. A design that is not a finite 2-D array, a
@@ -172,14 +169,12 @@ def robust_lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
         raise SolverFailure("more than half of the dictionary solves failed; "
                             "medians would be unreliable")
 
-    beta_med = median_aggregate(betas)
-    omega_med = median_aggregate(omegas) if omegas[0].size else None
+    beta_med, omega_med = median_aggregate(betas), median_aggregate(omegas)
     tau = _resolve_tau(cfg, gammas, qut)
-    omega_hat = hard_threshold(omega_med, tau) if omega_med is not None else None
     return RlzFit(beta_med=beta_med, omega_med=omega_med, gamma_all=gammas,
-                  beta_hat=hard_threshold(beta_med, tau), omega_hat=omega_hat,
-                  tau_used=tau, per_dictionary_status=statuses,
-                  corruption_cols=cols)
+                  beta_hat=hard_threshold(beta_med, tau),
+                  omega_hat=hard_threshold(omega_med, tau), tau_used=tau,
+                  per_dictionary_status=statuses, corruption_cols=cols)
 
 
 def lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,

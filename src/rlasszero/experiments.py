@@ -139,8 +139,12 @@ class SimulationSpec:
     def __post_init__(self):
         # a column of one row is constant and cannot be standardized
         for name, minimum in (("n", 2), ("p", 1), ("s", 1),
-                              ("replications", 1), ("qut_mc", 1)):
+                              ("replications", 1)):
             check_count(name, getattr(self, name), minimum)
+        # named as in the spec, not as RlzConfig and QutSpec name them
+        check_real("lam", self.lam, 0.0, low_open=True)
+        check_count("qut_mc", self.qut_mc,
+                    50 if self.tuning == "automatic" else 1)
         if self.s > self.p:
             raise InputError("need 1 <= s <= p")
         check_real("beta_magnitude", self.beta_magnitude, 0.0, low_open=True)

@@ -24,7 +24,8 @@ and sign-pattern certification, where first-order solvers are too loose. It
 runs a phase 1 on signed artificial columns only when the program has no
 known basis (basis pursuit, Justice Pursuit with a restricted block, or a
 hand-built :class:`LpProblem`), and before it reports "optimal" it checks
-the residual and the reduced costs at a freshly inverted final basis.
+the residual and the reduced costs at a freshly inverted final basis. A
+solution holds each block as an array, empty when the block has no columns.
 
 A median fit solves M programs that differ only in their dictionary.
 :func:`solve_jp_many` returns what :func:`solve_jp` returns for each, bit
@@ -80,7 +81,7 @@ class LpProblem:
 class JpSolution:
     beta: np.ndarray
     omega: np.ndarray
-    gamma: Optional[np.ndarray]
+    gamma: np.ndarray
     objective: float
     status: str
 
@@ -108,7 +109,10 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
     n, p = x.shape
     y = check_response(y, n)
     cols = check_corruption_rows(corruption_cols, n)
-    g = np.zeros((n, 0)) if g is None else np.asarray(g, dtype=float)
+    try:
+        g = np.zeros((n, 0)) if g is None else np.asarray(g, dtype=float)
+    except (TypeError, ValueError):  # a stack of mixed shapes among them
+        raise InputError("dictionary must be an array of numbers") from None
     if g.ndim not in (2, 3) or g.shape[-2] != n:
         one = g.shape[1:] if g.ndim == 3 else g.shape  # one dictionary's
         raise InputError(f"dictionary must have {n} rows, got shape {one}")
@@ -282,17 +286,18 @@ def _start(prob: LpProblem):
     float arrays (``prob``'s own when they are already), the costs, the
     (basis, binv, xb) of a feasible ``prob.basis`` or None, and k = N/2 if
     the N columns of a are exactly [A | -A], else 0. No solve writes to a
-    or b. InputError unless b and c are m and N finite values and a hint
-    lists m column indices. A stack is checked and started at once, each
-    program with its own bits; its start is None if any program's is.
+    or b. InputError unless a is finite, b and c are m and N finite values
+    and a hint lists m column indices. A stack is checked and started at
+    once, each program with its own bits; its start is None if any
+    program's is.
     """
     a = np.ascontiguousarray(prob.a, dtype=float)
     b = np.ascontiguousarray(prob.b, dtype=float)
     c = np.asarray(prob.c, dtype=float)
     m, n = a.shape[-2:]
-    if b.shape != (m,) or c.shape != (n,) \
+    if b.shape != (m,) or c.shape != (n,) or not np.isfinite(a).all() \
             or not np.isfinite(np.concatenate([b, c])).all():
-        raise InputError(f"b and c must be {m} and {n} finite values")
+        raise InputError(f"a must be finite; b, c {m} and {n} finite values")
     k = n // 2
     if n % 2 or not np.array_equal(a[..., k:], -a[..., :k]):
         k = 0
@@ -351,8 +356,8 @@ def solve_lp(prob: LpProblem):
     "tolerance_failure". Each phase may take 50 (m + N) pivots for m rows
     and N columns, and switches to Bland's rule after 10 (m + N); a phase
     that runs out of pivots gives "tolerance_failure". Every status but
-    "optimal" comes with x = 0 and a NaN objective. A b or c that is not m
-    or N finite values, or a stack of problems, raises InputError.
+    "optimal" comes with x = 0 and a NaN objective. InputError unless a is
+    one finite program and b and c are m and N finite values.
     """
     if np.ndim(prob.a) != 2:
         raise InputError(f"solve_lp: a must be 2-D, got {np.shape(prob.a)}")
@@ -510,9 +515,9 @@ def solve_jp(x: np.ndarray, y: np.ndarray, lam: float,
              g: Optional[np.ndarray] = None) -> JpSolution:
     """Solve the l1 program of :func:`formulate_jp` with the same blocks.
 
-    ``omega`` has one entry per corruption row, ``gamma`` is None when
-    there is no dictionary block, and ``objective`` is the value
-    :func:`solve_lp` reports (NaN unless the status is "optimal").
+    ``omega`` has one entry per corruption row and ``gamma`` one per
+    dictionary column, each empty without its block, and ``objective`` is
+    the value :func:`solve_lp` reports (NaN unless the status is "optimal").
     """
     prob = formulate_jp(x, y, lam, corruption_cols, g)
     return _jp_solution(*solve_lp(prob), np.shape(x)[1], g)
@@ -523,33 +528,29 @@ def _jp_solution(sol, objective, status, p, g) -> JpSolution:
     k = sol.size // 2
     n_g = 0 if g is None else np.shape(g)[1]
     beta, omega, gamma = np.split(sol[:k] - sol[k:], [p, k - n_g])
-    return JpSolution(beta=beta, omega=omega,
-                      gamma=None if g is None else gamma,
-                      objective=objective, status=status)
+    return JpSolution(beta, omega, gamma, objective, status)
 
 
 def solve_jp_many(x: np.ndarray, y: np.ndarray, lam: float,
                   corruption_cols: Optional[Sequence[int]],
-                  dictionaries: Iterable[Optional[np.ndarray]]
+                  dictionaries: Iterable[np.ndarray]
                   ) -> list[JpSolution]:
-    """``[solve_jp(x, y, lam, corruption_cols, g) for g in dictionaries]``,
-    bit for bit, with the same InputErrors, by one of two routes.
+    """``[solve_jp(x, y, lam, corruption_cols, g) for g in dictionaries]``
+    for n x q dictionaries, bit for bit, by one of two routes.
 
-    Up to ``_LOCKSTEP_MAX_ROWS`` rows, dictionaries of one 2-D shape are
-    read as one stack, which :func:`formulate_jp` and :func:`_start` build
-    and start at once. If every program has a feasible block start, all
-    run phase 2 in lock step (:func:`_lockstep_loop`), each certified as it
-    leaves. In every other case (more rows, mixed shapes, None dictionaries
-    or a program without a block start) each program goes through
-    :func:`solve_jp`; above the limit ``dictionaries`` is read one item per
-    solve, so a generator keeps one dictionary alive.
+    Up to ``_LOCKSTEP_MAX_ROWS`` rows, the dictionaries are read as one
+    stack, which :func:`formulate_jp` and :func:`_start` check, build and
+    start at once: None, mixed shapes and an empty list are InputErrors.
+    If every program has a feasible block start, all run phase 2 in lock
+    step (:func:`_lockstep_loop`), each certified as it leaves. Otherwise,
+    and above the limit, each program goes through :func:`solve_jp`; above
+    it ``dictionaries`` is read one item per solve, so a generator keeps
+    one dictionary alive.
     """
     x = check_design(x)
     n, p = x.shape
     gs = dictionaries if n > _LOCKSTEP_MAX_ROWS else list(dictionaries)
-    shapes = {np.shape(g) for g in gs} if n <= _LOCKSTEP_MAX_ROWS else ()
-    # lock step takes one 2-D shape: no None, no mixed shapes, not empty
-    if [len(shape) for shape in shapes] == [2]:
+    if n <= _LOCKSTEP_MAX_ROWS:
         a, b, c, start, _ = _start(formulate_jp(x, y, lam, corruption_cols,
                                                 gs))
         if start is not None:

@@ -99,6 +99,14 @@ class TestCsvReaders:
         with pytest.raises(InputError, match="row 2, column 'b'"):
             read_design_csv(str(p))
 
+    def test_na_in_the_per_cell_reader(self, tmp_path):
+        # a quoted cell sends the file to the per-cell reader
+        p = tmp_path / "m.csv"
+        p.write_text('a,b\n"1.5",NA\nNA,2\n')
+        assert cli._numeric_rows('"1.5",NA\nNA,2\n', 2) is None
+        x, _ = read_design_csv(str(p))
+        np.testing.assert_array_equal(x, [[1.5, np.nan], [np.nan, 2.0]])
+
     def test_ragged_row_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("a,b\n1.0\n")
@@ -362,6 +370,32 @@ class TestFitCommand:
         code = main(["fit", "--x", "nope.csv", "--y", "nope.csv",
                      "--out", str(tmp_path / "o.json")])
         assert code == 2
+
+    def test_complete_design_restricted_writes_zero_omega(self, tmp_path):
+        # no row has a missing entry, so none has a corruption column;
+        # omega_med still has one entry per row
+        gen = RngStream(3, (213,)).generator()
+        n, p = 20, 6
+        x = gen.standard_normal((n, p))
+        write_design(tmp_path / "X.csv", x)
+        write_vector(tmp_path / "y.csv",
+                     x[:, 0] + 0.1 * gen.standard_normal(n))
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--x", str(tmp_path / "X.csv"),
+                     "--y", str(tmp_path / "y.csv"), "--tau", "0.5",
+                     "--dictionaries", "3", "--restrict-corruption-rows",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["omega_med"] == [0.0] * n
+
+    def test_empty_response_file_exit_2(self, instance, tmp_path, capsys):
+        _, x_path, _, _ = instance
+        empty = tmp_path / "y.csv"
+        empty.write_text("\n\n")
+        out = tmp_path / "o.json"
+        assert main(["fit", "--x", x_path, "--y", str(empty),
+                     "--out", str(out)]) == 2
+        assert "empty file" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_shape_mismatch_exit_2(self, instance, tmp_path):
         _, x_path, _, _ = instance
@@ -694,6 +728,17 @@ class TestSimulateCommand:
                      "--out", str(out), "--workers", workers]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("case, message", [
+        ("missing", "cannot open"), ("list", "top level must be an object")])
+    def test_unusable_config_exit_2(self, tmp_path, capsys, case, message):
+        path = tmp_path / "spec.json"
+        if case == "list":
+            path.write_text(json.dumps([{"n": 25, "p": 15}]))
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err and not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = self._config(tmp_path, bogus=1)
         assert main(["simulate", "--config", cfg,
@@ -814,6 +859,17 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "no_such_dir" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
+
+    def test_out_naming_a_directory_exit_2_before_the_work(
+            self, monkeypatch, instance, tmp_path, capsys):
+        def no_work(*args, **kw):
+            raise AssertionError("the work started")
+
+        monkeypatch.setattr(cli, "rlz_with_missing", no_work)
+        _, x_path, y_path, _ = instance
+        assert main(["fit", "--x", x_path, "--y", y_path,
+                     "--out", str(tmp_path)]) == 2
+        assert "it is a directory" in capsys.readouterr().err
 
     def test_write_failure_maps_to_2(self, monkeypatch, tmp_path, capsys):
         import rlasszero.cli as cli

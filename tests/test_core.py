@@ -135,6 +135,10 @@ class TestSampleDesign:
         with pytest.raises(InputError):
             sample_design(5, 2, bad, RngStream(0, ()))
 
+    def test_sigma_of_the_wrong_shape_rejected(self):
+        with pytest.raises(InputError, match="sigma must be 3x3"):
+            sample_design(5, 3, np.eye(2), RngStream(0, ()))
+
     @pytest.mark.parametrize("n, p, name", [
         (2.5, 2, "n"), (0, 2, "n"), (3, 2.0, "p"), (3, 0, "p"),
         (True, 2, "n"), (3, True, "p")])
@@ -198,6 +202,12 @@ class TestStandardizeColumns:
         once = standardize_columns(x)
         twice = standardize_columns(once)
         assert np.abs(twice - once).max() < 1e-12
+
+    @pytest.mark.parametrize("x", [np.arange(4.0), np.zeros((2, 2, 2))],
+                             ids=["1-D", "3-D"])
+    def test_not_2d_rejected(self, x):
+        with pytest.raises(InputError, match="2-d array"):
+            standardize_columns(x)
 
     def test_constant_column_names_index(self):
         x = np.ones((5, 3))

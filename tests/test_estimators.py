@@ -73,6 +73,18 @@ class TestMedianAggregate:
         with pytest.raises(InputError):
             median_aggregate([np.zeros(2), np.zeros(3)])
 
+    # scalars stack to 1-D and matrices to 3-D: neither is one vector each
+    @pytest.mark.parametrize("vectors", [[1.0, 2.0], [np.eye(2), np.eye(2)]],
+                             ids=["scalars", "matrices"])
+    def test_stack_not_2d_rejected(self, vectors):
+        with pytest.raises(InputError, match="same length"):
+            median_aggregate(vectors)
+
+    def test_empty_vectors(self):
+        # the corruption medians of a fit without corruption rows
+        out = median_aggregate([np.zeros(0)] * 3)
+        assert out.shape == (0,) and out.dtype == float
+
     def test_minority_corruption_stays_in_span(self):
         vs = [np.array([1.0]), np.array([2.0]), np.array([3.0]),
               np.array([4.0]), np.array([5.0])]
@@ -332,7 +344,16 @@ class TestLassoZero:
         x, _, _, _ = _small_instance()
         fit = lasso_zero(x, np.zeros(25), RlzConfig(tau=0.1, n_dictionaries=3))
         np.testing.assert_array_equal(fit.beta_hat, 0.0)
-        assert fit.omega_med is None
+        assert fit.omega_med.shape == (0,)
+
+    def test_corruption_block_is_empty(self):
+        # no row has a corruption column: empty medians, and n zeros by row
+        x, y, _, _ = _small_instance(sigma=0.2)
+        fit = lasso_zero(x, y, RlzConfig(tau=0.3, n_dictionaries=3))
+        assert fit.omega_med.shape == fit.omega_hat.shape == (0,)
+        assert fit.corruption_cols.size == 0
+        full = fit.omega_full(25)
+        assert full.shape == (25,) and not full.any()
 
     def test_equals_restricted_rlz_with_empty_corruption(self):
         x, y, _, _ = _small_instance(sigma=0.2)

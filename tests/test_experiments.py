@@ -151,6 +151,17 @@ class TestSimulationSpec:
         with pytest.raises(InputError):
             SimulationSpec(**kw)
 
+    # a message names the spec's key, not the one RlzConfig or QutSpec has
+    @pytest.mark.parametrize("kw, message", [
+        (dict(tuning="automatic", qut_mc=10),
+         "qut_mc must be an integer >= 50"),
+        (dict(lam=0), "lam must be a finite number"),
+        (dict(lam="1"), "lam must be a finite number")],
+        ids=["qut_mc", "lam-0", "lam-str"])
+    def test_message_names_the_key(self, kw, message):
+        with pytest.raises(InputError, match=message):
+            SimulationSpec(**kw)
+
     @pytest.mark.parametrize("kw", [dict(sigma_noise=0.0), dict(alpha=2),
                                     dict(qut_mc=10)])
     def test_settings_unused_by_the_fits_accepted(self, kw):

@@ -164,6 +164,34 @@ class TestSolveLp:
         with pytest.raises(InputError, match="finite values"):
             solve_lp(LpProblem(a=a, b=b, c=c))
 
+    # a NaN in a ended in "tolerance_failure", as if the solve had had
+    # numerical trouble, and an inf raised a RuntimeWarning; _start checks
+    # one program and a stack of them alike
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("stacked", [False, True],
+                             ids=["one", "stack"])
+    def test_non_finite_matrix_rejected(self, bad, stacked):
+        gen = RngStream(21, (61,)).generator()
+        a = gen.standard_normal((4, 8))
+        b, c = a @ gen.random(8), np.abs(gen.standard_normal(8))
+        a_bad = a.copy()
+        a_bad[2, 5] = bad
+        with pytest.raises(InputError, match="a must be finite"):
+            if stacked:
+                lp._start(LpProblem(a=np.stack([a, a_bad]), b=b, c=c))
+            else:
+                solve_lp(LpProblem(a=a_bad, b=b, c=c))
+
+    def test_phase_one_out_of_pivots(self, monkeypatch):
+        # basis pursuit has no block start; a budget below one pivot ends
+        # phase 1 after its first pivot
+        x, y, _, _ = random_jp_instance(5)
+        assert _bp(x, y)[1] == OPTIMAL
+        monkeypatch.setattr(lp, "_PIVOTS_PER_COLUMN", 0.01)
+        sol = solve_jp(x, y, 1.0, corruption_cols=[])
+        assert sol.status == TOLERANCE_FAILURE
+        assert np.isnan(sol.objective) and not sol.beta.any()
+
     def test_duplicate_columns_terminate(self):
         a = np.hstack([np.ones((2, 4)), np.eye(2)])
         prob = LpProblem(a=a, b=np.ones(2), c=np.ones(6))
@@ -607,13 +635,16 @@ class TestLockstep:
         assert formulate_jp(x, y, 1.0, cols, gs[1]).basis is None
         self._same_as_one_at_a_time(monkeypatch, x, y, cols, gs, batched=[])
 
-    # dictionaries of two shapes, and no dictionary block at all
-    @pytest.mark.parametrize("case", ["mixed-shapes", "none"])
-    def test_one_at_a_time_below_the_row_limit(self, monkeypatch, case):
+    # below the row limit the dictionaries are one stack: None, two shapes
+    # or no dictionary at all make none
+    @pytest.mark.parametrize("case", ["mixed-shapes", "none", "empty"])
+    def test_below_the_row_limit_dictionaries_are_one_stack(self, case):
         x, y, cols, gs = _fit_programs(8, 20, 40, "full", count=2)
         wide = RngStream(8, (48,)).generator().standard_normal((20, 23))
-        gs = {"mixed-shapes": [gs[0], wide], "none": [None, None]}[case]
-        self._same_as_one_at_a_time(monkeypatch, x, y, cols, gs, batched=[])
+        gs = {"mixed-shapes": [gs[0], wide], "none": [None, None],
+              "empty": []}[case]
+        with pytest.raises(InputError, match="dictionary must"):
+            lp.solve_jp_many(x, y, 1.0, cols, gs)
 
     # Bland's rule from the first pivot, and Dantzig pricing throughout;
     # the bases, basis inverses and basic values must match too
@@ -844,10 +875,7 @@ class TestJpSplit:
         assert sol.status == OPTIMAL
         n_rows = n if cols is None else len(cols)
         assert sol.beta.shape == (p,) and sol.omega.shape == (n_rows,)
-        if with_g:
-            assert sol.gamma.shape == (n,)
-        else:
-            assert sol.gamma is None
+        assert sol.gamma.shape == (n if with_g else 0,)
         resid = _jp_residual(x, y, sol, cols, g)
         assert np.abs(resid).max() <= 1e-9 * (1.0 + np.abs(y).max())
 
@@ -858,6 +886,14 @@ class TestJpHandExamples:
         assert sol.status == OPTIMAL
         np.testing.assert_allclose(sol.beta, [3.0], atol=1e-10)
         np.testing.assert_allclose(sol.omega, [0.0], atol=1e-10)
+
+    # an absent block is an empty array, as in every other result
+    def test_absent_blocks_are_empty(self):
+        sol = solve_jp(np.array([[1.0]]), np.array([3.0]), 2.0,
+                       corruption_cols=[], g=None)
+        assert sol.status == OPTIMAL and sol.beta.tolist() == [3.0]
+        assert sol.omega.shape == sol.gamma.shape == (0,)
+        assert sol.gamma.dtype == float
 
     def test_zero_rhs(self):
         sol = solve_jp(np.eye(2), np.zeros(2), 1.0)
