@@ -76,8 +76,8 @@ def qut_threshold(x: np.ndarray, spec: QutSpec,
     The draws run through :func:`rlasszero.core.run_tasks`, which is
     asked for one worker per draw and caps that at the usable cores
     (:func:`rlasszero.core.usable_cores`): each worker runs on one
-    OpenBLAS thread and takes one draw at a time, and with one usable
-    core the draws run serially in this process, with no pool.
+    OpenBLAS thread and takes one draw at a time; with one usable core
+    the draws run here, and multiprocessing is not even imported.
     ``mc_statistics`` is the same, byte for byte, whatever the core count
     or the caller's BLAS thread setting.
 

@@ -308,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", parents=[fit_qut],
                          help="fit the median-aggregated estimator")
-    fit.add_argument("--y", required=True, help="response CSV, one value per line")
+    fit.add_argument("--y", required=True, help="response CSV, one value per "
+                     "line; centre it, since the fit has no intercept")
     fit.add_argument("--tau", default="qut",
                      help="numeric threshold, or 'qut' for automatic calibration")
     fit.set_defaults(func=_cmd_fit)

@@ -1,9 +1,9 @@
 """Dense design-matrix primitives, deterministic RNG stream derivation,
-the BLAS thread setting and :func:`run_tasks`, the one task map that runs
-the calibration draws and the simulation replications, serially or on a
-pool, with the same results, warnings and failures at any worker count.
-Count settings are checked by :func:`check_count` and real-valued ones by
-:func:`check_real`, each with one InputError message format.
+the BLAS thread setting and :func:`run_tasks`, the one task map of the
+calibration draws and the simulation replications, serial or on a pool
+(whose modules load only then), with the same results, warnings and
+failures at any worker count. :func:`check_count` checks count settings
+and :func:`check_real` real ones, each with one InputError message format.
 
 All randomness in the package flows through :class:`RngStream`, a
 (master_seed, path) pair mapped to an independent counter-based generator.
@@ -18,12 +18,10 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import glob
-import multiprocessing
 import numbers
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -211,15 +209,18 @@ def run_tasks(fn: Callable, items: Sequence, workers: int) -> list:
     processes beyond the cores only compete for them. Whenever that is
     at most one, or this process is a multiprocessing child (so pools
     never nest), the calls run here, inside :func:`single_blas_thread`.
-    Otherwise they run on a pool of forked processes that the call starts
-    and closes, one item per task, so that no worker idles while another
-    still holds a queue of items, each on one OpenBLAS thread, since the
-    workers already fill the cores. Forked, because a spawned worker
-    imports numpy and the package afresh: about 0.5 s of CPU on a 2-core
-    x86 machine, some 10 calibration draws at 50 x 100.
+    Otherwise the call imports multiprocessing (a serial call never does)
+    and runs them on forked processes that it starts and closes, one item
+    per task, so no worker idles while another holds a queue of items,
+    each on one OpenBLAS thread, as the workers fill the cores. Forked:
+    a spawned worker imports numpy and the package afresh, about 0.5 s of
+    CPU on a 2-core x86 machine, some 10 calibration draws at 50 x 100.
     """
     items = list(items)
     processes = min(workers, len(items), usable_cores())
+    if processes > 1:  # only a call that may start a pool loads its modules
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     if processes <= 1 or multiprocessing.parent_process() is not None:
         with single_blas_thread():
             outcomes = [_run_one(fn, item) for item in items]

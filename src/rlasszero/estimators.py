@@ -116,14 +116,6 @@ def pivot_scale_from_gammas(gamma_all) -> float:
     return scale
 
 
-def _resolve_tau(cfg: RlzConfig, gamma_all, qut):
-    if not isinstance(cfg.tau, str):
-        return float(cfg.tau)
-    if qut is None:
-        raise InputError("tau='qut' requires a calibration result")
-    return float(qut.pivot_quantile * pivot_scale_from_gammas(gamma_all))
-
-
 def robust_lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
                       qut=None, corruption_cols: Optional[np.ndarray] = None
                       ) -> RlzFit:
@@ -141,13 +133,16 @@ def robust_lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
     its own :func:`rlasszero.lp.solve_jp`, bit for bit. Failed solves are
     dropped from the medians with a warning; the fit aborts only when more
     than half of them fail. A design that is not a finite 2-D array, a
-    response that is not n finite values, or rows that are not distinct
-    integers in [0, n), raise InputError before any dictionary is drawn.
+    response that is not n finite values, rows that are not distinct
+    integers in [0, n), or ``tau="qut"`` without ``qut``, raise InputError
+    before any dictionary is drawn.
     """
     x = check_design(x)
     n = x.shape[0]
     y = check_response(y, n)
     cols = check_corruption_rows(corruption_cols, n)
+    if isinstance(cfg.tau, str) and qut is None:
+        raise InputError("tau='qut' requires a calibration result")
     base = RngStream(cfg.master_seed, cfg.rng_path)
 
     dictionaries = (base.child(k).generator().standard_normal((n, n))
@@ -170,7 +165,8 @@ def robust_lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
                             "medians would be unreliable")
 
     beta_med, omega_med = median_aggregate(betas), median_aggregate(omegas)
-    tau = _resolve_tau(cfg, gammas, qut)
+    tau = float(qut.pivot_quantile * pivot_scale_from_gammas(gammas)) \
+        if isinstance(cfg.tau, str) else float(cfg.tau)
     return RlzFit(beta_med=beta_med, omega_med=omega_med, gamma_all=gammas,
                   beta_hat=hard_threshold(beta_med, tau),
                   omega_hat=hard_threshold(omega_med, tau), tau_used=tau,

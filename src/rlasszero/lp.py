@@ -112,8 +112,10 @@ def formulate_jp(x: np.ndarray, y: np.ndarray, lam: float,
     try:
         g = np.zeros((n, 0)) if g is None else np.asarray(g, dtype=float)
     except (TypeError, ValueError):  # a stack of mixed shapes among them
-        raise InputError("dictionary must be an array of numbers") from None
-    if g.ndim not in (2, 3) or g.shape[-2] != n:
+        g = None
+    if g is None or g.ndim not in (2, 3):  # [None, None] reads as 2 NaNs
+        raise InputError("each dictionary must be an n x q array of numbers")
+    if g.shape[-2] != n:
         one = g.shape[1:] if g.ndim == 3 else g.shape  # one dictionary's
         raise InputError(f"dictionary must have {n} rows, got shape {one}")
     if not np.isfinite(g).all():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -24,9 +25,9 @@ from .errors import InputError
 from .estimators import RlzConfig, RlzFit, robust_lasso_zero
 from .lp import check_design, check_response
 
-# Gauss-Hermite nodes and weights for the expected missing rate, computed
-# once: the intercept bisection evaluates the expectation about 40 times
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(96)
+# Gauss-Hermite nodes and weights for the expected missing rate, built by
+# the first MNAR bisection and kept: one bisection needs them about 40 times
+_gh_rule = cache(lambda: np.polynomial.hermite.hermgauss(96))
 _BISECTION_TOL = 1e-10  # width at which the intercept bisection stops
 
 
@@ -70,8 +71,9 @@ def logistic_missing_prob(x, a: float, b: float):
 
 def _gh_expectation(a: float, b: float) -> float:
     """E[logistic_missing_prob(Z, a, b)] for Z ~ N(0,1), by Gauss-Hermite."""
-    vals = _expit(a * np.abs(np.sqrt(2.0) * _GH_NODES) + b)
-    return float((_GH_WEIGHTS * vals).sum() / np.sqrt(np.pi))
+    nodes, weights = _gh_rule()
+    vals = _expit(a * np.abs(np.sqrt(2.0) * nodes) + b)
+    return float((weights * vals).sum() / np.sqrt(np.pi))
 
 
 def solve_b_for_pi(a: float, pi: float) -> float:
@@ -177,6 +179,7 @@ def fit_standardized(x_std: np.ndarray, y: np.ndarray, cfg: RlzConfig,
     that start with 0, (0, j, 0) and (0, j, k), so with the default empty
     ``rng_path`` the fit and its calibration share no stream. A bad design
     or a response that is not n finite values raises InputError first.
+    The l1 program has no intercept, so ``y`` should be centred.
     """
     x_std = check_design(x_std)
     y = check_response(y, x_std.shape[0])
@@ -204,7 +207,8 @@ def rlz_with_missing(y: np.ndarray, inc: IncompleteMatrix, cfg: RlzConfig,
     :func:`fit_standardized` on its :func:`standardized_design`, with the
     incomplete rows (all rows when ``restrict_corruption`` is False) as
     corruption rows. The fit carries the rescaling factors, which map
-    coefficients back to the original column scale."""
+    coefficients back to the original column scale. Only the design is
+    centred: the fit has no intercept, so ``y`` should be centred too."""
     x_std, scales = standardized_design(inc)
     fit = fit_standardized(x_std, y, cfg, qut_spec, inc.incomplete_rows
                            if restrict_corruption else None)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -172,7 +173,8 @@ class TestQutPool:
                 maps.append((len(items), chunksize))
                 return super().map(fn, items, chunksize=chunksize)
 
-        monkeypatch.setattr(core, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
         # run_tasks caps the pool at core.usable_cores(), so the pool has
         # two workers on a machine with one usable core too
         monkeypatch.setattr(core, "usable_cores", lambda: 2)
@@ -209,7 +211,8 @@ class TestQutPool:
             raise AssertionError("a pool started inside a pool worker")
 
         monkeypatch.setattr(core, "usable_cores", lambda: 2)
-        monkeypatch.setattr(core, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
         spec = QutSpec(n_mc=50, n_dictionaries=3)
         # forked, so the worker sees the patches above
         with ProcessPoolExecutor(

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -484,7 +485,8 @@ class TestQutCommand:
             raise AssertionError("a calibration pool was started")
 
         monkeypatch.setattr(core, "usable_cores", lambda: 2)
-        monkeypatch.setattr(core, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
         x_path = tmp_path / "X.csv"
         write_design(x_path, RngStream(3, (203,)).generator()
                      .standard_normal((12, 5)))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -179,7 +180,8 @@ class TestRunTasks:
         ([3], 2, 2), (range(8), 4, 1)], ids=["one-item", "one-core"])
     def test_no_pool_of_one(self, monkeypatch, items, workers, cores):
         # a pool of one process only adds a fork to the serial path
-        monkeypatch.setattr(core, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _no_pool)
         monkeypatch.setattr(core, "usable_cores", lambda: cores)
         assert run_tasks(_square, items, workers) == [i * i for i in items]
 
@@ -237,25 +239,47 @@ class TestStandardizeColumns:
         assert np.abs(standardize_columns(once) - once).max() < 1e-12
 
 
-def test_import_loads_numpy_alone():
+def test_import_loads_numpy_alone(tmp_path):
     # scipy brings its own OpenBLAS next to numpy's: more start-up time and
     # memory, and a second thread pool that the BLAS thread setting does
-    # not reach
+    # not reach. A command that starts no pool and draws no MNAR mask, as
+    # rlz identify, loads neither the pool's modules nor numpy.polynomial;
+    # it runs in a process of its own, since conftest.py imports
+    # multiprocessing into this one
+    x = RngStream(5, (241,)).generator().standard_normal((6, 4))
+    np.savetxt(tmp_path / "X.csv", x, delimiter=",", header="a,b,c,d",
+               comments="")
+    (tmp_path / "theta.csv").write_text("1\n0\n0\n0\n")
+    (tmp_path / "tt.csv").write_text("0\n" * 6)
     src = str(Path(__file__).resolve().parents[1] / "src")
     paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    code = ("import json, os, sys, rlasszero, rlasszero.cli\n"
+    # numpy before 2.0 imports numpy.polynomial itself
+    code = ("import json, os, sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import rlasszero, rlasszero.cli\n"
+            "code = rlasszero.cli.main(['identify', '--x', 'X.csv',\n"
+            "    '--theta', 'theta.csv', '--theta-tilde', 'tt.csv',\n"
+            "    '--out', 'verdict.json'])\n"
             "maps = set()\n"
             "if os.path.exists('/proc/self/maps'):\n"
             "    with open('/proc/self/maps') as fh:\n"
             "        maps = {line.split()[-1] for line in fh\n"
             "                if 'openblas' in os.path.basename(line.split()[-1])}\n"
-            "print(json.dumps({'scipy': sorted(m for m in sys.modules\n"
+            "print(json.dumps({'code': code,\n"
+            "                  'scipy': sorted(m for m in sys.modules\n"
             "                                  if m.split('.')[0] == 'scipy'),\n"
+            "                  'unused': sorted((set(sys.modules) - before) &\n"
+            "                      {'multiprocessing', 'concurrent.futures',\n"
+            "                       'numpy.polynomial'}),\n"
             "                  'openblas': sorted(maps)}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
+                         capture_output=True, text=True, timeout=120,
+                         cwd=tmp_path)
     loaded = json.loads(out.stdout)
+    assert loaded["code"] == 0
+    assert (tmp_path / "verdict.json").exists()
     assert loaded["scipy"] == []
+    assert loaded["unused"] == []
     if sys.platform.startswith("linux"):
         assert len(loaded["openblas"]) == 1, loaded["openblas"]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlasszero import InputError, SolverFailure, calibration, lp, missing
+from rlasszero import InputError, SolverFailure, calibration, \
+    estimators, lp, missing
 from rlasszero.core import RngStream, standardize_columns
 from rlasszero.estimators import (
     RlzConfig,
@@ -333,7 +334,12 @@ class TestFailedSolves:
                 pytest.warns(UserWarning, match="6 of 10 dictionary solves"):
             robust_lasso_zero(x, y, cfg)
 
-    def test_qut_tau_needs_a_calibration(self):
+    def test_qut_tau_needs_a_calibration(self, monkeypatch):
+        # the missing calibration is an input error found before any solve
+        def no_solve(*args):
+            raise AssertionError("a dictionary program was solved")
+
+        monkeypatch.setattr(estimators, "solve_jp_many", no_solve)
         x, y, _, _ = _small_instance()
         with pytest.raises(InputError, match="requires a calibration"):
             robust_lasso_zero(x, y, RlzConfig(tau="qut", n_dictionaries=2))

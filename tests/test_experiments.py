@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import multiprocessing
 import sys
@@ -287,7 +288,8 @@ class TestRunExperiment:
                 seen.append(super().submit(core.blas_threads).result(60))
                 return super().submit(fn, *args)
 
-        monkeypatch.setattr(core, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
         # run_tasks sizes the pool by core.usable_cores(): two, so a pool
         # starts on a machine with one usable core too
         monkeypatch.setattr(core, "usable_cores", lambda: 2)
@@ -389,7 +391,8 @@ class TestRunExperiment:
             def map(self, fn, items, chunksize):
                 return map(fn, items)
 
-        monkeypatch.setattr(core, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
         monkeypatch.setattr(core, "usable_cores", lambda: 3)
         for replications in (5, 2):
             spec = _tiny_spec(replications=replications, estimators=("tjp",))
@@ -403,14 +406,16 @@ class TestRunExperiment:
 
         spec = _tiny_spec(replications=1)
         serial = _simulate(spec, 1)
-        monkeypatch.setattr(core, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
         assert _simulate(spec, 2) == serial
 
     def test_serial_inside_a_pool_worker(self, monkeypatch):
         def no_pool(*args, **kw):
             raise AssertionError("a pool started inside a pool worker")
 
-        monkeypatch.setattr(core, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
         spec = _tiny_spec(estimators=("tjp",))
         # forked, so the worker sees the patch above
         with ProcessPoolExecutor(

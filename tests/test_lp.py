@@ -635,15 +635,18 @@ class TestLockstep:
         assert formulate_jp(x, y, 1.0, cols, gs[1]).basis is None
         self._same_as_one_at_a_time(monkeypatch, x, y, cols, gs, batched=[])
 
-    # below the row limit the dictionaries are one stack: None, two shapes
-    # or no dictionary at all make none
-    @pytest.mark.parametrize("case", ["mixed-shapes", "none", "empty"])
+    # below the row limit the dictionaries are one stack: None, numbers,
+    # two shapes or no dictionary at all make none, and the message says
+    # what each dictionary must be rather than a shape read off the list
+    @pytest.mark.parametrize("case", ["mixed-shapes", "none", "numbers",
+                                      "empty"])
     def test_below_the_row_limit_dictionaries_are_one_stack(self, case):
         x, y, cols, gs = _fit_programs(8, 20, 40, "full", count=2)
         wide = RngStream(8, (48,)).generator().standard_normal((20, 23))
         gs = {"mixed-shapes": [gs[0], wide], "none": [None, None],
-              "empty": []}[case]
-        with pytest.raises(InputError, match="dictionary must"):
+              "numbers": [1.0, 2.0], "empty": []}[case]
+        with pytest.raises(InputError, match="^each dictionary must be an "
+                                             "n x q array of numbers$"):
             lp.solve_jp_many(x, y, 1.0, cols, gs)
 
     # Bland's rule from the first pivot, and Dantzig pricing throughout;
