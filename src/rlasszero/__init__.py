@@ -19,7 +19,6 @@ from .estimators import (
     RlzFit,
     hard_threshold,
     lasso_zero,
-    median_aggregate,
     robust_lasso_zero,
     tjp,
 )

@@ -63,20 +63,20 @@ def _support_mask(indices, size: int, name: str) -> np.ndarray:
     return mask
 
 
-def _max_inner_product_lp(jp: LpProblem, h: np.ndarray, on: np.ndarray):
+def _max_inner_product_lp(jp: LpProblem, h: np.ndarray):
     """Solve max (w h)'nu s.t. A nu = 0, sum_off w_j |nu_j| <= 1, where the
     noiseless program ``jp`` has the split columns [A | -A] and costs (w, w).
 
-    ``on`` masks the support, whose entries are left out of the budget.
-    The start is the block basis of ``jp`` plus the budget slack: a lower
-    triangular basis at x_B = (0, ..., 0, 1). Returns (value, w nu) or
-    (inf, None) when unbounded.
+    "off" is where the sign pair ``h`` is zero, so its support is left out
+    of the budget. The start is the block basis of ``jp`` plus the budget
+    slack: a lower triangular basis at x_B = (0, ..., 0, 1). Returns
+    (value, w nu) or (inf, None) when unbounded.
     """
     m, k = jp.a.shape[0], jp.a.shape[1] // 2
     # split nu = u - v, slack t for the budget row
     a = np.zeros((m + 1, 2 * k + 1))
     a[:m, :2 * k] = jp.a
-    a[m, :2 * k] = jp.c * np.tile(~on, 2)
+    a[m, :2 * k] = jp.c * np.tile(h == 0, 2)
     a[m, 2 * k] = 1.0
     b = np.zeros(m + 1)
     b[m] = 1.0
@@ -121,7 +121,7 @@ def check_identifiability(x: np.ndarray, theta: np.ndarray,
         value, nu = np.inf, np.zeros(n + p)
         nu[support] = jp.c[:n + p][support] * vt[-1]
     else:
-        value, nu = _max_inner_product_lp(jp, h, support)
+        value, nu = _max_inner_product_lp(jp, h)
     margin = 1.0 - value
     identifiable = bool(margin > _STRICTNESS)
     # dead band: uniqueness cannot be certified, so the conservative
@@ -163,7 +163,7 @@ def check_stable_nsp(x: np.ndarray, s0, t0, lam: float = 1.0,
     for bits in range(0, 2 * n_lps, 2):
         h = np.zeros(n + p)
         h[on_idx] = 1.0 - 2.0 * (bits >> np.arange(on_idx.size) & 1)
-        value, _ = _max_inner_product_lp(jp, h, on)
+        value, _ = _max_inner_product_lp(jp, h)
         if value > rho_nsp + _STRICTNESS:
             return False
     return True

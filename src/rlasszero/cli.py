@@ -162,6 +162,8 @@ def read_vector_csv(path: str) -> np.ndarray:
 def _check_writable(path: str) -> None:
     """InputError unless ``path`` names a file that can be written, so that
     a bad output path fails before the work rather than after it."""
+    if not path:
+        raise InputError("cannot write to an empty path")
     folder = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(folder):
         raise InputError(f"cannot write {path}: no directory {folder}")
@@ -354,7 +356,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         for path in (args.out, getattr(args, "raw", None)):
-            if path:
+            if path is not None:
                 _check_writable(path)
         with single_blas_thread():
             return args.func(args)

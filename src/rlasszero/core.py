@@ -87,23 +87,23 @@ def toeplitz_sigma(p: int, rho: float) -> np.ndarray:
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
-def sample_design(n: int, p: int, sigma: np.ndarray, stream: RngStream) -> np.ndarray:
-    """Draw an n x p matrix with i.i.d. rows from N(0, sigma).
+def sample_design(n: int, sigma: np.ndarray, stream: RngStream) -> np.ndarray:
+    """Draw an n x p matrix with i.i.d. rows from N(0, sigma), sigma p x p.
 
     Rows are generated as standard-normal vectors times the lower Cholesky
-    factor of sigma, so the covariance is exact. InputError unless n and
-    p are integers >= 1 and sigma is p x p and positive definite.
+    factor of sigma, so the covariance is exact. InputError unless n is an
+    integer >= 1 and sigma is a non-empty square positive definite matrix.
     """
     check_count("n", n, 1)
-    check_count("p", p, 1)
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (p, p):
-        raise InputError(f"sigma must be {p}x{p}, got shape {sigma.shape}")
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or not sigma.size:
+        raise InputError(f"sigma must be a non-empty square matrix, "
+                         f"got shape {sigma.shape}")
     try:
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:
         raise InputError("sigma is not positive definite") from exc
-    z = stream.generator().standard_normal((n, p))
+    z = stream.generator().standard_normal((n, sigma.shape[0]))
     return z @ chol.T
 
 
@@ -173,8 +173,8 @@ def single_blas_thread():
     """Run the body on one OpenBLAS thread, then restore the caller's count.
 
     Used by ``cli.main`` around each whole command and by :func:`run_tasks`
-    around its serial calls. At this package's sizes a second BLAS thread
-    only spins, also between BLAS calls, so all the work runs inside.
+    around its calls, pooled ones too. At this package's sizes a second BLAS
+    thread only spins, also between BLAS calls, so all the work runs inside.
     """
     before = blas_threads()
     set_blas_threads(1)
@@ -204,15 +204,16 @@ def run_tasks(fn: Callable, items: Sequence, workers: int) -> list:
     raised again here, in order of the items, once every call has
     returned.
 
+    All of it runs inside :func:`single_blas_thread`, so every call runs
+    on one OpenBLAS thread: pool workers are forked inside and inherit it.
     The pool would have ``min(workers, len(items), usable_cores())``
     processes: a forked pool starts all its processes at once, and
-    processes beyond the cores only compete for them. Whenever that is
-    at most one, or this process is a multiprocessing child (so pools
-    never nest), the calls run here, inside :func:`single_blas_thread`.
-    Otherwise the call imports multiprocessing (a serial call never does)
-    and runs them on forked processes that it starts and closes, one item
-    per task, so no worker idles while another holds a queue of items,
-    each on one OpenBLAS thread, as the workers fill the cores. Forked:
+    processes beyond the cores only compete for them. Whenever that is at
+    most one, or this process is a multiprocessing child (so pools never
+    nest), the calls run here. Otherwise the call imports multiprocessing
+    (a serial call never does) and runs them on forked processes that it
+    starts and closes, one item per task, so no worker idles while another
+    holds a queue of items, as the workers fill the cores. Forked:
     a spawned worker imports numpy and the package afresh, about 0.5 s of
     CPU on a 2-core x86 machine, some 10 calibration draws at 50 x 100.
     """
@@ -221,16 +222,15 @@ def run_tasks(fn: Callable, items: Sequence, workers: int) -> list:
     if processes > 1:  # only a call that may start a pool loads its modules
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-    if processes <= 1 or multiprocessing.parent_process() is not None:
-        with single_blas_thread():
+    with single_blas_thread():
+        if processes <= 1 or multiprocessing.parent_process() is not None:
             outcomes = [_run_one(fn, item) for item in items]
-    else:
-        with ProcessPoolExecutor(
-                max_workers=processes,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=set_blas_threads, initargs=(1,)) as pool:
-            outcomes = list(pool.map(partial(_run_one, fn), items,
-                                     chunksize=1))
+        else:
+            with ProcessPoolExecutor(
+                    max_workers=processes,
+                    mp_context=multiprocessing.get_context("fork")) as pool:
+                outcomes = list(pool.map(partial(_run_one, fn), items,
+                                         chunksize=1))
     for _, caught in outcomes:
         for message in caught:
             warnings.warn(message, stacklevel=3)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -30,19 +30,6 @@ def hard_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     check_real("tau", tau, 0.0)
     v = np.asarray(v, dtype=float)
     return np.where(np.abs(v) > tau, v, 0.0)
-
-
-def median_aggregate(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Componentwise median; even counts use the midpoint of the central pair."""
-    if len(vectors) == 0:
-        raise InputError("cannot aggregate an empty collection")
-    try:
-        stack = np.asarray(vectors, dtype=float)
-    except ValueError:
-        raise InputError("vectors must all have the same length") from None
-    if stack.ndim != 2:
-        raise InputError("vectors must all have the same length")
-    return np.median(stack, axis=0)
 
 
 @dataclass
@@ -164,7 +151,7 @@ def robust_lasso_zero(x: np.ndarray, y: np.ndarray, cfg: RlzConfig,
         raise SolverFailure("more than half of the dictionary solves failed; "
                             "medians would be unreliable")
 
-    beta_med, omega_med = median_aggregate(betas), median_aggregate(omegas)
+    beta_med, omega_med = np.median(betas, axis=0), np.median(omegas, axis=0)
     tau = float(qut.pivot_quantile * pivot_scale_from_gammas(gammas)) \
         if isinstance(cfg.tau, str) else float(cfg.tau)
     return RlzFit(beta_med=beta_med, omega_med=omega_med, gamma_all=gammas,

@@ -209,7 +209,7 @@ def _replication_metrics(spec: SimulationSpec, r: int) -> dict:
     """Metrics for replication r, a pure function of (spec, r)."""
     seed = spec.master_seed
     sigma = toeplitz_sigma(spec.p, spec.rho)
-    x = sample_design(spec.n, spec.p, sigma, RngStream(seed, (r, 0)))
+    x = sample_design(spec.n, sigma, RngStream(seed, (r, 0)))
     x = standardize_columns(x)
 
     gen_beta = RngStream(seed, (r, 2)).generator()

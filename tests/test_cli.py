@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import inspect
 import json
 import math
 import os
@@ -14,10 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlasszero import InputError, SolverFailure, calibration, cli, core, lp
+from rlasszero.analysis import check_identifiability
 from rlasszero.calibration import QutSpec, qut_threshold
 from rlasszero.cli import build_parser, main, read_design_csv, \
     read_vector_csv
 from rlasszero.core import RngStream, blas_threads, standardize_columns
+from rlasszero.estimators import RlzConfig
+from rlasszero.experiments import SimulationSpec
 from rlasszero.missing import IncompleteMatrix, standardized_design
 
 import reference_simplex
@@ -507,6 +511,27 @@ class TestSharedFlags:
                   "restrict_corruption_rows", "seed", "out")
         assert {k: fit[k] for k in shared} == {k: qut[k] for k in shared}
 
+    def test_defaults_are_the_librarys(self):
+        # each default is stated in the parser and again in the library;
+        # they must be the same values
+        parser = build_parser()
+        qut = vars(parser.parse_args(["qut", "--x", "X.csv",
+                                      "--out", "o.json"]))
+        ident = parser.parse_args(["identify", "--x", "X.csv", "--theta",
+                                   "t.csv", "--theta-tilde", "tt.csv",
+                                   "--out", "o.json"])
+        cfg, spec, sim = RlzConfig(), QutSpec(), SimulationSpec()
+        want = dict(lam=cfg.lam, dictionaries=cfg.n_dictionaries,
+                    seed=cfg.master_seed, alpha=spec.alpha, mc=spec.n_mc)
+        assert {k: qut[k] for k in want} == want
+        assert (spec.lam, spec.n_dictionaries, spec.master_seed) == \
+            (cfg.lam, cfg.n_dictionaries, cfg.master_seed)
+        assert ident.lam == inspect.signature(
+            check_identifiability).parameters["lam"].default == cfg.lam
+        assert dict(lam=sim.lam, dictionaries=sim.n_dictionaries,
+                    seed=sim.master_seed, alpha=sim.alpha,
+                    mc=sim.qut_mc) == want
+
 
 class TestParserReuse:
     def test_two_calls_build_the_parser_once(self, monkeypatch, tmp_path):
@@ -812,7 +837,6 @@ class TestExitCodes:
 
         def boom(args):
             raise SolverFailure("synthetic")
-        monkeypatch.setattr(cli, "_cmd_qut", boom)
         parser = cli.build_parser()
         args = parser.parse_args(["qut", "--x", "x.csv", "--out", "o.json"])
         args.func = boom
@@ -828,13 +852,15 @@ class TestExitCodes:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, flag", [
-        ("fit", "--out"), ("qut", "--out"), ("simulate", "--out"),
-        ("simulate", "--raw"), ("identify", "--out")])
-    def test_unwritable_output_exit_2_before_the_work(
-            self, monkeypatch, instance, tmp_path, capsys, command, flag):
-        import rlasszero.cli as cli
+    # every command's output flags
+    _OUTPUT_FLAGS = [("fit", "--out"), ("qut", "--out"), ("simulate", "--out"),
+                     ("simulate", "--raw"), ("identify", "--out")]
 
+    @staticmethod
+    def _argv_without_work(monkeypatch, instance, tmp_path, command, flag,
+                           bad):
+        """argv of ``command`` with ``bad`` as its ``flag`` path, the work
+        of every command patched to fail if it is reached."""
         def no_work(*args, **kw):
             raise AssertionError("the work started")
 
@@ -853,13 +879,29 @@ class TestExitCodes:
                   "identify": ["--x", x_path, "--theta",
                                str(tmp_path / "theta.csv"), "--theta-tilde",
                                str(tmp_path / "tt.csv")]}[command]
-        bad = str(tmp_path / "no_such_dir" / "o")
         argv = [command, *inputs, "--out",
                 bad if flag == "--out" else str(tmp_path / "m.csv")]
         if flag == "--raw":
             argv += ["--raw", bad]
+        return argv
+
+    @pytest.mark.parametrize("command, flag", _OUTPUT_FLAGS)
+    def test_unwritable_output_exit_2_before_the_work(
+            self, monkeypatch, instance, tmp_path, capsys, command, flag):
+        argv = self._argv_without_work(monkeypatch, instance, tmp_path,
+                                       command, flag,
+                                       str(tmp_path / "no_such_dir" / "o"))
         assert main(argv) == 2
         assert "no_such_dir" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("command, flag", _OUTPUT_FLAGS)
+    def test_empty_output_path_exit_2_before_the_work(
+            self, monkeypatch, instance, tmp_path, capsys, command, flag):
+        argv = self._argv_without_work(monkeypatch, instance, tmp_path,
+                                       command, flag, "")
+        assert main(argv) == 2
+        assert "empty path" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
 
     def test_out_naming_a_directory_exit_2_before_the_work(

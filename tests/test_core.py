@@ -117,35 +117,41 @@ class TestCheckReal:
 class TestSampleDesign:
     def test_determinism(self):
         sigma = toeplitz_sigma(4, 0.5)
-        a = sample_design(10, 4, sigma, RngStream(0, (1,)))
-        b = sample_design(10, 4, sigma, RngStream(0, (1,)))
+        a = sample_design(10, sigma, RngStream(0, (1,)))
+        b = sample_design(10, sigma, RngStream(0, (1,)))
         np.testing.assert_array_equal(a, b)
 
     def test_column_means_near_zero(self):
         n = 4000
-        x = sample_design(n, 3, np.eye(3), RngStream(5, ()))
+        x = sample_design(n, np.eye(3), RngStream(5, ()))
+        assert x.shape == (n, 3)
         assert np.abs(x.mean(axis=0)).max() < 4 / np.sqrt(n)
 
     def test_empirical_correlation_tracks_target(self):
-        x = sample_design(10 ** 4, 2, toeplitz_sigma(2, 0.75), RngStream(1, ()))
+        x = sample_design(10 ** 4, toeplitz_sigma(2, 0.75), RngStream(1, ()))
         r = np.corrcoef(x.T)[0, 1]
         assert abs(r - 0.75) < 0.03
 
     def test_non_pd_rejected(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(InputError):
-            sample_design(5, 2, bad, RngStream(0, ()))
+            sample_design(5, bad, RngStream(0, ()))
 
-    def test_sigma_of_the_wrong_shape_rejected(self):
-        with pytest.raises(InputError, match="sigma must be 3x3"):
-            sample_design(5, 3, np.eye(2), RngStream(0, ()))
+    # p is read off sigma, so a sigma without one p is an input error
+    @pytest.mark.parametrize("sigma", [np.ones((2, 3)), np.ones(3),
+                                       np.ones((2, 2, 2))],
+                             ids=["2x3", "1-d", "3-d"])
+    def test_sigma_not_a_square_matrix_rejected(self, sigma):
+        with pytest.raises(InputError, match="sigma must be a non-empty "
+                                             "square matrix"):
+            sample_design(5, sigma, RngStream(0, ()))
 
+    # p is the order of the identity sigma
     @pytest.mark.parametrize("n, p, name", [
-        (2.5, 2, "n"), (0, 2, "n"), (3, 2.0, "p"), (3, 0, "p"),
-        (True, 2, "n"), (3, True, "p")])
+        (2.5, 2, "n"), (0, 2, "n"), (True, 2, "n"), (3, 0, "sigma")])
     def test_sizes_not_counts(self, n, p, name):
-        with pytest.raises(InputError, match=f"{name} must be an integer"):
-            sample_design(n, p, np.eye(2), RngStream(0, ()))
+        with pytest.raises(InputError, match=f"{name} must be"):
+            sample_design(n, np.eye(p), RngStream(0, ()))
 
 
 def _first_fails_last(item):

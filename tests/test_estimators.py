@@ -9,7 +9,6 @@ from rlasszero.estimators import (
     RlzConfig,
     hard_threshold,
     lasso_zero,
-    median_aggregate,
     robust_lasso_zero,
     tjp,
 )
@@ -43,56 +42,6 @@ class TestHardThreshold:
         s_hi = set(np.flatnonzero(hard_threshold(v, hi)))
         s_lo = set(np.flatnonzero(hard_threshold(v, lo)))
         assert s_hi <= s_lo
-
-
-class TestMedianAggregate:
-    def test_odd_count(self):
-        out = median_aggregate([np.array([1.0, 0.0]), np.array([2.0, 0.0]),
-                                np.array([9.0, 1.0])])
-        np.testing.assert_array_equal(out, [2.0, 0.0])
-
-    def test_single_vector_identity(self):
-        v = np.array([3.0, -1.0])
-        np.testing.assert_array_equal(median_aggregate([v]), v)
-
-    def test_even_count_midpoint(self):
-        out = median_aggregate([np.array([1.0]), np.array([4.0])])
-        np.testing.assert_array_equal(out, [2.5])
-
-    def test_permutation_invariance(self):
-        gen = np.random.default_rng(0)
-        vs = [gen.standard_normal(5) for _ in range(6)]
-        a = median_aggregate(vs)
-        b = median_aggregate(vs[::-1])
-        np.testing.assert_array_equal(a, b)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            median_aggregate([])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            median_aggregate([np.zeros(2), np.zeros(3)])
-
-    # scalars stack to 1-D and matrices to 3-D: neither is one vector each
-    @pytest.mark.parametrize("vectors", [[1.0, 2.0], [np.eye(2), np.eye(2)]],
-                             ids=["scalars", "matrices"])
-    def test_stack_not_2d_rejected(self, vectors):
-        with pytest.raises(InputError, match="same length"):
-            median_aggregate(vectors)
-
-    def test_empty_vectors(self):
-        # the corruption medians of a fit without corruption rows
-        out = median_aggregate([np.zeros(0)] * 3)
-        assert out.shape == (0,) and out.dtype == float
-
-    def test_minority_corruption_stays_in_span(self):
-        vs = [np.array([1.0]), np.array([2.0]), np.array([3.0]),
-              np.array([4.0]), np.array([5.0])]
-        vs[0][0] = 1e300
-        vs[1][0] = 1e300
-        med = median_aggregate(vs)[0]
-        assert 3.0 <= med <= 5.0
 
 
 class TestConfigValidation:

@@ -448,7 +448,7 @@ def _certification_lp():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "solve_lp", capture)
-        analysis._max_inner_product_lp(jp, h, h != 0)
+        analysis._max_inner_product_lp(jp, h)
     return problems[0]
 
 
